@@ -6,12 +6,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 
 from .config import PipelineConfig
 from .errors import AlignmentError, PipelineError
-from .pipeline import run_stage
+from .pipeline import STAGES, run_stage
 
-STAGE_CHOICES = ("ingest", "qgen", "topics", "extract", "route", "generate", "eval", "run")
+STAGE_CHOICES = (*STAGES, "run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,23 +64,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     config = config.with_env_urls()
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "k",
-            "num_topics",
-            "keywords_per_topic",
-            "q_per_topic",
-            "lda_iters",
-            "lda_seed",
-            "split_seed",
-            "max_input_tokens",
-            "max_new_tokens",
-            "instruction_file",
-            "separator",
-            "stopword_file",
-            "qg_fallback",
-            "fallback_on_empty_detection",
-        )
+        field.name: getattr(args, field.name)
+        for field in fields(PipelineConfig)
+        if hasattr(args, field.name)
     }
     if args.seed is not None:
         overrides["lda_seed"] = args.seed

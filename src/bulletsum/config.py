@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -26,6 +27,19 @@ _POSITIVE_INT_FIELDS = (
     "max_input_tokens",
     "max_new_tokens",
 )
+
+
+def _has_type(value, annotation) -> bool:
+    """Whether a value fits a field annotation such as ``float | None``.
+
+    A bool is not an int, and an int is accepted where a float is expected.
+    """
+    types = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, bool):
+        return bool in types
+    if isinstance(value, int) and float in types:
+        return True
+    return isinstance(value, types)
 
 
 @dataclass
@@ -51,14 +65,21 @@ class PipelineConfig:
     fallback_on_empty_detection: bool = False
 
     def __post_init__(self):
+        annotations = typing.get_type_hints(type(self))
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not _has_type(value, annotations[field.name]):
+                raise ConfigInvalid(f"{field.name} must be {field.type}, got {value!r}")
         for name in _POSITIVE_INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if value < 1:
                 raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
         if self.lda_alpha is not None and self.lda_alpha <= 0:
             raise ConfigInvalid(f"lda_alpha must be positive, got {self.lda_alpha!r}")
         if self.lda_beta <= 0:
             raise ConfigInvalid(f"lda_beta must be positive, got {self.lda_beta!r}")
+        if not self.separator:
+            raise ConfigInvalid("separator must be non-empty")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -143,12 +143,14 @@ def load_corpus(transcripts_dir, summaries_dir) -> Corpus:
     transcripts = {}
     summaries = {}
     for stem in paired:
-        transcripts[stem] = Transcript.from_text(
-            stem, transcript_files[stem].read_text(encoding="utf-8")
-        )
-        summaries[stem] = BulletSummary.from_text(
-            stem, summary_files[stem].read_text(encoding="utf-8")
-        )
+        for parse, files, parsed in (
+            (Transcript.from_text, transcript_files, transcripts),
+            (BulletSummary.from_text, summary_files, summaries),
+        ):
+            try:
+                parsed[stem] = parse(stem, files[stem].read_text(encoding="utf-8"))
+            except EmptyDocument as exc:
+                raise EmptyDocument(f"{files[stem]}: {exc}") from exc
     return Corpus(transcripts=transcripts, summaries=summaries)
 
 
@@ -159,8 +161,8 @@ def split_corpus(corpus: Corpus, seed: int) -> CorpusSplit:
     ids = corpus.ids
     random.Random(seed).shuffle(ids)
     n = len(ids)
-    n_train = int(0.7 * n)
-    n_val = int(0.1 * n)
+    n_train = 7 * n // 10
+    n_val = n // 10
     return CorpusSplit(
         train=tuple(ids[:n_train]),
         val=tuple(ids[n_train : n_train + n_val]),

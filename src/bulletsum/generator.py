@@ -45,7 +45,6 @@ class PromptTemplate:
 class GenerationRequest:
     prompt: str
     max_new_tokens: int = 60
-    max_input_tokens: int = 128
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,25 @@ def generate(client, request: GenerationRequest) -> list[str]:
     return bullets
 
 
-def mock_generate(request: GenerationRequest, separator: str = DEFAULT_SEPARATOR) -> list[str]:
+def mock_generate(
+    request: GenerationRequest, template: PromptTemplate | None = None
+) -> list[str]:
     """Deterministic offline stand-in for the generation service.
 
+    The context is what follows the template's exact instruction and
+    separator; without a template, what follows the first default separator.
     Returns the first four context sentences, each clipped to twelve
     whitespace tokens.
     """
-    if separator not in request.prompt:
-        raise MalformedPrompt("prompt does not contain the instruction separator")
-    context_part = request.prompt.split(separator, 1)[1]
+    if template is None:
+        _, separator, context_part = request.prompt.partition(DEFAULT_SEPARATOR)
+        if not separator:
+            raise MalformedPrompt("prompt does not contain the instruction separator")
+    else:
+        prefix = template.instruction + template.separator
+        if not request.prompt.startswith(prefix):
+            raise MalformedPrompt("prompt does not start with the instruction and separator")
+        context_part = request.prompt[len(prefix) :]
     sentences = [s.strip() for s in _SENTENCE_END_RE.split(context_part) if s.strip()]
     return [
         " ".join(sentence.split()[:MOCK_BULLET_TOKENS])
@@ -118,13 +127,12 @@ def mock_generate(request: GenerationRequest, separator: str = DEFAULT_SEPARATOR
 class MockGenClient:
     """Generation client that answers locally via ``mock_generate``."""
 
-    def __init__(self, separator: str = DEFAULT_SEPARATOR):
-        self.separator = separator
+    def __init__(self, template: PromptTemplate | None = None):
+        self.template = template
 
     def generate(self, prompt: str, max_new_tokens: int) -> str:
         bullets = mock_generate(
-            GenerationRequest(prompt=prompt, max_new_tokens=max_new_tokens),
-            separator=self.separator,
+            GenerationRequest(prompt=prompt, max_new_tokens=max_new_tokens), self.template
         )
         return "\n".join(bullets)
 

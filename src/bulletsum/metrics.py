@@ -8,7 +8,6 @@ LCS over the full token sequence.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -227,10 +226,6 @@ def report_to_dict(report: MetricsReport) -> dict:
             for d in report.per_document
         ],
     }
-
-
-def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
 
 def format_report_table(report: MetricsReport, system_name: str = "this-run") -> str:

@@ -27,7 +27,7 @@ from .corpus import (
     load_corpus,
     split_corpus,
 )
-from .errors import MissingArtifact, NoTopicsDetected
+from .errors import IoError, MissingArtifact, NoTopicsDetected
 from .qbank import QuestionBank, build_question_bank
 from .retrieval import TfidfEmbedder, build_context, context_from_dict, context_to_dict
 from .router import detect_topics, detection_to_dict, select_questions
@@ -63,14 +63,20 @@ def _write_jsonl(path: Path, records) -> None:
 def _read_json(path: Path, stage: str):
     if not path.is_file():
         raise MissingArtifact(f"stage '{stage}' requires missing artifact {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise IoError(f"artifact {path} is not valid JSON: {exc}") from exc
 
 
 def _read_jsonl(path: Path, stage: str) -> list:
     if not path.is_file():
         raise MissingArtifact(f"stage '{stage}' requires missing artifact {path}")
     with path.open(encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        try:
+            return [json.loads(line) for line in fh if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise IoError(f"artifact {path} is not valid JSON lines: {exc}") from exc
 
 
 class _StageWriter:
@@ -303,17 +309,13 @@ def stage_generate(config: PipelineConfig, workspace: Path) -> None:
     if config.generate_url:
         client = GenerationClient(config.generate_url)
     else:
-        client = gen.MockGenClient(separator=config.separator)
+        client = gen.MockGenClient(template)
 
     predictions = {}
     for record in context_records:
         context = context_from_dict(record)
         prompt = gen.build_prompt(template, context, config.max_input_tokens)
-        request = gen.GenerationRequest(
-            prompt=prompt,
-            max_new_tokens=config.max_new_tokens,
-            max_input_tokens=config.max_input_tokens,
-        )
+        request = gen.GenerationRequest(prompt=prompt, max_new_tokens=config.max_new_tokens)
         predictions[context.doc_id] = gen.generate(client, request)
 
     with _StageWriter(workspace, "generate", config) as out:
@@ -334,6 +336,17 @@ def stage_eval(config: PipelineConfig, workspace: Path) -> None:
         met.write_per_document_csv(report, out / "per_document.csv")
 
 
+# Stages that read only the workspace; ingest also needs the input directories.
+_WORKSPACE_STAGES = {
+    "qgen": stage_qgen,
+    "topics": stage_topics,
+    "extract": stage_extract,
+    "route": stage_route,
+    "generate": stage_generate,
+    "eval": stage_eval,
+}
+
+
 def run_stage(
     stage: str,
     config: PipelineConfig,
@@ -351,17 +364,7 @@ def run_stage(
         if transcripts_dir is None or summaries_dir is None:
             raise MissingArtifact("ingest requires --transcripts and --summaries")
         stage_ingest(config, workspace, transcripts_dir, summaries_dir)
-    elif stage == "qgen":
-        stage_qgen(config, workspace)
-    elif stage == "topics":
-        stage_topics(config, workspace)
-    elif stage == "extract":
-        stage_extract(config, workspace)
-    elif stage == "route":
-        stage_route(config, workspace)
-    elif stage == "generate":
-        stage_generate(config, workspace)
-    elif stage == "eval":
-        stage_eval(config, workspace)
+    elif stage in _WORKSPACE_STAGES:
+        _WORKSPACE_STAGES[stage](config, workspace)
     else:
         raise ValueError(f"unknown stage {stage!r}")

@@ -8,7 +8,6 @@ substituted through the embedding client; both sides expose ``embed``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -18,6 +17,9 @@ from .corpus import Sentence, Transcript
 from .errors import NoQuestions
 from .qbank import Question
 from .text import tokenize
+
+# Decimals kept in every similarity score before ranking.
+SCORE_DECIMALS = 12
 
 
 class Embedder(Protocol):
@@ -57,18 +59,27 @@ class TfidfEmbedder:
         return vectors
 
 
-def tfidf_embed(texts: list[str], fit_corpus: list[str]) -> np.ndarray:
-    """One-shot TF-IDF embedding: fit on ``fit_corpus``, embed ``texts``."""
-    return TfidfEmbedder(fit_corpus).embed(texts)
+def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Cosine of every query row to every candidate row, rounded.
+
+    One matrix product divided by the outer product of the row norms; a zero
+    row scores 0. Scores are rounded to ``SCORE_DECIMALS`` so that noise in
+    the last bits, which differs between summation orders and embedders,
+    cannot decide a ranking.
+    """
+    scores = queries @ candidates.T
+    norms = np.outer(np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
+    np.divide(scores, norms, out=scores, where=norms > 0)
+    return np.round(scores, SCORE_DECIMALS, out=scores)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero vectors score 0 by convention."""
-    nu = math.sqrt(float(np.dot(u, u)))
-    nv = math.sqrt(float(np.dot(v, v)))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v)) / (nu * nv)
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores in a row, best first.
+
+    Scores are compared rounded to ``SCORE_DECIMALS``; equal scores go to the
+    lower index.
+    """
+    return np.argsort(-np.round(scores, SCORE_DECIMALS), kind="stable")[:k]
 
 
 @dataclass(frozen=True)
@@ -90,42 +101,14 @@ class ExtractiveContext:
         return " ".join(s.text for s in self.context_sentences)
 
 
-def _rank_sentences(
-    sentences, sentence_vectors, question: Question, question_vector, k: int
-) -> list[ScoredSentence]:
-    scored = [
-        (cosine(question_vector, sentence_vectors[i]), s.position, s)
-        for i, s in enumerate(sentences)
-    ]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [
-        ScoredSentence(sentence=s, question=question, score=score, rank=rank)
-        for rank, (score, _, s) in enumerate(scored[:k], start=1)
-    ]
-
-
-def top_k_sentences(
-    doc: Transcript, question: Question, k: int, embedder: Embedder
-) -> list[ScoredSentence]:
-    """Top min(k, |sentences|) sentences by cosine to the question.
-
-    Ties break toward the earlier document position.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not doc.sentences:
-        raise ValueError(f"document {doc.id!r} has no sentences")
-    sentence_vectors = embedder.embed([s.text for s in doc.sentences])
-    question_vector = embedder.embed([question.text])[0]
-    return _rank_sentences(doc.sentences, sentence_vectors, question, question_vector, k)
-
-
 def build_context(
     doc: Transcript, questions: list[Question], k: int, embedder: Embedder
 ) -> ExtractiveContext:
     """Union of per-question top-k selections, deduplicated by position.
 
-    Context sentences keep document order; the per-question selections are
+    Each question takes the min(k, |sentences|) sentences of highest cosine
+    (``top_k``), so ties break toward the earlier document position. Context
+    sentences keep document order; the per-question selections are
     retained for audit. At most k * len(questions) sentences survive.
     """
     if not questions:
@@ -134,16 +117,16 @@ def build_context(
         raise ValueError("k must be >= 1")
     sentence_vectors = embedder.embed([s.text for s in doc.sentences])
     question_vectors = embedder.embed([q.text for q in questions])
+    scores = cosine_matrix(question_vectors, sentence_vectors)
 
-    selections = []
-    positions = set()
-    for q_index, question in enumerate(questions):
-        ranked = _rank_sentences(
-            doc.sentences, sentence_vectors, question, question_vectors[q_index], k
+    selections = [
+        ScoredSentence(
+            sentence=doc.sentences[i], question=question, score=float(row[i]), rank=rank
         )
-        selections.extend(ranked)
-        positions.update(s.sentence.position for s in ranked)
-
+        for question, row in zip(questions, scores)
+        for rank, i in enumerate(top_k(row, k), start=1)
+    ]
+    positions = {s.sentence.position for s in selections}
     context_sentences = [s for s in doc.sentences if s.position in positions]
     return ExtractiveContext(
         doc_id=doc.id, selections=selections, context_sentences=context_sentences

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import Transcript
 from .errors import NoTopicsDetected
 from .qbank import Question, QuestionBank
-from .retrieval import Embedder, cosine
+from .retrieval import Embedder, cosine_matrix, top_k
 from .text import normalize_text, tokenize
 from .topics import UNCATEGORIZED, TopicKeywords
 
@@ -68,7 +68,8 @@ def select_questions(
 
     Per topic, questions carrying that topic label are ranked by cosine
     between the question embedding and the mean vector of the topic's
-    evidence sentences; the per-topic winners are unioned (deduplicated by
+    evidence sentences (``top_k``: ties go to the earlier master-list
+    index); the per-topic winners are unioned (deduplicated by
     normalized text) in (topic id, rank) order.
     """
     if q_per_topic < 1:
@@ -78,24 +79,23 @@ def select_questions(
 
     sentence_vectors = embedder.embed([s.text for s in doc.sentences])
     question_vectors = embedder.embed([q.text for q in bank.master])
+    centroids = np.array(
+        [
+            sentence_vectors[sorted({match.position for match in evidence})].mean(axis=0)
+            for _, evidence in detection.detected
+        ]
+    )
+    scores = cosine_matrix(centroids, question_vectors)
 
     selected: list[Question] = []
     seen = set()
-    for topic_id, evidence in detection.detected:
-        bucket = [
-            (index, question)
-            for index, question in enumerate(bank.master)
-            if topic_id in question.topics
-        ]
-        if not bucket:
-            continue
-        positions = sorted({match.position for match in evidence})
-        centroid = np.mean([sentence_vectors[p] for p in positions], axis=0)
-        ranked = sorted(
-            bucket,
-            key=lambda item: (-cosine(question_vectors[item[0]], centroid), item[0]),
+    for (topic_id, _), row in zip(detection.detected, scores):
+        bucket = np.array(
+            [i for i, question in enumerate(bank.master) if topic_id in question.topics],
+            dtype=np.intp,
         )
-        for index, question in ranked[:q_per_topic]:
+        for index in bucket[top_k(row[bucket], q_per_topic)]:
+            question = bank.master[index]
             key = normalize_text(question.text)
             if key in seen:
                 continue

@@ -43,9 +43,6 @@ class TopicModel:
 class TopicKeywords:
     keywords: dict[str, list[str]]  # topic id -> keywords, highest probability first
 
-    def topic_ids(self) -> list[str]:
-        return sorted(self.keywords)
-
 
 def _question_tokens(question, stopwords) -> list[str]:
     text = question.text if isinstance(question, Question) else str(question)

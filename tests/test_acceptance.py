@@ -21,7 +21,7 @@ from bulletsum.corpus import Corpus, corpus_stats, load_corpus
 from bulletsum.generator import FineTuneSpec, PromptTemplate, export_finetune_dataset
 from bulletsum.metrics import num_prec, rouge_l, rouge_n
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder, build_context, top_k_sentences
+from bulletsum.retrieval import TfidfEmbedder, build_context
 from bulletsum.text import normalize_text
 from bulletsum.topics import fit_lda, topic_keywords
 
@@ -114,7 +114,7 @@ def test_criterion_retrieval_property(make_transcript, make_question):
         embedder = TfidfEmbedder(sentences)
 
         k = rng.randint(1, 4)
-        ranked = top_k_sentences(doc, question, k, embedder)
+        ranked = build_context(doc, [question], k, embedder).selections
         if ranked[0].sentence.position == target_position:
             rank_one += 1
 

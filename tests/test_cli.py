@@ -124,6 +124,49 @@ class TestStages:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "ConfigInvalid"
 
+    def _error(self, code, capsys) -> dict:
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    def test_empty_separator_rejected(self, tmp_path, capsys):
+        code = _run(["ingest", "--workspace", tmp_path / "ws", "--separator", ""])
+        error = self._error(code, capsys)
+        assert error["error"] == "ConfigInvalid"
+        assert "separator" in error["message"]
+
+    def test_wrong_typed_config_value(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"lda_beta": "0.01"}))
+        code = _run(["ingest", "--workspace", tmp_path / "ws", "--config", config_path])
+        error = self._error(code, capsys)
+        assert error["error"] == "ConfigInvalid"
+        assert "lda_beta" in error["message"]
+
+    def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys):
+        transcripts, summaries = synthetic_dirs
+        workspace = tmp_path / "ws"
+        assert _run(["ingest", "--workspace", workspace, "--transcripts", transcripts,
+                     "--summaries", summaries]) == 0
+        split_path = workspace / "ingest" / "split.json"
+        split_path.write_text('{"train": [')
+        error = self._error(_run(["qgen", "--workspace", workspace]), capsys)
+        assert error["error"] == "IoError"
+        assert str(split_path) in error["message"]
+
+    def test_empty_transcript_names_file(self, tmp_path, capsys):
+        transcripts, summaries = tmp_path / "ects", tmp_path / "gts"
+        transcripts.mkdir()
+        summaries.mkdir()
+        (transcripts / "acme.txt").write_text(" \n")
+        (summaries / "acme.txt").write_text("revenue rose 5%.\n")
+        code = _run(["ingest", "--workspace", tmp_path / "ws", "--transcripts", transcripts,
+                     "--summaries", summaries])
+        error = self._error(code, capsys)
+        assert error["error"] == "EmptyDocument"
+        assert str(transcripts / "acme.txt") in error["message"]
+
     def test_flags_override_config_file(self, tmp_path, synthetic_dirs):
         transcripts, summaries = synthetic_dirs
         config_path = tmp_path / "config.json"

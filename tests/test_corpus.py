@@ -136,9 +136,14 @@ class TestSplitCorpus:
             summaries[doc_id] = BulletSummary(id=doc_id, bullets=("a bullet",))
         return Corpus(transcripts=transcripts, summaries=summaries)
 
-    def test_exact_ratio_n10(self):
-        split = split_corpus(self._corpus_of(10), seed=1)
-        assert (len(split.train), len(split.val), len(split.test)) == (7, 1, 2)
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [(10, (7, 1, 2)), (90, (63, 9, 18)), (730, (511, 73, 146))],
+        ids=["n10", "n90", "n730"],
+    )
+    def test_exact_ratio(self, n, sizes):
+        split = split_corpus(self._corpus_of(n), seed=1)
+        assert (len(split.train), len(split.val), len(split.test)) == sizes
 
     def test_floor_arithmetic_n2425(self):
         split = split_corpus(self._corpus_of(2425), seed=99)

@@ -58,30 +58,43 @@ class TestBuildPrompt:
 
 
 class TestMockGenerate:
-    def _request(self, texts):
-        prompt = build_prompt(PromptTemplate(), _context("d", texts), max_input_tokens=500)
+    def _request(self, texts, template=PromptTemplate()):
+        prompt = build_prompt(template, _context("d", texts), max_input_tokens=500)
         return GenerationRequest(prompt=prompt)
 
     def test_two_sentences_two_bullets(self):
-        bullets = mock_generate(self._request(["revenue rose 5%.", "profit fell 3%."]))
+        request = self._request(["revenue rose 5%.", "profit fell 3%."])
+        bullets = mock_generate(request, PromptTemplate())
         assert bullets == ["revenue rose 5%.", "profit fell 3%."]
 
     def test_capped_at_four_bullets(self):
-        bullets = mock_generate(self._request([f"sentence number {i} stands alone." for i in range(10)]))
-        assert len(bullets) == 4
+        request = self._request([f"sentence number {i} stands alone." for i in range(10)])
+        assert len(mock_generate(request, PromptTemplate())) == 4
 
     def test_long_sentence_clipped_to_twelve_tokens(self):
         long_sentence = " ".join(f"tok{i}" for i in range(30)) + "."
-        bullets = mock_generate(self._request([long_sentence]))
+        bullets = mock_generate(self._request([long_sentence]), PromptTemplate())
         assert len(bullets[0].split()) == 12
 
     def test_missing_separator(self):
         with pytest.raises(MalformedPrompt):
-            mock_generate(GenerationRequest(prompt="no separator here"))
+            mock_generate(GenerationRequest(prompt="no separator here"), PromptTemplate())
+
+    def test_other_instruction_rejected(self):
+        request = self._request(["revenue rose 5%."], PromptTemplate(instruction="other"))
+        with pytest.raises(MalformedPrompt):
+            mock_generate(request, PromptTemplate())
+
+    def test_separator_inside_instruction(self):
+        template = PromptTemplate(separator=" ")
+        request = self._request(["revenue rose 5%.", "profit fell 3%."], template)
+        assert mock_generate(request, template) == ["revenue rose 5%.", "profit fell 3%."]
+        client = MockGenClient(template)
+        assert client.generate(request.prompt, 60) == "revenue rose 5%.\nprofit fell 3%."
 
     def test_deterministic(self):
         request = self._request(["alpha one.", "beta two."])
-        assert mock_generate(request) == mock_generate(request)
+        assert mock_generate(request, PromptTemplate()) == mock_generate(request, PromptTemplate())
 
 
 class _StubClient:

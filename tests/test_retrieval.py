@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
@@ -10,10 +12,23 @@ from bulletsum.retrieval import (
     build_context,
     context_from_dict,
     context_to_dict,
-    cosine,
-    tfidf_embed,
-    top_k_sentences,
+    cosine_matrix,
+    top_k,
 )
+
+
+def cosine(u, v):
+    """Scalar reference cosine; zero vectors score 0."""
+    nu = math.sqrt(float(np.dot(u, u)))
+    nv = math.sqrt(float(np.dot(v, v)))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v)) / (nu * nv)
+
+
+def _selections(doc, question, k, embedder):
+    """The selections ``build_context`` makes for one question."""
+    return build_context(doc, [question], k, embedder).selections
 
 
 class TestTfidfEmbedder:
@@ -60,12 +75,35 @@ class TestTfidfEmbedder:
         b = TfidfEmbedder(texts).embed(["alpha gamma"])
         assert np.array_equal(a, b)
 
-    def test_one_shot_helper_matches_class(self):
-        corpus = ["alpha beta", "beta gamma"]
-        texts = ["alpha", "gamma beta"]
-        assert np.array_equal(
-            tfidf_embed(texts, corpus), TfidfEmbedder(corpus).embed(texts)
-        )
+
+class TestRankingRoutine:
+    def test_cosine_matrix_matches_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        queries = rng.normal(size=(7, 12))
+        candidates = rng.normal(size=(9, 12))
+        queries[3] = 0.0
+        candidates[[0, 4]] = 0.0
+        scores = cosine_matrix(queries, candidates)
+        for i, u in enumerate(queries):
+            for j, v in enumerate(candidates):
+                assert abs(scores[i, j] - cosine(u, v)) <= 1e-12
+
+    def test_cosine_matrix_scores_are_rounded(self):
+        scores = cosine_matrix(np.array([[1.0, 2.0, 3.0]]), np.array([[3.0, 1.0, 7.0]]))
+        assert scores[0, 0] == round(scores[0, 0], 12)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-10, 10), st.sampled_from([-1e-15, 0.0, 1e-15])),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 45),
+    )
+    def test_top_k_noise_below_rounding_never_decides(self, draws, k):
+        scores = [base / 10 + noise for base, noise in draws]
+        expected = sorted(range(len(scores)), key=lambda i: (-round(scores[i], 12), i))[:k]
+        assert top_k(np.array(scores), k).tolist() == expected
 
 
 class TestTopK:
@@ -80,7 +118,7 @@ class TestTopK:
         )
         emb = TfidfEmbedder([s.text for s in doc.sentences])
         question = make_question("what is quarterly revenue?")
-        ranked = top_k_sentences(doc, question, k=2, embedder=emb)
+        ranked = _selections(doc, question, k=2, embedder=emb)
         assert ranked[0].sentence.position == 1
         assert ranked[0].rank == 1
         assert ranked[0].score > ranked[1].score
@@ -88,22 +126,42 @@ class TestTopK:
     def test_k_clamped_to_doc_size(self, make_transcript, make_question):
         doc = make_transcript("d", ["first one", "second one"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
-        ranked = top_k_sentences(doc, make_question("what is first?"), 3, emb)
+        ranked = _selections(doc, make_question("what is first?"), 3, emb)
         assert len(ranked) == 2
         assert [s.rank for s in ranked] == [1, 2]
 
     def test_tie_broken_by_earlier_position(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "unrelated text", "revenue rose"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
-        ranked = top_k_sentences(doc, make_question("what is revenue?"), 2, emb)
+        ranked = _selections(doc, make_question("what is revenue?"), 2, emb)
         assert [s.sentence.position for s in ranked] == [0, 2]
+
+    def test_exact_tie_with_float_noise_goes_to_earlier_position(
+        self, make_transcript, make_question
+    ):
+        # The first two sentences differ only in a number that occurs once,
+        # so their vectors are permutations of each other and their cosines
+        # are equal; summed in another column order they differ in the last bit.
+        doc = make_transcript(
+            "d",
+            [
+                "quarter flow income guidance dividend operating cash 681",
+                "quarter flow income guidance dividend operating cash 473",
+                "operating billings sales income revenue",
+                "quarter net margin operating profit",
+                "backlog net income dividend",
+            ],
+        )
+        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        ranked = _selections(doc, make_question("what is flow dividend cash?"), 1, emb)
+        assert [s.sentence.position for s in ranked] == [0]
 
     def test_scores_non_increasing_by_rank(self, make_transcript, make_question):
         doc = make_transcript(
             "d", ["revenue rose fast", "revenue stayed flat", "profit and margin", "misc"]
         )
         emb = TfidfEmbedder([s.text for s in doc.sentences])
-        ranked = top_k_sentences(doc, make_question("what is revenue margin?"), 4, emb)
+        ranked = _selections(doc, make_question("what is revenue margin?"), 4, emb)
         scores = [s.score for s in ranked]
         assert scores == sorted(scores, reverse=True)
         assert all(0.0 <= s <= 1.0 for s in scores)
@@ -112,7 +170,7 @@ class TestTopK:
         doc = make_transcript("d", ["text"])
         emb = TfidfEmbedder(["text"])
         with pytest.raises(ValueError):
-            top_k_sentences(doc, make_question("what is it?"), 0, emb)
+            _selections(doc, make_question("what is it?"), 0, emb)
 
 
 class TestBuildContext:
@@ -151,7 +209,7 @@ class TestBuildContext:
         expected = set()
         for q in questions:
             expected.update(
-                s.sentence.position for s in top_k_sentences(doc, q, 2, emb)
+                s.sentence.position for s in _selections(doc, q, 2, emb)
             )
         assert set(positions) == expected
 
@@ -204,7 +262,7 @@ class TestBuildContext:
     def test_cosine_symmetry(self):
         emb = TfidfEmbedder(["alpha beta gamma", "beta gamma delta"])
         u, v = emb.embed(["alpha beta", "gamma delta"])
-        assert cosine(u, v) == pytest.approx(cosine(v, u))
+        assert cosine_matrix(u[None], v[None]) == pytest.approx(cosine_matrix(v[None], u[None]))
 
     def test_serialization_round_trip(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell"])

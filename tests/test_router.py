@@ -1,8 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.qbank import QuestionBank
-from bulletsum.retrieval import TfidfEmbedder, cosine
+from bulletsum.retrieval import TfidfEmbedder, cosine_matrix
 from bulletsum.router import detect_topics, detection_to_dict, select_questions
 from bulletsum.topics import TopicKeywords
 
@@ -13,6 +16,15 @@ KEYWORDS = TopicKeywords(
         "t2": ["dividend"],
     }
 )
+
+
+def cosine(u, v):
+    """Scalar reference cosine; zero vectors score 0."""
+    nu = math.sqrt(float(np.dot(u, u)))
+    nv = math.sqrt(float(np.dot(v, v)))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v)) / (nu * nv)
 
 
 def _embedder(doc):
@@ -127,6 +139,23 @@ class TestSelectQuestions:
             for q in bank.master
         }
         assert max(sims, key=sims.get) == "what is quarterly revenue grew?"
+        routine = cosine_matrix(
+            evidence_vec[None], embedder.embed([q.text for q in bank.master])
+        )[0]
+        for q, score in zip(bank.master, routine):
+            assert abs(score - sims[q.text]) <= 1e-12
+
+    def test_tie_goes_to_earlier_master_index(self, make_transcript, make_question):
+        doc = make_transcript("d", ["revenue growth was strong", "sales held"])
+        detection = detect_topics(doc, KEYWORDS)
+        texts = ["what is revenue growth?", "what is growth revenue?"]
+        for order in (texts, texts[::-1]):
+            bank = QuestionBank(
+                per_doc={},
+                master=[make_question(t, index=i, topics={"t0"}) for i, t in enumerate(order)],
+            )
+            selected = select_questions(doc, detection, bank, 1, _embedder(doc))
+            assert [q.text for q in selected] == [order[0]]
 
     def test_output_subset_of_master_and_bounded(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell", "dividend paid"])
