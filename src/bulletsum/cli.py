@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+import typing
 from dataclasses import fields
 
 from .config import PipelineConfig
@@ -30,44 +31,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--transcripts", help="transcript .txt directory (ingest/run)")
     parser.add_argument("--summaries", help="summary .txt directory (ingest/run)")
 
-    knobs = parser.add_argument_group("config overrides")
-    knobs.add_argument("--k", type=int, help="sentences retrieved per question")
-    knobs.add_argument("--num-topics", type=int, dest="num_topics")
-    knobs.add_argument("--keywords-per-topic", type=int, dest="keywords_per_topic")
-    knobs.add_argument("--q-per-topic", type=int, dest="q_per_topic")
-    knobs.add_argument("--lda-iters", type=int, dest="lda_iters")
-    knobs.add_argument("--lda-seed", type=int, dest="lda_seed")
-    knobs.add_argument("--split-seed", type=int, dest="split_seed")
-    knobs.add_argument("--max-input-tokens", type=int, dest="max_input_tokens")
-    knobs.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    knobs.add_argument("--instruction-file", dest="instruction_file")
-    knobs.add_argument("--separator", dest="separator")
-    knobs.add_argument("--stopword-file", dest="stopword_file")
-    knobs.add_argument(
-        "--qg-fallback",
-        action="store_const",
-        const=True,
-        dest="qg_fallback",
-        help="fall back to the template generator on QG service errors",
+    knobs = parser.add_argument_group(
+        "config overrides", "one flag per config field; the README explains each"
     )
-    knobs.add_argument(
-        "--fallback-on-empty-detection",
-        action="store_const",
-        const=True,
-        dest="fallback_on_empty_detection",
-        help="use the full master list when a test document matches no topic",
-    )
+    hints = typing.get_type_hints(PipelineConfig)
+    for field in fields(PipelineConfig):
+        flag = "--" + field.name.replace("_", "-")
+        hint = hints[field.name]
+        help_text = f"default: {field.default!r}"
+        if hint is bool:
+            knobs.add_argument(
+                flag, dest=field.name, action="store_const", const=True, help=help_text
+            )
+        else:
+            types = typing.get_args(hint) or (hint,)
+            (value_type,) = [t for t in types if t is not type(None)]
+            knobs.add_argument(flag, dest=field.name, type=value_type, help=help_text)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     config = config.with_env_urls()
-    overrides = {
-        field.name: getattr(args, field.name)
-        for field in fields(PipelineConfig)
-        if hasattr(args, field.name)
-    }
+    overrides = {field.name: getattr(args, field.name) for field in fields(PipelineConfig)}
     if args.seed is not None:
         overrides["lda_seed"] = args.seed
         overrides["split_seed"] = args.seed

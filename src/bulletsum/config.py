@@ -1,4 +1,8 @@
-"""Pipeline configuration: defaults, file loading, overrides, hashing."""
+"""Pipeline configuration: defaults, file loading, overrides, hashing.
+
+The fields of ``PipelineConfig`` are the one list of settings: the CLI flags,
+the positivity check and the environment overrides are derived from them.
+"""
 
 from __future__ import annotations
 
@@ -10,23 +14,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigInvalid
-
-# Environment variables that override the service URLs from the config file.
-ENV_QG_URL = "BULLETSUM_QG_URL"
-ENV_EMBED_URL = "BULLETSUM_EMBED_URL"
-ENV_GENERATE_URL = "BULLETSUM_GENERATE_URL"
-
-_POSITIVE_INT_FIELDS = (
-    "k",
-    "num_topics",
-    "keywords_per_topic",
-    "q_per_topic",
-    "lda_iters",
-    "lda_seed",
-    "split_seed",
-    "max_input_tokens",
-    "max_new_tokens",
-)
 
 
 def _has_type(value, annotation) -> bool:
@@ -70,14 +57,10 @@ class PipelineConfig:
             value = getattr(self, field.name)
             if not _has_type(value, annotations[field.name]):
                 raise ConfigInvalid(f"{field.name} must be {field.type}, got {value!r}")
-        for name in _POSITIVE_INT_FIELDS:
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigInvalid(f"{name} must be an integer >= 1, got {value!r}")
-        if self.lda_alpha is not None and self.lda_alpha <= 0:
-            raise ConfigInvalid(f"lda_alpha must be positive, got {self.lda_alpha!r}")
-        if self.lda_beta <= 0:
-            raise ConfigInvalid(f"lda_beta must be positive, got {self.lda_beta!r}")
+            # Every number is a count, a seed or a prior, and must be > 0.
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if is_number and value <= 0:
+                raise ConfigInvalid(f"{field.name} must be positive, got {value!r}")
         if not self.separator:
             raise ConfigInvalid("separator must be non-empty")
 
@@ -114,17 +97,15 @@ class PipelineConfig:
         return PipelineConfig.from_dict(data)
 
     def with_env_urls(self, environ=None) -> "PipelineConfig":
-        """Apply service-URL environment overrides."""
+        """Override every ``*_url`` field from ``BULLETSUM_<FIELD>``; empty is unset."""
         environ = os.environ if environ is None else environ
-        data = self.to_dict()
-        for env_name, key in (
-            (ENV_QG_URL, "qg_url"),
-            (ENV_EMBED_URL, "embed_url"),
-            (ENV_GENERATE_URL, "generate_url"),
-        ):
-            if environ.get(env_name):
-                data[key] = environ[env_name]
-        return PipelineConfig.from_dict(data)
+        return self.with_overrides(
+            **{
+                field.name: environ.get(f"BULLETSUM_{field.name.upper()}") or None
+                for field in fields(self)
+                if field.name.endswith("_url")
+            }
+        )
 
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)

@@ -60,23 +60,34 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def _read_json(path: Path, stage: str):
+def _parse_artifact(path: Path, parse, data):
+    try:
+        return parse(data)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise IoError(f"artifact {path} does not have the expected shape: {exc!r}") from exc
+
+
+def _read_json(path: Path, stage: str, parse):
+    """Read a JSON artifact and turn it into an object with ``parse``."""
     if not path.is_file():
         raise MissingArtifact(f"stage '{stage}' requires missing artifact {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise IoError(f"artifact {path} is not valid JSON: {exc}") from exc
+    return _parse_artifact(path, parse, data)
 
 
-def _read_jsonl(path: Path, stage: str) -> list:
+def _read_jsonl(path: Path, stage: str, parse) -> list:
+    """Read a JSON-lines artifact and turn each record into an object with ``parse``."""
     if not path.is_file():
         raise MissingArtifact(f"stage '{stage}' requires missing artifact {path}")
     with path.open(encoding="utf-8") as fh:
         try:
-            return [json.loads(line) for line in fh if line.strip()]
+            records = [json.loads(line) for line in fh if line.strip()]
         except json.JSONDecodeError as exc:
             raise IoError(f"artifact {path} is not valid JSON lines: {exc}") from exc
+    return [_parse_artifact(path, parse, record) for record in records]
 
 
 class _StageWriter:
@@ -139,22 +150,25 @@ def _corpus_from_dict(data: dict) -> Corpus:
     return Corpus(transcripts=transcripts, summaries=summaries)
 
 
-def _load_ingest(workspace: Path, stage: str) -> tuple[Corpus, CorpusSplit]:
-    corpus = _corpus_from_dict(_read_json(workspace / "ingest" / "corpus.json", stage))
-    split_data = _read_json(workspace / "ingest" / "split.json", stage)
-    split = CorpusSplit(
-        train=tuple(split_data["train"]),
-        val=tuple(split_data["val"]),
-        test=tuple(split_data["test"]),
-        seed=split_data["seed"],
+def _split_from_dict(data: dict) -> CorpusSplit:
+    return CorpusSplit(
+        train=tuple(data["train"]),
+        val=tuple(data["val"]),
+        test=tuple(data["test"]),
+        seed=data["seed"],
     )
+
+
+def _load_ingest(workspace: Path, stage: str) -> tuple[Corpus, CorpusSplit]:
+    corpus = _read_json(workspace / "ingest" / "corpus.json", stage, _corpus_from_dict)
+    split = _read_json(workspace / "ingest" / "split.json", stage, _split_from_dict)
     return corpus, split
 
 
 def _load_bank(workspace: Path, stage: str, categorized: bool) -> QuestionBank:
     subdir = "topics" if categorized else "qgen"
-    return QuestionBank.from_dict(
-        _read_json(workspace / subdir / "question_bank.json", stage)
+    return _read_json(
+        workspace / subdir / "question_bank.json", stage, QuestionBank.from_dict
     )
 
 
@@ -197,15 +211,8 @@ def stage_ingest(
 def stage_qgen(config: PipelineConfig, workspace: Path) -> None:
     corpus, split = _load_ingest(workspace, "qgen")
     train_summaries = [corpus.summaries[doc_id] for doc_id in sorted(split.train)]
-    if config.qg_url:
-        bank = build_question_bank(
-            train_summaries,
-            generator="external",
-            client=QGClient(config.qg_url),
-            fallback=config.qg_fallback,
-        )
-    else:
-        bank = build_question_bank(train_summaries, generator="builtin")
+    client = QGClient(config.qg_url) if config.qg_url else None
+    bank = build_question_bank(train_summaries, client=client, fallback=config.qg_fallback)
     report = {
         "train_documents": len(train_summaries),
         "questions_per_doc": {doc_id: bank.n_of(doc_id) for doc_id in sorted(bank.per_doc)},
@@ -225,7 +232,7 @@ def stage_topics(config: PipelineConfig, workspace: Path) -> None:
         else QUESTION_STOPWORDS
     )
     model = fit_lda(
-        bank.master,
+        [q.text for q in bank.master],
         K=config.num_topics,
         alpha=config.lda_alpha,
         beta=config.lda_beta,
@@ -269,8 +276,9 @@ def stage_extract(config: PipelineConfig, workspace: Path) -> None:
 def stage_route(config: PipelineConfig, workspace: Path) -> None:
     corpus, split = _load_ingest(workspace, "route")
     bank = _load_bank(workspace, "route", categorized=True)
-    model_data = _read_json(workspace / "topics" / "topic_model.json", "route")
-    _, keywords = model_from_dict(model_data)
+    _, keywords = _read_json(
+        workspace / "topics" / "topic_model.json", "route", model_from_dict
+    )
 
     detections = []
     selected_questions = []
@@ -304,7 +312,9 @@ def stage_route(config: PipelineConfig, workspace: Path) -> None:
 
 
 def stage_generate(config: PipelineConfig, workspace: Path) -> None:
-    context_records = _read_jsonl(workspace / "route" / "contexts.jsonl", "generate")
+    contexts = _read_jsonl(
+        workspace / "route" / "contexts.jsonl", "generate", context_from_dict
+    )
     template = _prompt_template(config)
     if config.generate_url:
         client = GenerationClient(config.generate_url)
@@ -312,8 +322,7 @@ def stage_generate(config: PipelineConfig, workspace: Path) -> None:
         client = gen.MockGenClient(template)
 
     predictions = {}
-    for record in context_records:
-        context = context_from_dict(record)
+    for context in contexts:
         prompt = gen.build_prompt(template, context, config.max_input_tokens)
         request = gen.GenerationRequest(prompt=prompt, max_new_tokens=config.max_new_tokens)
         predictions[context.doc_id] = gen.generate(client, request)
@@ -324,7 +333,7 @@ def stage_generate(config: PipelineConfig, workspace: Path) -> None:
 
 def stage_eval(config: PipelineConfig, workspace: Path) -> None:
     corpus, split = _load_ingest(workspace, "eval")
-    predictions = _read_json(workspace / "generate" / "predictions.json", "eval")
+    predictions = _read_json(workspace / "generate" / "predictions.json", "eval", dict)
     references = {doc_id: corpus.summaries[doc_id] for doc_id in split.test}
     sources = {doc_id: corpus.transcripts[doc_id] for doc_id in split.test}
     report = met.evaluate_corpus(predictions, references, sources)

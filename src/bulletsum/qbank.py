@@ -9,6 +9,7 @@ build path is identical either way.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .corpus import BulletSummary
@@ -176,54 +177,47 @@ def generate_questions_external(
     return questions
 
 
+def unique_questions(questions: Iterable[Question]) -> list[Question]:
+    """The first question for each normalized text, in order.
+
+    Normalized text is lowercase, punctuation stripped and whitespace
+    collapsed; questions equal under it are the same question.
+    """
+    first: dict[str, Question] = {}
+    for question in questions:
+        first.setdefault(normalize_text(question.text), question)
+    return list(first.values())
+
+
 def build_question_bank(
     train_summaries: list[BulletSummary],
-    generator: str = "builtin",
     client=None,
     fallback: bool = False,
 ) -> QuestionBank:
     """Generate, deduplicate, and assemble the per-doc and master lists.
 
-    Deduplication is exact match on normalized text (lowercase, punctuation
-    stripped, whitespace collapsed), within each document and globally.
-    Ordering is deterministic: doc id, then bullet index.
+    Questions come from the QG service ``client``, or from the built-in
+    template when ``client`` is None. Deduplication (``unique_questions``)
+    runs within each document and globally. Ordering is deterministic: doc
+    id, then bullet index.
     """
     if not train_summaries:
         raise EmptyCorpus("no summaries to build a question bank from")
-    if generator not in ("builtin", "external"):
-        raise ValueError(f"unknown generator {generator!r}")
-    if generator == "external" and client is None:
-        raise ValueError("external generator requires a client")
 
     per_doc: dict[str, list[Question]] = {}
     for summary in sorted(train_summaries, key=lambda s: s.id):
-        if generator == "external":
-            candidates = generate_questions_external(
-                list(summary.bullets), client, fallback=fallback, source_doc=summary.id
-            )
-        else:
+        if client is None:
             candidates = [
                 question_from_bullet(bullet, summary.id, index)
                 for index, bullet in enumerate(summary.bullets)
             ]
-        seen = set()
-        kept = []
-        for question in candidates:
-            key = normalize_text(question.text)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(question)
-        per_doc[summary.id] = kept
+        else:
+            candidates = generate_questions_external(
+                list(summary.bullets), client, fallback=fallback, source_doc=summary.id
+            )
+        per_doc[summary.id] = unique_questions(candidates)
 
-    master = []
-    seen_global = set()
-    for doc_id in sorted(per_doc):
-        for question in per_doc[doc_id]:
-            key = normalize_text(question.text)
-            if key in seen_global:
-                continue
-            seen_global.add(key)
-            master.append(question)
-
+    master = unique_questions(
+        question for doc_id in sorted(per_doc) for question in per_doc[doc_id]
+    )
     return QuestionBank(per_doc=per_doc, master=master)

@@ -14,9 +14,9 @@ import numpy as np
 
 from .corpus import Transcript
 from .errors import NoTopicsDetected
-from .qbank import Question, QuestionBank
+from .qbank import Question, QuestionBank, unique_questions
 from .retrieval import Embedder, cosine_matrix, top_k
-from .text import normalize_text, tokenize
+from .text import tokenize
 from .topics import UNCATEGORIZED, TopicKeywords
 
 
@@ -30,9 +30,6 @@ class KeywordMatch:
 class TopicDetection:
     doc_id: str
     detected: list[tuple[str, list[KeywordMatch]]]  # (topic id, evidence), >= 1 match each
-
-    def topic_ids(self) -> list[str]:
-        return [topic_id for topic_id, _ in self.detected]
 
 
 def detect_topics(doc: Transcript, keywords: TopicKeywords) -> TopicDetection:
@@ -69,8 +66,8 @@ def select_questions(
     Per topic, questions carrying that topic label are ranked by cosine
     between the question embedding and the mean vector of the topic's
     evidence sentences (``top_k``: ties go to the earlier master-list
-    index); the per-topic winners are unioned (deduplicated by
-    normalized text) in (topic id, rank) order.
+    index); the per-topic winners are unioned (``unique_questions``) in
+    (topic id, rank) order.
     """
     if q_per_topic < 1:
         raise ValueError("q_per_topic must be >= 1")
@@ -87,21 +84,14 @@ def select_questions(
     )
     scores = cosine_matrix(centroids, question_vectors)
 
-    selected: list[Question] = []
-    seen = set()
+    winners: list[Question] = []
     for (topic_id, _), row in zip(detection.detected, scores):
         bucket = np.array(
             [i for i, question in enumerate(bank.master) if topic_id in question.topics],
             dtype=np.intp,
         )
-        for index in bucket[top_k(row[bucket], q_per_topic)]:
-            question = bank.master[index]
-            key = normalize_text(question.text)
-            if key in seen:
-                continue
-            seen.add(key)
-            selected.append(question)
-    return selected
+        winners.extend(bank.master[i] for i in bucket[top_k(row[bucket], q_per_topic)])
+    return unique_questions(winners)
 
 
 def detection_to_dict(detection: TopicDetection) -> dict:

@@ -44,13 +44,12 @@ class TopicKeywords:
     keywords: dict[str, list[str]]  # topic id -> keywords, highest probability first
 
 
-def _question_tokens(question, stopwords) -> list[str]:
-    text = question.text if isinstance(question, Question) else str(question)
+def _question_tokens(text: str, stopwords) -> list[str]:
     return [tok for tok in tokenize(text) if tok not in stopwords]
 
 
 def fit_lda(
-    questions: list[Question],
+    questions: list[str],
     K: int,
     alpha: float | None = None,
     beta: float = DEFAULT_BETA,

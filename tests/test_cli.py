@@ -1,14 +1,38 @@
 import hashlib
 import json
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from bulletsum.cli import main
+from bulletsum.cli import build_parser, main, resolve_config
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import ConfigInvalid
 
 FAST_FLAGS = ["--num-topics", "6", "--lda-iters", "60", "--keywords-per-topic", "4"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The flags the CLI has always had: their spelling, value and meaning are fixed.
+PINNED_FLAGS = [
+    ("--k", "5", "k", 5),
+    ("--num-topics", "6", "num_topics", 6),
+    ("--keywords-per-topic", "4", "keywords_per_topic", 4),
+    ("--q-per-topic", "3", "q_per_topic", 3),
+    ("--lda-iters", "60", "lda_iters", 60),
+    ("--lda-seed", "9", "lda_seed", 9),
+    ("--split-seed", "11", "split_seed", 11),
+    ("--max-input-tokens", "100", "max_input_tokens", 100),
+    ("--max-new-tokens", "50", "max_new_tokens", 50),
+    ("--instruction-file", "i.txt", "instruction_file", "i.txt"),
+    ("--separator", " || ", "separator", " || "),
+    ("--stopword-file", "s.txt", "stopword_file", "s.txt"),
+    ("--qg-fallback", None, "qg_fallback", True),
+    ("--fallback-on-empty-detection", None, "fallback_on_empty_detection", True),
+]
+
+# A value unlike every default, for each non-bool field type.
+FLAG_VALUES = {int: ("4", 4), float: ("0.5", 0.5), str: ("text", "text")}
 
 
 def _tree_digest(root: Path) -> dict:
@@ -25,6 +49,12 @@ def _run(args):
     return main([str(a) for a in args])
 
 
+def _without_keywords(text: str) -> str:
+    model = json.loads(text)
+    del model["keywords"]
+    return json.dumps(model)
+
+
 class TestConfig:
     def test_defaults_are_paper_constants(self):
         config = PipelineConfig()
@@ -38,18 +68,68 @@ class TestConfig:
             PipelineConfig.from_dict({"num_topic": 10})
 
     def test_knobs_must_be_positive(self):
-        with pytest.raises(ConfigInvalid):
-            PipelineConfig(k=0)
-        with pytest.raises(ConfigInvalid):
-            PipelineConfig(max_input_tokens=-5)
+        for name, value in (
+            ("k", 0),
+            ("max_input_tokens", -5),
+            ("lda_alpha", 0),
+            ("lda_beta", -1),
+            ("lda_seed", 0),
+        ):
+            with pytest.raises(ConfigInvalid, match=name):
+                PipelineConfig(**{name: value})
 
     def test_env_urls_override_file_values(self):
-        config = PipelineConfig(embed_url="http://from-file")
+        config = PipelineConfig(embed_url="http://from-file", qg_url="http://qg-file")
         resolved = config.with_env_urls(
-            {"BULLETSUM_EMBED_URL": "http://from-env"}
+            {
+                "BULLETSUM_EMBED_URL": "http://from-env",
+                "BULLETSUM_QG_URL": "",
+                "BULLETSUM_GENERATE_URL": "http://generate-env",
+            }
         )
         assert resolved.embed_url == "http://from-env"
+        assert resolved.qg_url == "http://qg-file"
+        assert resolved.generate_url == "http://generate-env"
         assert config.embed_url == "http://from-file"
+        assert config.with_env_urls({"BULLETSUM_QG_URL": "http://qg-env"}).qg_url == (
+            "http://qg-env"
+        )
+
+    @pytest.mark.parametrize("field", fields(PipelineConfig), ids=lambda f: f.name)
+    def test_every_field_is_a_flag(self, field, tmp_path):
+        hint = typing.get_type_hints(PipelineConfig)[field.name]
+        argv = ["qgen", "--workspace", str(tmp_path), "--" + field.name.replace("_", "-")]
+        if hint is bool:
+            expected = True
+        else:
+            (value_type,) = set(typing.get_args(hint) or (hint,)) - {type(None)}
+            text, expected = FLAG_VALUES[value_type]
+            argv.append(text)
+        value = getattr(resolve_config(build_parser().parse_args(argv)), field.name)
+        assert value == expected
+        assert type(value) is type(expected)
+
+    def test_pinned_flags_parse_as_before(self, tmp_path):
+        argv = ["qgen", "--workspace", str(tmp_path)]
+        for flag, text, _, _ in PINNED_FLAGS:
+            argv += [flag] if text is None else [flag, text]
+        config = resolve_config(build_parser().parse_args(argv))
+        expected = {name: value for _, _, name, value in PINNED_FLAGS}
+        assert {name: getattr(config, name) for name in expected} == expected
+
+    def test_flag_beats_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BULLETSUM_EMBED_URL", "http://from-env")
+        argv = ["route", "--workspace", str(tmp_path), "--embed-url", "http://from-flag"]
+        assert resolve_config(build_parser().parse_args(argv)).embed_url == "http://from-flag"
+        argv = ["route", "--workspace", str(tmp_path)]
+        assert resolve_config(build_parser().parse_args(argv)).embed_url == "http://from-env"
+
+    def test_readme_table_lists_every_field(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Configuration\n", 1)[1].split("\n#", 1)[0]
+        table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+        missing = [f.name for f in fields(PipelineConfig) if f"`{f.name}`" not in table]
+        assert missing == []
 
     def test_overrides_win_and_none_ignored(self):
         config = PipelineConfig(k=5).with_overrides(k=7, num_topics=None)
@@ -144,16 +224,29 @@ class TestStages:
         assert error["error"] == "ConfigInvalid"
         assert "lda_beta" in error["message"]
 
-    def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys):
+    @pytest.mark.parametrize(
+        "artifact, edit, stage",
+        [
+            ("ingest/split.json", lambda _: '{"train": [', "qgen"),
+            ("ingest/split.json", lambda _: '{"train": []}', "qgen"),
+            ("ingest/corpus.json", lambda _: "[]", "qgen"),
+            ("topics/topic_model.json", _without_keywords, "route"),
+        ],
+        ids=["truncated-split", "split-without-val", "corpus-list", "model-without-keywords"],
+    )
+    def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):
         transcripts, summaries = synthetic_dirs
         workspace = tmp_path / "ws"
-        assert _run(["ingest", "--workspace", workspace, "--transcripts", transcripts,
-                     "--summaries", summaries]) == 0
-        split_path = workspace / "ingest" / "split.json"
-        split_path.write_text('{"train": [')
-        error = self._error(_run(["qgen", "--workspace", workspace]), capsys)
+        upstream = ("ingest", "qgen", "topics") if stage == "route" else ("ingest",)
+        for name in upstream:
+            assert _run([name, "--workspace", workspace, "--transcripts", transcripts,
+                         "--summaries", summaries, *FAST_FLAGS]) == 0
+        path = workspace / artifact
+        path.write_text(edit(path.read_text()))
+        error = self._error(_run([stage, "--workspace", workspace]), capsys)
         assert error["error"] == "IoError"
-        assert str(split_path) in error["message"]
+        assert error["stage"] == stage
+        assert str(path) in error["message"]
 
     def test_empty_transcript_names_file(self, tmp_path, capsys):
         transcripts, summaries = tmp_path / "ects", tmp_path / "gts"

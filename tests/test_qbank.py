@@ -157,11 +157,6 @@ class TestBuildQuestionBank:
     def test_external_generator_path(self, make_summary):
         bank = build_question_bank(
             [make_summary("a", ["q2 revenue $5 million."])],
-            generator="external",
             client=_EchoClient(),
         )
         assert bank.master[0].text.startswith("what is the gist of")
-
-    def test_unknown_generator_rejected(self, make_summary):
-        with pytest.raises(ValueError):
-            build_question_bank([make_summary("a", ["x 5%."])], generator="magic")

@@ -35,7 +35,7 @@ class TestDetectTopics:
     def test_keyword_presence_detects_topic(self, make_transcript):
         doc = make_transcript("d", ["revenue rose this quarter", "we hired staff"])
         detection = detect_topics(doc, KEYWORDS)
-        assert detection.topic_ids() == ["t0"]
+        assert [t for t, _ in detection.detected] == ["t0"]
         (topic_id, evidence) = detection.detected[0]
         assert evidence[0].keyword == "revenue"
         assert evidence[0].position == 0
@@ -62,8 +62,8 @@ class TestDetectTopics:
         base = ["revenue rose", "profit fell"]
         doc_small = make_transcript("d", base)
         doc_big = make_transcript("d", base + ["dividend declared", "misc line"])
-        small_ids = set(detect_topics(doc_small, KEYWORDS).topic_ids())
-        big_ids = set(detect_topics(doc_big, KEYWORDS).topic_ids())
+        small_ids = {t for t, _ in detect_topics(doc_small, KEYWORDS).detected}
+        big_ids = {t for t, _ in detect_topics(doc_big, KEYWORDS).detected}
         assert small_ids <= big_ids
 
     def test_serializable(self, make_transcript):
@@ -77,7 +77,7 @@ class TestDetectTopics:
             keywords={"t0": ["revenue"], "uncategorized": ["revenue"]}
         )
         doc = make_transcript("d", ["revenue rose"])
-        assert detect_topics(doc, keywords).topic_ids() == ["t0"]
+        assert [t for t, _ in detect_topics(doc, keywords).detected] == ["t0"]
 
 
 class TestSelectQuestions:
