@@ -1,7 +1,7 @@
 """Abstractive-stage plumbing: prompts, generation contract, dataset export.
 
 Decoding itself lives behind the generation service; this module owns the
-prompt format, the request/response contract, a deterministic offline mock,
+prompt format, the response contract, a deterministic offline mock,
 and the export of the instruction-tuning dataset plus its training config.
 """
 
@@ -42,12 +42,6 @@ class PromptTemplate:
 
 
 @dataclass(frozen=True)
-class GenerationRequest:
-    prompt: str
-    max_new_tokens: int = 60
-
-
-@dataclass(frozen=True)
 class FineTuneSpec:
     """Training configuration exported verbatim for the external fine-tuner."""
 
@@ -85,22 +79,20 @@ def build_prompt(
     return template.instruction + template.separator + " ".join(context_tokens)
 
 
-def generate(client, request: GenerationRequest) -> list[str]:
-    """Run one generation request and split the response into bullets.
+def generate(client, prompt: str, max_new_tokens: int) -> list[str]:
+    """Generate from ``prompt`` with ``client`` and split the response into bullets.
 
     The response text is split on line breaks; blank lines are dropped. An
     empty result raises EmptyGeneration.
     """
-    text = client.generate(request.prompt, request.max_new_tokens)
+    text = client.generate(prompt, max_new_tokens)
     bullets = [line.strip() for line in text.splitlines() if line.strip()]
     if not bullets:
         raise EmptyGeneration("generation service returned no usable lines")
     return bullets
 
 
-def mock_generate(
-    request: GenerationRequest, template: PromptTemplate | None = None
-) -> list[str]:
+def mock_generate(prompt: str, template: PromptTemplate | None = None) -> list[str]:
     """Deterministic offline stand-in for the generation service.
 
     The context is what follows the template's exact instruction and
@@ -109,14 +101,14 @@ def mock_generate(
     whitespace tokens.
     """
     if template is None:
-        _, separator, context_part = request.prompt.partition(DEFAULT_SEPARATOR)
+        _, separator, context_part = prompt.partition(DEFAULT_SEPARATOR)
         if not separator:
             raise MalformedPrompt("prompt does not contain the instruction separator")
     else:
         prefix = template.instruction + template.separator
-        if not request.prompt.startswith(prefix):
+        if not prompt.startswith(prefix):
             raise MalformedPrompt("prompt does not start with the instruction and separator")
-        context_part = request.prompt[len(prefix) :]
+        context_part = prompt[len(prefix) :]
     sentences = [s.strip() for s in _SENTENCE_END_RE.split(context_part) if s.strip()]
     return [
         " ".join(sentence.split()[:MOCK_BULLET_TOKENS])
@@ -131,10 +123,7 @@ class MockGenClient:
         self.template = template
 
     def generate(self, prompt: str, max_new_tokens: int) -> str:
-        bullets = mock_generate(
-            GenerationRequest(prompt=prompt, max_new_tokens=max_new_tokens), self.template
-        )
-        return "\n".join(bullets)
+        return "\n".join(mock_generate(prompt, self.template))
 
 
 def export_finetune_dataset(

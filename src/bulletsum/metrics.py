@@ -1,8 +1,9 @@
 """Summary evaluation: ROUGE-1/2/L F1, number extraction, and Num-Prec.
 
-All metrics are computed from scratch so results depend only on this module's
-tokenization (no stemming, no stop-word removal). ROUGE-L is summary-level
-LCS over the full token sequence.
+All metrics are computed from scratch so results depend only on one
+tokenization, ``text.tokenize``: lowercase; split on anything that is not a
+letter, digit, or a decimal point inside a number; no stemming, no stop-word
+removal. ROUGE-L is summary-level LCS over the full token sequence.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ class MetricsReport:
     per_document: list[DocumentScores] = field(default_factory=list)
 
 
-def rouge_tokenize(text: str) -> list[str]:
-    """Tokenizer used by every metric in this module.
-
-    Lowercase; split on anything that is not a letter, digit, or a decimal
-    point inside a number; no stemming.
-    """
-    return tokenize(text)
-
-
 def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
@@ -78,8 +70,8 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap F1 (n in {1, 2})."""
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand = _ngrams(rouge_tokenize(candidate), n)
-    ref = _ngrams(rouge_tokenize(reference), n)
+    cand = _ngrams(tokenize(candidate), n)
+    ref = _ngrams(tokenize(reference), n)
     cand_total = sum(cand.values())
     ref_total = sum(ref.values())
     if cand_total == 0 or ref_total == 0:
@@ -109,8 +101,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Summary-level longest-common-subsequence F1 (beta = 1)."""
-    cand = rouge_tokenize(candidate)
-    ref = rouge_tokenize(reference)
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
     if not cand or not ref:
         return RougeScore(0.0, 0.0, 0.0)
     lcs = _lcs_length(cand, ref)
@@ -202,30 +194,6 @@ def evaluate_corpus(
         num_prec=sum(d.num_prec for d in per_doc) / len(per_doc),
         per_document=per_doc,
     )
-
-
-def report_to_dict(report: MetricsReport) -> dict:
-    def rouge_dict(score: RougeScore) -> dict:
-        return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
-
-    return {
-        "rouge1": rouge_dict(report.rouge1),
-        "rouge2": rouge_dict(report.rouge2),
-        "rougeL": rouge_dict(report.rougeL),
-        "num_prec": report.num_prec,
-        "bert_score": report.bert_score,
-        "summac": report.summac,
-        "per_document": [
-            {
-                "doc_id": d.doc_id,
-                "rouge1": rouge_dict(d.rouge1),
-                "rouge2": rouge_dict(d.rouge2),
-                "rougeL": rouge_dict(d.rougeL),
-                "num_prec": d.num_prec,
-            }
-            for d in report.per_document
-        ],
-    }
 
 
 def format_report_table(report: MetricsReport, system_name: str = "this-run") -> str:

@@ -1,17 +1,23 @@
 """Stage orchestration and workspace artifact handling.
 
-Every stage reads its upstream artifacts from the workspace, writes its own
-outputs into ``workspace/<stage>/`` atomically (temp directory + rename), and
-snapshots the resolved config next to them so reruns are auditable. With the
-built-in embedder and the mock generator, rerunning a stage with identical
-inputs and seeds produces byte-identical artifacts.
+Every stage reads its upstream artifacts from the workspace and writes its
+own into a fresh directory that ``run_stage`` publishes as
+``workspace/<stage>/`` (see ``_publish``), with the resolved config
+snapshotted next to them so reruns are auditable. Artifact objects are
+written as their dataclass fields. With the built-in embedder and the mock
+generator, rerunning a stage with identical inputs and seeds produces
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import shutil
+import tempfile
+from contextlib import contextmanager
+from dataclasses import is_dataclass
 from pathlib import Path
 
 from . import generator as gen
@@ -30,7 +36,7 @@ from .corpus import (
 from .errors import IoError, MissingArtifact, NoTopicsDetected
 from .qbank import QuestionBank, build_question_bank
 from .retrieval import TfidfEmbedder, build_context, context_from_dict, context_to_dict
-from .router import detect_topics, detection_to_dict, select_questions
+from .router import detect_topics, select_questions
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords
 from .topics import (
@@ -44,20 +50,33 @@ from .topics import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ingest", "qgen", "topics", "extract", "route", "generate", "eval")
+
+def _jsonable(value):
+    """What the encoder cannot write itself: a dataclass as its fields, a set sorted.
+
+    ``vars`` gives the same mapping as ``dataclasses.asdict`` for these
+    field-only classes, one level at a time (the encoder calls back for what
+    is nested), without ``asdict``'s deep copy of every value, which costs
+    more than the rest of writing ``route/detections.jsonl``.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return vars(value)
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    raise TypeError(f"{type(value).__name__} is not an artifact type")
+
+
+_dumps = functools.partial(json.dumps, sort_keys=True, ensure_ascii=False, default=_jsonable)
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(_dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_jsonl(path: Path, records) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(_dumps(record) + "\n")
 
 
 def _parse_artifact(path: Path, parse, data):
@@ -67,10 +86,10 @@ def _parse_artifact(path: Path, parse, data):
         raise IoError(f"artifact {path} does not have the expected shape: {exc!r}") from exc
 
 
-def _read_json(path: Path, stage: str, parse):
+def _read_json(path: Path, parse):
     """Read a JSON artifact and turn it into an object with ``parse``."""
     if not path.is_file():
-        raise MissingArtifact(f"stage '{stage}' requires missing artifact {path}")
+        raise MissingArtifact(f"missing artifact {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -78,10 +97,10 @@ def _read_json(path: Path, stage: str, parse):
     return _parse_artifact(path, parse, data)
 
 
-def _read_jsonl(path: Path, stage: str, parse) -> list:
+def _read_jsonl(path: Path, parse) -> list:
     """Read a JSON-lines artifact and turn each record into an object with ``parse``."""
     if not path.is_file():
-        raise MissingArtifact(f"stage '{stage}' requires missing artifact {path}")
+        raise MissingArtifact(f"missing artifact {path}")
     with path.open(encoding="utf-8") as fh:
         try:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -90,36 +109,45 @@ def _read_jsonl(path: Path, stage: str, parse) -> list:
     return [_parse_artifact(path, parse, record) for record in records]
 
 
-class _StageWriter:
-    """Collects artifacts for one stage and publishes them atomically."""
+def _rename(source: Path, target: Path) -> None:
+    try:
+        source.rename(target)
+    except OSError as exc:
+        raise IoError(f"could not rename {source} to {target}: {exc}") from exc
 
-    def __init__(self, workspace: Path, stage: str, config: PipelineConfig):
-        self.workspace = Path(workspace)
-        self.stage = stage
-        self.config = config
-        self.tmp = self.workspace / f".{stage}.tmp"
 
-    def __enter__(self) -> Path:
-        self.workspace.mkdir(parents=True, exist_ok=True)
-        if self.tmp.exists():
-            shutil.rmtree(self.tmp)
-        self.tmp.mkdir()
-        logger.info("stage %s config hash %s", self.stage, self.config.hash())
-        _write_json(
-            self.tmp / "config.json",
-            {"config": self.config.to_dict(), "hash": self.config.hash()},
-        )
-        return self.tmp
+@contextmanager
+def _publish(workspace: Path, stage: str, config: PipelineConfig):
+    """Yield a fresh directory for ``stage``'s artifacts, then publish it.
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            shutil.rmtree(self.tmp, ignore_errors=True)
-            return False
-        final = self.workspace / self.stage
-        if final.exists():
-            shutil.rmtree(final)
-        self.tmp.rename(final)
-        return False
+    The directory is unique to this call, so concurrent runs never share it.
+    If the stage raises, the directory is removed and ``workspace/<stage>``
+    is left as it was. Otherwise the old output is renamed aside, the new one
+    renamed in, and only then is the old one deleted: a complete output
+    exists on disk at every instant. If the new one cannot be renamed in, the
+    old one is put back and the error is an ``IoError``.
+    """
+    workspace.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{stage}.", dir=workspace))
+    try:
+        logger.info("stage %s config hash %s", stage, config.hash())
+        _write_json(tmp / "config.json", {"config": config.to_dict(), "hash": config.hash()})
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    final = workspace / stage
+    aside = tmp.with_name(tmp.name + ".old")
+    if final.exists():
+        _rename(final, aside)
+    try:
+        _rename(tmp, final)
+    except IoError:
+        if aside.exists():
+            _rename(aside, final)
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def _corpus_to_dict(corpus: Corpus) -> dict:
@@ -159,17 +187,27 @@ def _split_from_dict(data: dict) -> CorpusSplit:
     )
 
 
-def _load_ingest(workspace: Path, stage: str) -> tuple[Corpus, CorpusSplit]:
-    corpus = _read_json(workspace / "ingest" / "corpus.json", stage, _corpus_from_dict)
-    split = _read_json(workspace / "ingest" / "split.json", stage, _split_from_dict)
+def _predictions_from_dict(data: dict) -> dict[str, list[str]]:
+    for bullets in data.values():
+        if not isinstance(bullets, list) or not all(isinstance(b, str) for b in bullets):
+            raise TypeError(f"a prediction is not a list of strings: {bullets!r}")
+    return data
+
+
+def _load_ingest(workspace: Path) -> tuple[Corpus, CorpusSplit]:
+    corpus = _read_json(workspace / "ingest" / "corpus.json", _corpus_from_dict)
+    split_path = workspace / "ingest" / "split.json"
+    split = _read_json(split_path, _split_from_dict)
+    known = corpus.transcripts.keys() & corpus.summaries.keys()
+    unknown = sorted(set(split.train + split.val + split.test) - known)
+    if unknown:
+        raise IoError(f"artifact {split_path} names ids missing from the corpus: {unknown}")
     return corpus, split
 
 
-def _load_bank(workspace: Path, stage: str, categorized: bool) -> QuestionBank:
+def _load_bank(workspace: Path, categorized: bool) -> QuestionBank:
     subdir = "topics" if categorized else "qgen"
-    return _read_json(
-        workspace / subdir / "question_bank.json", stage, QuestionBank.from_dict
-    )
+    return _read_json(workspace / subdir / "question_bank.json", QuestionBank.from_dict)
 
 
 def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
@@ -189,27 +227,16 @@ def _embedder_for(doc: Transcript, config: PipelineConfig):
 
 
 def stage_ingest(
-    config: PipelineConfig, workspace: Path, transcripts_dir, summaries_dir
+    config: PipelineConfig, workspace: Path, out: Path, transcripts_dir, summaries_dir
 ) -> None:
     corpus = load_corpus(transcripts_dir, summaries_dir)
-    split = split_corpus(corpus, config.split_seed)
-    stats = corpus_stats(corpus)
-    with _StageWriter(workspace, "ingest", config) as out:
-        _write_json(out / "corpus.json", _corpus_to_dict(corpus))
-        _write_json(
-            out / "split.json",
-            {
-                "train": list(split.train),
-                "val": list(split.val),
-                "test": list(split.test),
-                "seed": split.seed,
-            },
-        )
-        _write_json(out / "stats.json", stats)
+    _write_json(out / "corpus.json", _corpus_to_dict(corpus))
+    _write_json(out / "split.json", split_corpus(corpus, config.split_seed))
+    _write_json(out / "stats.json", corpus_stats(corpus))
 
 
-def stage_qgen(config: PipelineConfig, workspace: Path) -> None:
-    corpus, split = _load_ingest(workspace, "qgen")
+def stage_qgen(config: PipelineConfig, workspace: Path, out: Path) -> None:
+    corpus, split = _load_ingest(workspace)
     train_summaries = [corpus.summaries[doc_id] for doc_id in sorted(split.train)]
     client = QGClient(config.qg_url) if config.qg_url else None
     bank = build_question_bank(train_summaries, client=client, fallback=config.qg_fallback)
@@ -219,13 +246,12 @@ def stage_qgen(config: PipelineConfig, workspace: Path) -> None:
         "master_size": len(bank.master),
         "generator": "external" if config.qg_url else "builtin",
     }
-    with _StageWriter(workspace, "qgen", config) as out:
-        _write_json(out / "question_bank.json", bank.to_dict())
-        _write_json(out / "report.json", report)
+    _write_json(out / "question_bank.json", bank)
+    _write_json(out / "report.json", report)
 
 
-def stage_topics(config: PipelineConfig, workspace: Path) -> None:
-    bank = _load_bank(workspace, "topics", categorized=False)
+def stage_topics(config: PipelineConfig, workspace: Path, out: Path) -> None:
+    bank = _load_bank(workspace, categorized=False)
     stopwords = (
         load_stopwords(config.stopword_file)
         if config.stopword_file
@@ -242,16 +268,14 @@ def stage_topics(config: PipelineConfig, workspace: Path) -> None:
     )
     keywords = topic_keywords(model, w=config.keywords_per_topic)
     categorized = categorize_questions(bank, keywords)
-    distribution = question_distribution(categorized)
-    with _StageWriter(workspace, "topics", config) as out:
-        _write_json(out / "topic_model.json", model_to_dict(model, keywords))
-        _write_json(out / "question_bank.json", categorized.to_dict())
-        _write_json(out / "distribution.json", distribution)
+    _write_json(out / "topic_model.json", model_to_dict(model, keywords))
+    _write_json(out / "question_bank.json", categorized)
+    _write_json(out / "distribution.json", question_distribution(categorized))
 
 
-def stage_extract(config: PipelineConfig, workspace: Path) -> None:
-    corpus, split = _load_ingest(workspace, "extract")
-    bank = _load_bank(workspace, "extract", categorized=False)
+def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
+    corpus, split = _load_ingest(workspace)
+    bank = _load_bank(workspace, categorized=False)
     template = _prompt_template(config)
 
     contexts = []
@@ -266,19 +290,14 @@ def stage_extract(config: PipelineConfig, workspace: Path) -> None:
         contexts.append(context_to_dict(context))
         pairs.append((context, corpus.summaries[doc_id]))
 
-    with _StageWriter(workspace, "extract", config) as out:
-        _write_jsonl(out / "contexts.jsonl", contexts)
-        gen.export_finetune_dataset(
-            pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl"
-        )
+    _write_jsonl(out / "contexts.jsonl", contexts)
+    gen.export_finetune_dataset(pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl")
 
 
-def stage_route(config: PipelineConfig, workspace: Path) -> None:
-    corpus, split = _load_ingest(workspace, "route")
-    bank = _load_bank(workspace, "route", categorized=True)
-    _, keywords = _read_json(
-        workspace / "topics" / "topic_model.json", "route", model_from_dict
-    )
+def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
+    corpus, split = _load_ingest(workspace)
+    bank = _load_bank(workspace, categorized=True)
+    _, keywords = _read_json(workspace / "topics" / "topic_model.json", model_from_dict)
 
     detections = []
     selected_questions = []
@@ -287,7 +306,7 @@ def stage_route(config: PipelineConfig, workspace: Path) -> None:
         doc = corpus.transcripts[doc_id]
         embedder = _embedder_for(doc, config)
         detection = detect_topics(doc, keywords)
-        detections.append(detection_to_dict(detection))
+        detections.append(detection)
         try:
             questions = select_questions(
                 doc, detection, bank, config.q_per_topic, embedder
@@ -305,16 +324,13 @@ def stage_route(config: PipelineConfig, workspace: Path) -> None:
         context = build_context(doc, questions, config.k, embedder)
         contexts.append(context_to_dict(context))
 
-    with _StageWriter(workspace, "route", config) as out:
-        _write_jsonl(out / "detections.jsonl", detections)
-        _write_jsonl(out / "questions.jsonl", selected_questions)
-        _write_jsonl(out / "contexts.jsonl", contexts)
+    _write_jsonl(out / "detections.jsonl", detections)
+    _write_jsonl(out / "questions.jsonl", selected_questions)
+    _write_jsonl(out / "contexts.jsonl", contexts)
 
 
-def stage_generate(config: PipelineConfig, workspace: Path) -> None:
-    contexts = _read_jsonl(
-        workspace / "route" / "contexts.jsonl", "generate", context_from_dict
-    )
+def stage_generate(config: PipelineConfig, workspace: Path, out: Path) -> None:
+    contexts = _read_jsonl(workspace / "route" / "contexts.jsonl", context_from_dict)
     template = _prompt_template(config)
     if config.generate_url:
         client = GenerationClient(config.generate_url)
@@ -324,29 +340,26 @@ def stage_generate(config: PipelineConfig, workspace: Path) -> None:
     predictions = {}
     for context in contexts:
         prompt = gen.build_prompt(template, context, config.max_input_tokens)
-        request = gen.GenerationRequest(prompt=prompt, max_new_tokens=config.max_new_tokens)
-        predictions[context.doc_id] = gen.generate(client, request)
-
-    with _StageWriter(workspace, "generate", config) as out:
-        _write_json(out / "predictions.json", predictions)
+        predictions[context.doc_id] = gen.generate(client, prompt, config.max_new_tokens)
+    _write_json(out / "predictions.json", predictions)
 
 
-def stage_eval(config: PipelineConfig, workspace: Path) -> None:
-    corpus, split = _load_ingest(workspace, "eval")
-    predictions = _read_json(workspace / "generate" / "predictions.json", "eval", dict)
+def stage_eval(config: PipelineConfig, workspace: Path, out: Path) -> None:
+    corpus, split = _load_ingest(workspace)
+    predictions = _read_json(
+        workspace / "generate" / "predictions.json", _predictions_from_dict
+    )
     references = {doc_id: corpus.summaries[doc_id] for doc_id in split.test}
     sources = {doc_id: corpus.transcripts[doc_id] for doc_id in split.test}
     report = met.evaluate_corpus(predictions, references, sources)
-    with _StageWriter(workspace, "eval", config) as out:
-        _write_json(out / "report.json", met.report_to_dict(report))
-        (out / "report.txt").write_text(
-            met.format_report_table(report) + "\n", encoding="utf-8"
-        )
-        met.write_per_document_csv(report, out / "per_document.csv")
+    _write_json(out / "report.json", report)
+    (out / "report.txt").write_text(met.format_report_table(report) + "\n", encoding="utf-8")
+    met.write_per_document_csv(report, out / "per_document.csv")
 
 
-# Stages that read only the workspace; ingest also needs the input directories.
-_WORKSPACE_STAGES = {
+# Every stage in pipeline order; each writes its artifacts into ``out``.
+STAGES = {
+    "ingest": stage_ingest,
     "qgen": stage_qgen,
     "topics": stage_topics,
     "extract": stage_extract,
@@ -363,17 +376,18 @@ def run_stage(
     transcripts_dir=None,
     summaries_dir=None,
 ) -> None:
-    """Run one stage, or every stage in order for ``run``."""
+    """Run one stage and publish its artifacts, or every stage in order for ``run``."""
     workspace = Path(workspace)
     if stage == "run":
         for name in STAGES:
             run_stage(name, config, workspace, transcripts_dir, summaries_dir)
         return
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    inputs = ()
     if stage == "ingest":
         if transcripts_dir is None or summaries_dir is None:
             raise MissingArtifact("ingest requires --transcripts and --summaries")
-        stage_ingest(config, workspace, transcripts_dir, summaries_dir)
-    elif stage in _WORKSPACE_STAGES:
-        _WORKSPACE_STAGES[stage](config, workspace)
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
+        inputs = (transcripts_dir, summaries_dir)
+    with _publish(workspace, stage, config) as out:
+        STAGES[stage](config, workspace, out, *inputs)

@@ -46,15 +46,6 @@ class QuestionBank:
     def n_of(self, doc_id: str) -> int:
         return len(self.per_doc.get(doc_id, []))
 
-    def to_dict(self) -> dict:
-        return {
-            "per_doc": {
-                doc_id: [_question_dict(q) for q in questions]
-                for doc_id, questions in sorted(self.per_doc.items())
-            },
-            "master": [_question_dict(q) for q in self.master],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "QuestionBank":
         return cls(
@@ -64,15 +55,6 @@ class QuestionBank:
             },
             master=[_question_from_dict(q) for q in data["master"]],
         )
-
-
-def _question_dict(q: Question) -> dict:
-    return {
-        "text": q.text,
-        "source_doc": q.source_doc,
-        "source_bullet_index": q.source_bullet_index,
-        "topics": sorted(q.topics),
-    }
 
 
 def _question_from_dict(data: dict) -> Question:

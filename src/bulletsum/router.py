@@ -26,10 +26,16 @@ class KeywordMatch:
     position: int
 
 
+@dataclass(frozen=True)
+class DetectedTopic:
+    topic_id: str
+    evidence: list[KeywordMatch]  # >= 1 match
+
+
 @dataclass
 class TopicDetection:
     doc_id: str
-    detected: list[tuple[str, list[KeywordMatch]]]  # (topic id, evidence), >= 1 match each
+    detected: list[DetectedTopic]
 
 
 def detect_topics(doc: Transcript, keywords: TopicKeywords) -> TopicDetection:
@@ -50,7 +56,7 @@ def detect_topics(doc: Transcript, keywords: TopicKeywords) -> TopicDetection:
             if keyword in tokens
         ]
         if evidence:
-            detected.append((topic_id, evidence))
+            detected.append(DetectedTopic(topic_id, evidence))
     return TopicDetection(doc_id=doc.id, detected=detected)
 
 
@@ -78,32 +84,18 @@ def select_questions(
     question_vectors = embedder.embed([q.text for q in bank.master])
     centroids = np.array(
         [
-            sentence_vectors[sorted({match.position for match in evidence})].mean(axis=0)
-            for _, evidence in detection.detected
+            sentence_vectors[sorted({match.position for match in topic.evidence})].mean(axis=0)
+            for topic in detection.detected
         ]
     )
     scores = cosine_matrix(centroids, question_vectors)
 
     winners: list[Question] = []
-    for (topic_id, _), row in zip(detection.detected, scores):
+    for topic, row in zip(detection.detected, scores):
         bucket = np.array(
-            [i for i, question in enumerate(bank.master) if topic_id in question.topics],
+            [i for i, question in enumerate(bank.master) if topic.topic_id in question.topics],
             dtype=np.intp,
         )
         winners.extend(bank.master[i] for i in bucket[top_k(row[bucket], q_per_topic)])
     return unique_questions(winners)
 
-
-def detection_to_dict(detection: TopicDetection) -> dict:
-    return {
-        "doc_id": detection.doc_id,
-        "detected": [
-            {
-                "topic_id": topic_id,
-                "evidence": [
-                    {"keyword": m.keyword, "position": m.position} for m in evidence
-                ],
-            }
-            for topic_id, evidence in detection.detected
-        ],
-    }

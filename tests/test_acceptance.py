@@ -278,7 +278,7 @@ def test_criterion_question_bank_dedup(make_summary):
 
     bank = build_question_bank(summaries)
     again = build_question_bank(summaries)
-    assert bank.to_dict() == again.to_dict(), "build_question_bank must be idempotent"
+    assert bank == again, "build_question_bank must be idempotent"
 
     normalized = [normalize_text(q.text) for q in bank.master]
     assert len(normalized) == len(set(normalized)), "master list has normalized duplicates"

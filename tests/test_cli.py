@@ -9,6 +9,7 @@ import pytest
 from bulletsum.cli import build_parser, main, resolve_config
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import ConfigInvalid
+from bulletsum.pipeline import STAGES
 
 FAST_FLAGS = ["--num-topics", "6", "--lda-iters", "60", "--keywords-per-topic", "4"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,6 +54,16 @@ def _without_keywords(text: str) -> str:
     model = json.loads(text)
     del model["keywords"]
     return json.dumps(model)
+
+
+def _with_ghost_train_id(text: str) -> str:
+    split = json.loads(text)
+    split["train"].append("ghost")
+    return json.dumps(split)
+
+
+def _predictions_not_lists(text: str) -> str:
+    return json.dumps({doc_id: 5 for doc_id in json.loads(text)})
 
 
 class TestConfig:
@@ -231,14 +242,23 @@ class TestStages:
             ("ingest/split.json", lambda _: '{"train": []}', "qgen"),
             ("ingest/corpus.json", lambda _: "[]", "qgen"),
             ("topics/topic_model.json", _without_keywords, "route"),
+            ("ingest/split.json", _with_ghost_train_id, "qgen"),
+            ("generate/predictions.json", _predictions_not_lists, "eval"),
         ],
-        ids=["truncated-split", "split-without-val", "corpus-list", "model-without-keywords"],
+        ids=[
+            "truncated-split",
+            "split-without-val",
+            "corpus-list",
+            "model-without-keywords",
+            "split-unknown-id",
+            "predictions-not-lists",
+        ],
     )
     def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):
         transcripts, summaries = synthetic_dirs
         workspace = tmp_path / "ws"
-        upstream = ("ingest", "qgen", "topics") if stage == "route" else ("ingest",)
-        for name in upstream:
+        order = list(STAGES)
+        for name in order[: order.index(stage)]:
             assert _run([name, "--workspace", workspace, "--transcripts", transcripts,
                          "--summaries", summaries, *FAST_FLAGS]) == 0
         path = workspace / artifact

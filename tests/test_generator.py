@@ -6,7 +6,6 @@ from bulletsum.corpus import Sentence
 from bulletsum.errors import EmptyContext, EmptyGeneration, MalformedPrompt
 from bulletsum.generator import (
     FineTuneSpec,
-    GenerationRequest,
     MockGenClient,
     PromptTemplate,
     build_prompt,
@@ -58,43 +57,42 @@ class TestBuildPrompt:
 
 
 class TestMockGenerate:
-    def _request(self, texts, template=PromptTemplate()):
-        prompt = build_prompt(template, _context("d", texts), max_input_tokens=500)
-        return GenerationRequest(prompt=prompt)
+    def _prompt(self, texts, template=PromptTemplate()):
+        return build_prompt(template, _context("d", texts), max_input_tokens=500)
 
     def test_two_sentences_two_bullets(self):
-        request = self._request(["revenue rose 5%.", "profit fell 3%."])
-        bullets = mock_generate(request, PromptTemplate())
+        prompt = self._prompt(["revenue rose 5%.", "profit fell 3%."])
+        bullets = mock_generate(prompt, PromptTemplate())
         assert bullets == ["revenue rose 5%.", "profit fell 3%."]
 
     def test_capped_at_four_bullets(self):
-        request = self._request([f"sentence number {i} stands alone." for i in range(10)])
-        assert len(mock_generate(request, PromptTemplate())) == 4
+        prompt = self._prompt([f"sentence number {i} stands alone." for i in range(10)])
+        assert len(mock_generate(prompt, PromptTemplate())) == 4
 
     def test_long_sentence_clipped_to_twelve_tokens(self):
         long_sentence = " ".join(f"tok{i}" for i in range(30)) + "."
-        bullets = mock_generate(self._request([long_sentence]), PromptTemplate())
+        bullets = mock_generate(self._prompt([long_sentence]), PromptTemplate())
         assert len(bullets[0].split()) == 12
 
     def test_missing_separator(self):
         with pytest.raises(MalformedPrompt):
-            mock_generate(GenerationRequest(prompt="no separator here"), PromptTemplate())
+            mock_generate("no separator here", PromptTemplate())
 
     def test_other_instruction_rejected(self):
-        request = self._request(["revenue rose 5%."], PromptTemplate(instruction="other"))
+        prompt = self._prompt(["revenue rose 5%."], PromptTemplate(instruction="other"))
         with pytest.raises(MalformedPrompt):
-            mock_generate(request, PromptTemplate())
+            mock_generate(prompt, PromptTemplate())
 
     def test_separator_inside_instruction(self):
         template = PromptTemplate(separator=" ")
-        request = self._request(["revenue rose 5%.", "profit fell 3%."], template)
-        assert mock_generate(request, template) == ["revenue rose 5%.", "profit fell 3%."]
+        prompt = self._prompt(["revenue rose 5%.", "profit fell 3%."], template)
+        assert mock_generate(prompt, template) == ["revenue rose 5%.", "profit fell 3%."]
         client = MockGenClient(template)
-        assert client.generate(request.prompt, 60) == "revenue rose 5%.\nprofit fell 3%."
+        assert client.generate(prompt, 60) == "revenue rose 5%.\nprofit fell 3%."
 
     def test_deterministic(self):
-        request = self._request(["alpha one.", "beta two."])
-        assert mock_generate(request, PromptTemplate()) == mock_generate(request, PromptTemplate())
+        prompt = self._prompt(["alpha one.", "beta two."])
+        assert mock_generate(prompt, PromptTemplate()) == mock_generate(prompt, PromptTemplate())
 
 
 class _StubClient:
@@ -107,20 +105,20 @@ class _StubClient:
 
 class TestGenerate:
     def test_blank_lines_dropped(self):
-        bullets = generate(_StubClient("a\n\nb"), GenerationRequest(prompt="p"))
+        bullets = generate(_StubClient("a\n\nb"), "p", 60)
         assert bullets == ["a", "b"]
 
     def test_bullets_never_contain_line_breaks(self):
-        bullets = generate(_StubClient("one\ntwo\r\nthree"), GenerationRequest(prompt="p"))
+        bullets = generate(_StubClient("one\ntwo\r\nthree"), "p", 60)
         assert all("\n" not in b and "\r" not in b for b in bullets)
 
     def test_empty_generation(self):
         with pytest.raises(EmptyGeneration):
-            generate(_StubClient("\n \n"), GenerationRequest(prompt="p"))
+            generate(_StubClient("\n \n"), "p", 60)
 
     def test_mock_client_round_trip(self):
         prompt = build_prompt(PromptTemplate(), _context("d", ["rev rose 5%.", "eps was $1."]))
-        bullets = generate(MockGenClient(), GenerationRequest(prompt=prompt))
+        bullets = generate(MockGenClient(), prompt, 60)
         assert bullets == ["rev rose 5%.", "eps was $1."]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -10,12 +11,11 @@ from bulletsum.metrics import (
     extract_numbers,
     format_report_table,
     num_prec,
-    report_to_dict,
     rouge_l,
     rouge_n,
-    rouge_tokenize,
     write_per_document_csv,
 )
+from bulletsum.text import tokenize
 
 
 def brute_force_lcs(a, b):
@@ -35,16 +35,16 @@ def brute_force_lcs(a, b):
 
 class TestTokenize:
     def test_financial_sentence(self):
-        assert rouge_tokenize("Q2 non-gaap EPS $0.97.") == ["q2", "non", "gaap", "eps", "0.97"]
+        assert tokenize("Q2 non-gaap EPS $0.97.") == ["q2", "non", "gaap", "eps", "0.97"]
 
     def test_empty(self):
-        assert rouge_tokenize("") == []
+        assert tokenize("") == []
 
     def test_casefold_and_punctuation(self):
-        assert rouge_tokenize("a A a.") == ["a", "a", "a"]
+        assert tokenize("a A a.") == ["a", "a", "a"]
 
     def test_decimal_kept_letters_split(self):
-        assert rouge_tokenize("u.s. growth 3.5%") == ["u", "s", "growth", "3.5"]
+        assert tokenize("u.s. growth 3.5%") == ["u", "s", "growth", "3.5"]
 
 
 class TestRougeN:
@@ -222,7 +222,7 @@ class TestReportOutputs:
 
     def test_json_round_trip_values_bounded(self, make_transcript, make_summary):
         report = self._report(make_transcript, make_summary)
-        data = report_to_dict(report)
+        data = asdict(report)
         for key in ("rouge1", "rouge2", "rougeL"):
             for stat in data[key].values():
                 assert 0.0 <= stat <= 1.0

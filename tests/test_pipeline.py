@@ -1,0 +1,110 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bulletsum import pipeline
+from bulletsum.config import PipelineConfig
+from bulletsum.errors import IoError
+from bulletsum.qbank import QuestionBank, build_question_bank
+
+from test_cli import _tree_digest
+
+ROOT = Path(__file__).resolve().parents[1]
+ROUND = ROOT / "bench" / "round.py"
+BUNDLED = ROOT / "src" / "bulletsum" / "data" / "synthetic"
+
+
+@pytest.fixture
+def ingested(tmp_path, synthetic_dirs):
+    """A workspace holding one published ingest stage, and its file digests."""
+    workspace = tmp_path / "ws"
+    pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
+    return workspace, _tree_digest(workspace / "ingest")
+
+
+class TestPublish:
+    def test_failed_stage_keeps_previous_output(self, ingested, synthetic_dirs, monkeypatch):
+        workspace, before = ingested
+
+        def crash(config, workspace, out, *inputs):
+            (out / "corpus.json").write_text("partial")
+            raise RuntimeError("crash after writing")
+
+        monkeypatch.setitem(pipeline.STAGES, "ingest", crash)
+        with pytest.raises(RuntimeError):
+            pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
+        assert _tree_digest(workspace / "ingest") == before
+        assert list(workspace.glob(".ingest.*")) == []
+
+    def test_failed_swap_keeps_previous_output(self, ingested, synthetic_dirs, monkeypatch):
+        workspace, before = ingested
+        rename = Path.rename
+
+        def failing_rename(self, target):
+            if self.name.startswith(".ingest.") and not self.name.endswith(".old"):
+                raise OSError("simulated rename failure")
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", failing_rename)
+        with pytest.raises(IoError, match="ingest"):
+            pipeline.run_stage("ingest", PipelineConfig(k=4), workspace, *synthetic_dirs)
+        assert _tree_digest(workspace / "ingest") == before
+        assert list(workspace.glob(".ingest.*")) == []
+
+    def test_concurrent_publishes_use_distinct_directories(self, tmp_path):
+        config = PipelineConfig()
+        with pipeline._publish(tmp_path, "qgen", config) as first:
+            with pipeline._publish(tmp_path, "qgen", config) as second:
+                assert first != second
+                (first / "owner.txt").write_text("first")
+                (second / "owner.txt").write_text("second")
+        assert (tmp_path / "qgen" / "owner.txt").read_text() == "first"
+        assert (tmp_path / "qgen" / "config.json").is_file()
+        assert list(tmp_path.glob(".qgen.*")) == []
+
+
+def test_artifact_is_its_dataclass_fields(tmp_path, make_summary):
+    bank = build_question_bank([make_summary("a", ["q1 sales $4 million.", "q1 margin 10%."])])
+    bank.master[0] = bank.master[0].with_topics({"t2", "t10"})
+    path = tmp_path / "question_bank.json"
+    pipeline._write_json(path, bank)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["master"][0] == {
+        "text": "what is q1 sales?",
+        "source_doc": "a",
+        "source_bullet_index": 0,
+        "topics": ["t10", "t2"],
+    }
+    assert pipeline._read_json(path, QuestionBank.from_dict) == bank
+    with pytest.raises(TypeError):
+        pipeline._write_json(path, object())
+
+
+def _round(tmp_path, name, *trace):
+    workspace = tmp_path / name
+    done = subprocess.run(
+        [sys.executable, str(ROUND), str(ROOT), str(BUNDLED), str(workspace),
+         json.dumps({"lda_iters": 20}), *map(str, trace)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return workspace
+
+
+def test_traced_round_matches_untraced(tmp_path):
+    """The benchmark's tracer still wraps every stage and changes no artifact."""
+    trace = tmp_path / "trace.jsonl"
+    traced = _round(tmp_path, "traced", trace)
+    plain = _round(tmp_path, "plain")
+    spans = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    stage_spans = [s["name"] for s in spans if s["name"].startswith("pipeline.")]
+    assert stage_spans == [f"pipeline.{stage}" for stage in pipeline.STAGES]
+    assert {"corpus.load", "topics.fit_lda", "router.select", "metrics.eval"} <= {
+        s["name"] for s in spans
+    }
+    assert _tree_digest(traced) == _tree_digest(plain)

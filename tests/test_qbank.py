@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -119,7 +120,7 @@ class TestBuildQuestionBank:
         ]
         first = build_question_bank(summaries)
         second = build_question_bank(summaries)
-        assert first.to_dict() == second.to_dict()
+        assert first == second
 
     def test_master_bounded_by_per_doc_totals(self, make_summary):
         summaries = [
@@ -151,8 +152,8 @@ class TestBuildQuestionBank:
 
     def test_serialization_round_trip(self, make_summary):
         bank = build_question_bank([make_summary("a", ["q1 sales $4 million."])])
-        clone = QuestionBank.from_dict(bank.to_dict())
-        assert clone.to_dict() == bank.to_dict()
+        clone = QuestionBank.from_dict(asdict(bank))
+        assert clone == bank
 
     def test_external_generator_path(self, make_summary):
         bank = build_question_bank(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.qbank import QuestionBank
 from bulletsum.retrieval import TfidfEmbedder, cosine_matrix
-from bulletsum.router import detect_topics, detection_to_dict, select_questions
+from bulletsum.router import detect_topics, select_questions
 from bulletsum.topics import TopicKeywords
 
 KEYWORDS = TopicKeywords(
@@ -35,8 +36,8 @@ class TestDetectTopics:
     def test_keyword_presence_detects_topic(self, make_transcript):
         doc = make_transcript("d", ["revenue rose this quarter", "we hired staff"])
         detection = detect_topics(doc, KEYWORDS)
-        assert [t for t, _ in detection.detected] == ["t0"]
-        (topic_id, evidence) = detection.detected[0]
+        assert [t.topic_id for t in detection.detected] == ["t0"]
+        evidence = detection.detected[0].evidence
         assert evidence[0].keyword == "revenue"
         assert evidence[0].position == 0
 
@@ -49,7 +50,7 @@ class TestDetectTopics:
             "d", ["dividend news", "dividend again", "more dividend talk"]
         )
         detection = detect_topics(doc, KEYWORDS)
-        (_, evidence) = detection.detected[0]
+        evidence = detection.detected[0].evidence
         assert len(evidence) == 3
         assert [m.position for m in evidence] == [0, 1, 2]
 
@@ -62,13 +63,13 @@ class TestDetectTopics:
         base = ["revenue rose", "profit fell"]
         doc_small = make_transcript("d", base)
         doc_big = make_transcript("d", base + ["dividend declared", "misc line"])
-        small_ids = {t for t, _ in detect_topics(doc_small, KEYWORDS).detected}
-        big_ids = {t for t, _ in detect_topics(doc_big, KEYWORDS).detected}
+        small_ids = {t.topic_id for t in detect_topics(doc_small, KEYWORDS).detected}
+        big_ids = {t.topic_id for t in detect_topics(doc_big, KEYWORDS).detected}
         assert small_ids <= big_ids
 
     def test_serializable(self, make_transcript):
         doc = make_transcript("d", ["revenue rose"])
-        data = detection_to_dict(detect_topics(doc, KEYWORDS))
+        data = asdict(detect_topics(doc, KEYWORDS))
         assert data["doc_id"] == "d"
         assert data["detected"][0]["topic_id"] == "t0"
 
@@ -77,7 +78,7 @@ class TestDetectTopics:
             keywords={"t0": ["revenue"], "uncategorized": ["revenue"]}
         )
         doc = make_transcript("d", ["revenue rose"])
-        assert [t for t, _ in detect_topics(doc, keywords).detected] == ["t0"]
+        assert [t.topic_id for t in detect_topics(doc, keywords).detected] == ["t0"]
 
 
 class TestSelectQuestions:
