@@ -16,7 +16,7 @@ import json
 import logging
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import is_dataclass
 from pathlib import Path
 
@@ -125,8 +125,10 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
     is left as it was. Otherwise the old output is renamed aside, the new one
     renamed in, and only then is the old one deleted: a complete output
     exists on disk at every instant. If the new one cannot be renamed in, the
-    old one is put back and the error is an ``IoError``.
+    old one is put back and the error is an ``IoError``. A workspace this
+    call created is removed again if the stage raises and leaves it empty.
     """
+    created = not workspace.exists()
     workspace.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f".{stage}.", dir=workspace))
     try:
@@ -135,6 +137,9 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
         yield tmp
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        if created:
+            with suppress(OSError):  # rmdir removes it only while it is empty
+                workspace.rmdir()
         raise
     final = workspace / stage
     aside = tmp.with_name(tmp.name + ".old")

@@ -4,12 +4,31 @@ Each question is one bag-of-words document. The sampler is collapsed Gibbs
 with symmetric Dirichlet priors, run single-threaded so a fixed seed gives
 bit-identical results. Topic-word probabilities come from the final counts
 with beta smoothing.
+
+The sweeps run in a small C kernel (``lda_sweep.c``) that draws exactly the
+chain of the Python loop kept here as the reference: the same float
+expression in the same order, and uniforms that continue ``random``'s
+MT19937 stream, so ``phi`` is byte-identical either way. The first
+``fit_lda`` call in a process compiles it with ``cc`` into
+``${XDG_CACHE_HOME:-~/.cache}/bulletsum/lda_sweep-<sha256>.so``, keyed by
+source and flags, and loads it. If that fails, one WARNING
+("LDA sweep kernel unavailable, running the Python sampler: <reason>") is
+logged and the Python loop runs, with the same result, more slowly.
+Deleting the cache directory is always safe: the next run rebuilds it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
+import os
 import random
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +40,12 @@ UNCATEGORIZED = "uncategorized"
 
 DEFAULT_BETA = 0.01
 DEFAULT_ITERS = 1000
+
+_KERNEL_SOURCE = Path(__file__).with_name("lda_sweep.c")
+# -ffp-contract=off: a fused multiply-add would round differently from Python.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -44,8 +69,105 @@ class TopicKeywords:
     keywords: dict[str, list[str]]  # topic id -> keywords, highest probability first
 
 
+@functools.cache
+def _compiled_sweeps():
+    """The ``lda_sweeps`` function of the compiled kernel, or None.
+
+    Built on first use and kept in the cache directory under the digest of
+    its source and flags, then loaded once per process. Any failure (no
+    compiler, a compile error, an unwritable cache, a library that does not
+    load) logs one WARNING naming it, and ``fit_lda`` runs the Python loop.
+    """
+    try:
+        library = ctypes.CDLL(str(_build_kernel()))
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        logger.warning("LDA sweep kernel unavailable, running the Python sampler: %s", exc)
+        return None
+    ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
+    sweeps = library.lda_sweeps
+    sweeps.argtypes = [
+        ctypes.c_int, ints, ints, ints, ints, ints, ints, ctypes.c_int,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int,
+        np.ctypeslib.ndpointer(np.uint32, shape=(625,), flags="C_CONTIGUOUS"),
+    ]
+    sweeps.restype = None
+    return sweeps
+
+
+def _build_kernel() -> Path:
+    """Path of the compiled kernel, compiling it if the cache lacks it.
+
+    The compiler writes a temp file in the cache directory that
+    ``os.replace`` then renames into place, so a concurrent process never
+    loads a half-written library.
+    """
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bulletsum"
+    library = cache / f"lda_sweep-{digest}.so"
+    if library.is_file():
+        return library
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".lda_sweep-", suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+            capture_output=True, text=True, errors="replace", timeout=120, check=False,
+        )
+        if done.returncode != 0:
+            raise OSError(f"cc exited with {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, library)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return library
+
+
 def _question_tokens(text: str, stopwords) -> list[str]:
     return [tok for tok in tokenize(text) if tok not in stopwords]
+
+
+def _python_sweeps(doc_of, word_of, z, n_dk, n_wk, n_k, alpha, beta, beta_v, iters, rng):
+    """The reference sampler: ``iters`` sweeps, counts updated in place; returns ``n_wk``."""
+    K = len(n_k)
+    rand = rng.random
+    cum = [0.0] * K
+    for _ in range(iters):
+        for idx in range(len(z)):
+            d = doc_of[idx]
+            w = word_of[idx]
+            k = z[idx]
+            ndk = n_dk[d]
+            nwk = n_wk[w]
+            ndk[k] -= 1
+            nwk[k] -= 1
+            n_k[k] -= 1
+
+            total = 0.0
+            for j in range(K):
+                total += (nwk[j] + beta) * (ndk[j] + alpha) / (n_k[j] + beta_v)
+                cum[j] = total
+            u = rand() * total
+            k = 0
+            while cum[k] < u:
+                k += 1
+
+            z[idx] = k
+            ndk[k] += 1
+            nwk[k] += 1
+            n_k[k] += 1
+    return n_wk
+
+
+def _kernel_sweeps(sweeps, doc_of, word_of, z, n_dk, n_wk, n_k, alpha, beta, beta_v, iters, rng):
+    """The same sweeps in the compiled kernel, continuing ``rng``'s MT19937 stream.
+
+    Returns the topic-word counts, an array shaped like ``n_wk``.
+    """
+    arrays = [np.array(a, dtype=np.intc) for a in (doc_of, word_of, z, n_dk, n_wk, n_k)]
+    mt = np.array(rng.getstate()[1], dtype=np.uint32)  # 624 state words, then the index
+    sweeps(len(z), *arrays, len(n_k), alpha, beta, beta_v, np.empty(len(n_k)), iters, mt)
+    return arrays[4]
 
 
 def fit_lda(
@@ -102,32 +224,14 @@ def fit_lda(
         n_wk[word_of[idx]][k] += 1
         n_k[k] += 1
 
-    rand = rng.random
-    cum = [0.0] * K
-    for _ in range(iters):
-        for idx in range(n_tokens):
-            d = doc_of[idx]
-            w = word_of[idx]
-            k = z[idx]
-            ndk = n_dk[d]
-            nwk = n_wk[w]
-            ndk[k] -= 1
-            nwk[k] -= 1
-            n_k[k] -= 1
-
-            total = 0.0
-            for j in range(K):
-                total += (nwk[j] + beta) * (ndk[j] + alpha) / (n_k[j] + beta_v)
-                cum[j] = total
-            u = rand() * total
-            k = 0
-            while cum[k] < u:
-                k += 1
-
-            z[idx] = k
-            ndk[k] += 1
-            nwk[k] += 1
-            n_k[k] += 1
+    chain = (doc_of, word_of, z, n_dk, n_wk, n_k, alpha, beta, beta_v, iters, rng)
+    sweeps = _compiled_sweeps()
+    if sweeps is None:
+        logger.info("LDA sampler: Python loop, %d sweeps", iters)
+        n_wk = _python_sweeps(*chain)
+    else:
+        logger.info("LDA sampler: compiled kernel, %d sweeps", iters)
+        n_wk = _kernel_sweeps(sweeps, *chain)
 
     counts = np.array(n_wk, dtype=np.float64).T  # K x V
     phi = (counts + beta) / (counts.sum(axis=1, keepdims=True) + beta_v)

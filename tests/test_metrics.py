@@ -1,8 +1,11 @@
 import math
 import random
+import re
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bulletsum.errors import AlignmentError
 from bulletsum.metrics import (
@@ -45,6 +48,18 @@ class TestTokenize:
 
     def test_decimal_kept_letters_split(self):
         assert tokenize("u.s. growth 3.5%") == ["u", "s", "growth", "3.5"]
+
+    # Mostly the characters the pattern cares about, plus non-ASCII digits
+    # and letters and the Kelvin sign, which lowercases to ASCII "k".
+    near_tokens = st.text(alphabet=st.sampled_from("aZ09.,-$% \n\u00e9\u0663\u212a"), max_size=40)
+
+    @given(near_tokens | st.text(max_size=40))
+    def test_tokens_are_stable_and_match_the_documented_pattern(self, text):
+        # Documented: runs of letters/digits, a "." kept only between digits.
+        tokens = tokenize(text)
+        assert tokenize(" ".join(tokens)) == tokens
+        for token in tokens:
+            assert re.fullmatch(r"\d+(?:\.\d+)+|[a-z0-9]+", token), token
 
 
 class TestRougeN:

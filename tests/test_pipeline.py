@@ -7,7 +7,7 @@ import pytest
 
 from bulletsum import pipeline
 from bulletsum.config import PipelineConfig
-from bulletsum.errors import IoError
+from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import QuestionBank, build_question_bank
 
 from test_cli import _tree_digest
@@ -53,6 +53,15 @@ class TestPublish:
             pipeline.run_stage("ingest", PipelineConfig(k=4), workspace, *synthetic_dirs)
         assert _tree_digest(workspace / "ingest") == before
         assert list(workspace.glob(".ingest.*")) == []
+
+    def test_failed_stage_removes_the_workspace_it_created(self, tmp_path):
+        with pytest.raises(MissingArtifact):
+            pipeline.run_stage("route", PipelineConfig(), tmp_path / "new" / "ws")
+        assert not (tmp_path / "new" / "ws").exists()
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(MissingArtifact):
+            pipeline.run_stage("route", PipelineConfig(), tmp_path / "empty")
+        assert (tmp_path / "empty").is_dir()
 
     def test_concurrent_publishes_use_distinct_directories(self, tmp_path):
         config = PipelineConfig()

@@ -2,13 +2,17 @@ import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bulletsum.errors import EmptyCorpus, MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import (
+    Question,
     QuestionBank,
     build_question_bank,
     generate_questions_external,
     question_from_bullet,
+    unique_questions,
 )
 from bulletsum.text import normalize_text
 
@@ -161,3 +165,28 @@ class TestBuildQuestionBank:
             client=_EchoClient(),
         )
         assert bank.master[0].text.startswith("what is the gist of")
+
+
+class TestUniqueQuestions:
+    # Case, punctuation and spacing variants of a few texts, so that
+    # normalized duplicates are common.
+    texts = st.lists(
+        st.sampled_from(
+            ["revenue", "Revenue", "net  profit", "net profit?", "eps", "e.p.s", "EPS!"]
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(" ".join)
+
+    @given(st.lists(texts, max_size=12))
+    def test_first_of_each_normalized_text_in_order(self, texts):
+        questions = [
+            Question(text=text, source_doc=f"d{i}", source_bullet_index=i, topics=frozenset())
+            for i, text in enumerate(texts)
+        ]
+        unique = unique_questions(questions)
+        assert unique_questions(unique) == unique
+        keys = [normalize_text(q.text) for q in unique]
+        assert len(set(keys)) == len(keys) == len({normalize_text(t) for t in texts})
+        positions = [next(i for i, q in enumerate(questions) if q is u) for u in unique]
+        assert positions == sorted(positions)

@@ -1,6 +1,15 @@
+import logging
+import random
+import shutil
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bulletsum import pipeline, topics
+from bulletsum.config import PipelineConfig
 from bulletsum.errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
 from bulletsum.qbank import QuestionBank, build_question_bank
 from bulletsum.topics import (
@@ -17,6 +26,17 @@ from bulletsum.topics import (
 SEPARABLE = ["what is revenue growth?"] * 20 + ["what is net profit?"] * 20
 REVENUE_GROUP = {"revenue", "growth"}
 PROFIT_GROUP = {"net", "profit"}
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+def _python_phi(questions, K, **kwargs) -> bytes:
+    with mock.patch.object(topics, "_compiled_sweeps", lambda: None):
+        return fit_lda(questions, K, **kwargs).phi.tobytes()
+
+
+def _compiled_phi(questions, K, **kwargs) -> bytes:
+    assert topics._compiled_sweeps() is not None
+    return fit_lda(questions, K, **kwargs).phi.tobytes()
 
 
 class TestFitLda:
@@ -205,3 +225,126 @@ class TestModelSerialization:
         model = fit_lda(SEPARABLE, K=2, iters=5, seed=0)
         data = model_to_dict(model, topic_keywords(model, w=2))
         assert {"K", "alpha", "beta", "seed", "vocab", "phi", "keywords"} <= set(data)
+
+
+class TestCompiledSampler:
+    """The compiled kernel draws the Python loop's chain: phi is byte-identical."""
+
+    WORDS = ["revenue", "growth", "net", "profit", "margin", "cash", "eps", "guidance"]
+
+    @needs_cc
+    def test_kernel_loads_with_a_compiler(self):
+        assert topics._compiled_sweeps() is not None
+
+    @needs_cc
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 8),
+        st.none() | st.floats(0.05, 60.0),
+        st.floats(0.001, 2.0),
+        st.integers(0, 30),
+        st.integers(0, 2**32),
+    )
+    def test_same_phi_as_python_loop(self, data, K, alpha, beta, iters, seed):
+        question = st.lists(st.sampled_from(self.WORDS), min_size=1, max_size=5)
+        bags = data.draw(st.lists(question, min_size=K, max_size=12))
+        questions = [f"what is {' '.join(bag)}?" for bag in bags]
+        kwargs = dict(alpha=alpha, beta=beta, iters=iters, seed=seed)
+        assert _compiled_phi(questions, K, **kwargs) == _python_phi(questions, K, **kwargs)
+
+    @needs_cc
+    @pytest.mark.parametrize("K", [30, 5])
+    @pytest.mark.parametrize("seed", [7, 1, 2])
+    def test_same_phi_on_bundled_master_list(self, bundled_master, K, seed):
+        expected = _python_phi(bundled_master, K, seed=seed)
+        assert _compiled_phi(bundled_master, K, seed=seed) == expected
+
+    @needs_cc
+    def test_continues_python_mt_stream(self):
+        # One token, one topic: every sweep draws exactly one uniform, so the
+        # state left behind must be Python's after as many random() calls.
+        rng, reference = random.Random(5), random.Random(5)
+        mt = np.array(rng.getstate()[1], dtype=np.uint32)
+        one = np.array([0], dtype=np.intc)
+        counts = [np.array([1], dtype=np.intc) for _ in range(3)]
+        sweeps = topics._compiled_sweeps()
+        sweeps(1, one, one, one.copy(), *counts, 1, 1.0, 0.01, 0.01, np.empty(1), 1000, mt)
+        for _ in range(1000):
+            reference.random()
+        assert tuple(int(x) for x in mt) == reference.getstate()[1]
+
+
+@pytest.fixture(scope="module")
+def bundled_master(tmp_path_factory, synthetic_dirs):
+    workspace = tmp_path_factory.mktemp("bundled")
+    pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
+    pipeline.run_stage("qgen", PipelineConfig(), workspace)
+    return [q.text for q in pipeline._load_bank(workspace, categorized=False).master]
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache directory and no kernel loaded in this process."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    topics._compiled_sweeps.cache_clear()
+    yield cache
+    topics._compiled_sweeps.cache_clear()
+
+
+def _fake_cc(directory, script):
+    directory.mkdir()
+    cc = directory / "cc"
+    cc.write_text("#!/bin/sh\n" + script)
+    cc.chmod(0o755)
+    return directory
+
+
+class TestKernelBuild:
+    QUESTIONS = SEPARABLE[:4] + SEPARABLE[-4:]
+
+    @needs_cc
+    def test_builds_into_cache_once(self, fresh_cache):
+        assert topics._compiled_sweeps() is not None
+        (library,) = (fresh_cache / "bulletsum").iterdir()
+        assert library.name.startswith("lda_sweep-") and library.suffix == ".so"
+        built = library.stat().st_mtime_ns
+        topics._compiled_sweeps.cache_clear()
+        assert topics._compiled_sweeps() is not None
+        assert library.stat().st_mtime_ns == built
+
+    @pytest.mark.parametrize(
+        "failure, reason",
+        [
+            ("no-compiler", "No such file"),
+            ("compile-error", "simulated compile error"),
+            ("unloadable-library", "lda_sweep-"),
+            ("unwritable-cache", "cache"),
+        ],
+    )
+    def test_failure_falls_back_with_one_warning(
+        self, failure, reason, fresh_cache, tmp_path, monkeypatch, caplog
+    ):
+        expected = _python_phi(self.QUESTIONS, 2, iters=50, seed=3)
+        if failure == "no-compiler":
+            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        elif failure == "compile-error":
+            fake = _fake_cc(tmp_path / "bin", "echo simulated compile error >&2\nexit 1\n")
+            monkeypatch.setenv("PATH", str(fake))
+        elif failure == "unloadable-library":
+            # A "compiler" that leaves garbage where the library belongs.
+            script = 'while [ "$1" != -o ]; do shift; done\necho garbage > "$2"\n'
+            fake = _fake_cc(tmp_path / "bin", script)
+            monkeypatch.setenv("PATH", str(fake))
+        else:
+            fresh_cache.write_text("a file where the cache directory should be")
+        with caplog.at_level(logging.WARNING, logger="bulletsum.topics"):
+            phis = [fit_lda(self.QUESTIONS, 2, iters=50, seed=3).phi.tobytes() for _ in range(2)]
+        assert phis == [expected, expected]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert reason in warnings[0].getMessage()
+        if failure != "unwritable-cache":
+            leftovers = [p for p in (fresh_cache / "bulletsum").iterdir() if p.name.startswith(".")]
+            assert leftovers == []
