@@ -51,8 +51,6 @@ class MetricsReport:
     rouge2: RougeScore
     rougeL: RougeScore
     num_prec: float
-    bert_score: float | None = None
-    summac: float | None = None
     per_document: list[DocumentScores] = field(default_factory=list)
 
 
@@ -198,15 +196,13 @@ def evaluate_corpus(
 
 def format_report_table(report: MetricsReport, system_name: str = "this-run") -> str:
     """Aligned one-row table with the standard benchmark column names."""
-    headers = ["Model", "ROUGE-1", "ROUGE-2", "ROUGE-L", "BERTScore", "Num-Prec.", "SummaC"]
+    headers = ["Model", "ROUGE-1", "ROUGE-2", "ROUGE-L", "Num-Prec."]
     row = [
         system_name,
         f"{report.rouge1.f1:.3f}",
         f"{report.rouge2.f1:.3f}",
         f"{report.rougeL.f1:.3f}",
-        "-" if report.bert_score is None else f"{report.bert_score:.3f}",
         f"{report.num_prec:.3f}",
-        "-" if report.summac is None else f"{report.summac:.3f}",
     ]
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
     head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))

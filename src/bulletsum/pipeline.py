@@ -34,8 +34,8 @@ from .corpus import (
     split_corpus,
 )
 from .errors import IoError, MissingArtifact, NoTopicsDetected
-from .qbank import QuestionBank, build_question_bank
-from .retrieval import TfidfEmbedder, build_context, context_from_dict, context_to_dict
+from .qbank import Question, QuestionBank, build_question_bank
+from .retrieval import ExtractiveContext, TfidfEmbedder, build_context
 from .router import detect_topics, select_questions
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords
@@ -167,19 +167,26 @@ def _corpus_to_dict(corpus: Corpus) -> dict:
     }
 
 
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+
+
 def _corpus_from_dict(data: dict) -> Corpus:
     transcripts = {}
     for doc_id, sentences in data["transcripts"].items():
+        if not _is_text_list(sentences):
+            raise ValueError(f"transcript {doc_id!r} is not a non-empty list of strings")
         sents = tuple(Sentence(position=i, text=text) for i, text in enumerate(sentences))
         transcripts[doc_id] = Transcript(
             id=doc_id,
             sentences=sents,
             word_count=sum(len(s.text.split()) for s in sents),
         )
-    summaries = {
-        doc_id: BulletSummary(id=doc_id, bullets=tuple(bullets))
-        for doc_id, bullets in data["summaries"].items()
-    }
+    summaries = {}
+    for doc_id, bullets in data["summaries"].items():
+        if not _is_text_list(bullets):
+            raise ValueError(f"summary {doc_id!r} is not a non-empty list of strings")
+        summaries[doc_id] = BulletSummary(id=doc_id, bullets=tuple(bullets))
     return Corpus(transcripts=transcripts, summaries=summaries)
 
 
@@ -210,9 +217,12 @@ def _load_ingest(workspace: Path) -> tuple[Corpus, CorpusSplit]:
     return corpus, split
 
 
-def _load_bank(workspace: Path, categorized: bool) -> QuestionBank:
-    subdir = "topics" if categorized else "qgen"
-    return _read_json(workspace / subdir / "question_bank.json", QuestionBank.from_dict)
+def _load_bank(workspace: Path) -> QuestionBank:
+    return _read_json(workspace / "qgen" / "question_bank.json", QuestionBank.from_dict)
+
+
+def _master_from_dict(data: dict) -> list[Question]:
+    return [Question.from_dict(q) for q in data["master"]]
 
 
 def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
@@ -256,7 +266,7 @@ def stage_qgen(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
 
 def stage_topics(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    bank = _load_bank(workspace, categorized=False)
+    bank = _load_bank(workspace)
     stopwords = (
         load_stopwords(config.stopword_file)
         if config.stopword_file
@@ -272,15 +282,15 @@ def stage_topics(config: PipelineConfig, workspace: Path, out: Path) -> None:
         stopwords=stopwords,
     )
     keywords = topic_keywords(model, w=config.keywords_per_topic)
-    categorized = categorize_questions(bank, keywords)
+    categorized = categorize_questions(bank.master, keywords)
     _write_json(out / "topic_model.json", model_to_dict(model, keywords))
-    _write_json(out / "question_bank.json", categorized)
+    _write_json(out / "question_bank.json", {"master": categorized})
     _write_json(out / "distribution.json", question_distribution(categorized))
 
 
 def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
-    bank = _load_bank(workspace, categorized=False)
+    bank = _load_bank(workspace)
     template = _prompt_template(config)
 
     contexts = []
@@ -292,7 +302,7 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
             logger.warning("train document %s has no questions; skipped", doc_id)
             continue
         context = build_context(doc, questions, config.k, _embedder_for(doc, config))
-        contexts.append(context_to_dict(context))
+        contexts.append(context)
         pairs.append((context, corpus.summaries[doc_id]))
 
     _write_jsonl(out / "contexts.jsonl", contexts)
@@ -301,7 +311,7 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
 def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
-    bank = _load_bank(workspace, categorized=True)
+    master = _read_json(workspace / "topics" / "question_bank.json", _master_from_dict)
     _, keywords = _read_json(workspace / "topics" / "topic_model.json", model_from_dict)
 
     detections = []
@@ -314,7 +324,7 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
         detections.append(detection)
         try:
             questions = select_questions(
-                doc, detection, bank, config.q_per_topic, embedder
+                doc, detection, master, config.q_per_topic, embedder
             )
         except NoTopicsDetected:
             if not config.fallback_on_empty_detection:
@@ -322,12 +332,12 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
             logger.warning(
                 "no topics detected for %s; falling back to the master list", doc_id
             )
-            questions = list(bank.master)
+            questions = list(master)
         selected_questions.append(
             {"doc_id": doc_id, "questions": [q.text for q in questions]}
         )
         context = build_context(doc, questions, config.k, embedder)
-        contexts.append(context_to_dict(context))
+        contexts.append(context)
 
     _write_jsonl(out / "detections.jsonl", detections)
     _write_jsonl(out / "questions.jsonl", selected_questions)
@@ -335,7 +345,7 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
 
 def stage_generate(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    contexts = _read_jsonl(workspace / "route" / "contexts.jsonl", context_from_dict)
+    contexts = _read_jsonl(workspace / "route" / "contexts.jsonl", ExtractiveContext.from_dict)
     template = _prompt_template(config)
     if config.generate_url:
         client = GenerationClient(config.generate_url)

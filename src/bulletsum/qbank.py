@@ -37,6 +37,15 @@ class Question:
     def with_topics(self, topics) -> "Question":
         return replace(self, topics=frozenset(topics))
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Question":
+        return cls(
+            text=data["text"],
+            source_doc=data["source_doc"],
+            source_bullet_index=data["source_bullet_index"],
+            topics=frozenset(data["topics"]),
+        )
+
 
 @dataclass
 class QuestionBank:
@@ -50,20 +59,11 @@ class QuestionBank:
     def from_dict(cls, data: dict) -> "QuestionBank":
         return cls(
             per_doc={
-                doc_id: [_question_from_dict(q) for q in questions]
+                doc_id: [Question.from_dict(q) for q in questions]
                 for doc_id, questions in data["per_doc"].items()
             },
-            master=[_question_from_dict(q) for q in data["master"]],
+            master=[Question.from_dict(q) for q in data["master"]],
         )
-
-
-def _question_from_dict(data: dict) -> Question:
-    return Question(
-        text=data["text"],
-        source_doc=data["source_doc"],
-        source_bullet_index=data["source_bullet_index"],
-        topics=frozenset(data.get("topics", ())),
-    )
 
 
 def _clean_token(token: str) -> str:

@@ -8,7 +8,7 @@ substituted through the embedding client; both sides expose ``embed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -83,9 +83,9 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScoredSentence:
-    sentence: Sentence
-    question: Question
+class Selection:
+    question: str
+    position: int
     score: float
     rank: int
 
@@ -93,12 +93,20 @@ class ScoredSentence:
 @dataclass
 class ExtractiveContext:
     doc_id: str
-    selections: list[ScoredSentence]
+    selections: list[Selection]
     context_sentences: list[Sentence]
+    context_text: str = field(init=False)
 
-    @property
-    def context_text(self) -> str:
-        return " ".join(s.text for s in self.context_sentences)
+    def __post_init__(self):
+        self.context_text = " ".join(s.text for s in self.context_sentences)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExtractiveContext":
+        return cls(
+            doc_id=data["doc_id"],
+            selections=[Selection(**item) for item in data["selections"]],
+            context_sentences=[Sentence(**item) for item in data["context_sentences"]],
+        )
 
 
 def build_context(
@@ -120,56 +128,17 @@ def build_context(
     scores = cosine_matrix(question_vectors, sentence_vectors)
 
     selections = [
-        ScoredSentence(
-            sentence=doc.sentences[i], question=question, score=float(row[i]), rank=rank
+        Selection(
+            question=question.text,
+            position=doc.sentences[i].position,
+            score=float(row[i]),
+            rank=rank,
         )
         for question, row in zip(questions, scores)
         for rank, i in enumerate(top_k(row, k), start=1)
     ]
-    positions = {s.sentence.position for s in selections}
+    positions = {s.position for s in selections}
     context_sentences = [s for s in doc.sentences if s.position in positions]
     return ExtractiveContext(
         doc_id=doc.id, selections=selections, context_sentences=context_sentences
-    )
-
-
-def context_to_dict(context: ExtractiveContext) -> dict:
-    return {
-        "doc_id": context.doc_id,
-        "selections": [
-            {
-                "question": s.question.text,
-                "position": s.sentence.position,
-                "score": s.score,
-                "rank": s.rank,
-            }
-            for s in context.selections
-        ],
-        "context_sentences": [
-            {"position": s.position, "text": s.text} for s in context.context_sentences
-        ],
-        "context_text": context.context_text,
-    }
-
-
-def context_from_dict(data: dict) -> ExtractiveContext:
-    sentences = {
-        item["position"]: Sentence(position=item["position"], text=item["text"])
-        for item in data["context_sentences"]
-    }
-    selections = [
-        ScoredSentence(
-            sentence=sentences.get(
-                item["position"], Sentence(item["position"], "")
-            ),
-            question=Question(text=item["question"], source_doc="", source_bullet_index=0),
-            score=item["score"],
-            rank=item["rank"],
-        )
-        for item in data["selections"]
-    ]
-    return ExtractiveContext(
-        doc_id=data["doc_id"],
-        selections=selections,
-        context_sentences=[sentences[p] for p in sorted(sentences)],
     )

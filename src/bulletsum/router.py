@@ -14,22 +14,17 @@ import numpy as np
 
 from .corpus import Transcript
 from .errors import NoTopicsDetected
-from .qbank import Question, QuestionBank, unique_questions
+from .qbank import Question, unique_questions
 from .retrieval import Embedder, cosine_matrix, top_k
 from .text import tokenize
 from .topics import UNCATEGORIZED, TopicKeywords
 
 
 @dataclass(frozen=True)
-class KeywordMatch:
-    keyword: str
-    position: int
-
-
-@dataclass(frozen=True)
 class DetectedTopic:
     topic_id: str
-    evidence: list[KeywordMatch]  # >= 1 match
+    keywords: list[str]  # matched keywords, in the topic's keyword order
+    positions: list[int]  # ascending positions of sentences with a match; >= 1
 
 
 @dataclass
@@ -41,37 +36,38 @@ class TopicDetection:
 def detect_topics(doc: Transcript, keywords: TopicKeywords) -> TopicDetection:
     """Topics whose keywords occur as tokens anywhere in the document.
 
-    One evidence entry per (keyword, sentence) hit, ordered by sentence
-    position then keyword rank within the topic.
+    Each detected topic lists the keywords that matched and the positions
+    of the sentences they matched in.
     """
     sentence_tokens = [set(tokenize(s.text)) for s in doc.sentences]
+    doc_tokens = set().union(*sentence_tokens)
     detected = []
     for topic_id in sorted(keywords.keywords):
         if topic_id == UNCATEGORIZED:
             continue
-        evidence = [
-            KeywordMatch(keyword=keyword, position=sentence.position)
-            for sentence, tokens in zip(doc.sentences, sentence_tokens)
-            for keyword in keywords.keywords[topic_id]
-            if keyword in tokens
-        ]
-        if evidence:
-            detected.append(DetectedTopic(topic_id, evidence))
+        matched = [keyword for keyword in keywords.keywords[topic_id] if keyword in doc_tokens]
+        if matched:
+            positions = [
+                sentence.position
+                for sentence, tokens in zip(doc.sentences, sentence_tokens)
+                if not tokens.isdisjoint(matched)
+            ]
+            detected.append(DetectedTopic(topic_id, matched, positions))
     return TopicDetection(doc_id=doc.id, detected=detected)
 
 
 def select_questions(
     doc: Transcript,
     detection: TopicDetection,
-    bank: QuestionBank,
+    master: list[Question],
     q_per_topic: int,
     embedder: Embedder,
 ) -> list[Question]:
-    """Top-matched bank questions for each detected topic.
+    """Top-matched master-list questions for each detected topic.
 
     Per topic, questions carrying that topic label are ranked by cosine
-    between the question embedding and the mean vector of the topic's
-    evidence sentences (``top_k``: ties go to the earlier master-list
+    between the question embedding and the mean vector of the sentences the
+    topic was detected in (``top_k``: ties go to the earlier master-list
     index); the per-topic winners are unioned (``unique_questions``) in
     (topic id, rank) order.
     """
@@ -81,21 +77,17 @@ def select_questions(
         raise NoTopicsDetected(f"no topics detected for document {doc.id!r}")
 
     sentence_vectors = embedder.embed([s.text for s in doc.sentences])
-    question_vectors = embedder.embed([q.text for q in bank.master])
+    question_vectors = embedder.embed([q.text for q in master])
     centroids = np.array(
-        [
-            sentence_vectors[sorted({match.position for match in topic.evidence})].mean(axis=0)
-            for topic in detection.detected
-        ]
+        [sentence_vectors[topic.positions].mean(axis=0) for topic in detection.detected]
     )
     scores = cosine_matrix(centroids, question_vectors)
 
     winners: list[Question] = []
     for topic, row in zip(detection.detected, scores):
         bucket = np.array(
-            [i for i, question in enumerate(bank.master) if topic.topic_id in question.topics],
+            [i for i, question in enumerate(master) if topic.topic_id in question.topics],
             dtype=np.intp,
         )
-        winners.extend(bank.master[i] for i in bucket[top_k(row[bucket], q_per_topic)])
+        winners.extend(master[i] for i in bucket[top_k(row[bucket], q_per_topic)])
     return unique_questions(winners)
-

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
-from .qbank import Question, QuestionBank
+from .qbank import Question
 from .text import QUESTION_STOPWORDS, tokenize
 
 UNCATEGORIZED = "uncategorized"
@@ -258,7 +258,7 @@ def topic_keywords(model: TopicModel, w: int = 10) -> TopicKeywords:
     return TopicKeywords(keywords=keywords)
 
 
-def categorize_questions(bank: QuestionBank, keywords: TopicKeywords) -> QuestionBank:
+def categorize_questions(questions: list[Question], keywords: TopicKeywords) -> list[Question]:
     """Assign every question the topics whose keywords it contains.
 
     Multi-label: a question joins every topic with at least one keyword
@@ -271,25 +271,19 @@ def categorize_questions(bank: QuestionBank, keywords: TopicKeywords) -> Questio
         topics = {tid for tid, kws in keyword_sets.items() if kws & tokens}
         return question.with_topics(topics or {UNCATEGORIZED})
 
-    return QuestionBank(
-        per_doc={
-            doc_id: [assign(q) for q in questions]
-            for doc_id, questions in bank.per_doc.items()
-        },
-        master=[assign(q) for q in bank.master],
-    )
+    return [assign(q) for q in questions]
 
 
-def question_distribution(bank: QuestionBank) -> dict[str, float]:
-    """Percentage of topic memberships per topic over the master list.
+def question_distribution(questions: list[Question]) -> dict[str, float]:
+    """Percentage of topic memberships per topic over a categorized list.
 
     Each (question, topic) membership counts once, so multi-topic questions
     contribute to several topics; percentages sum to 100.
     """
-    if not bank.master:
+    if not questions:
         raise EmptyBank("question bank is empty")
     counts: dict[str, int] = {}
-    for question in bank.master:
+    for question in questions:
         for topic_id in question.topics:
             counts[topic_id] = counts.get(topic_id, 0) + 1
     total = sum(counts.values())
@@ -318,7 +312,7 @@ def model_from_dict(data: dict) -> tuple[TopicModel, TopicKeywords]:
         phi=np.array(data["phi"], dtype=np.float64),
         alpha=data["alpha"],
         beta=data["beta"],
-        iterations=data.get("iterations", 0),
+        iterations=data["iterations"],
         seed=data["seed"],
     )
     return model, TopicKeywords(keywords={k: list(v) for k, v in data["keywords"].items()})

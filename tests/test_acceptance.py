@@ -115,7 +115,7 @@ def test_criterion_retrieval_property(make_transcript, make_question):
 
         k = rng.randint(1, 4)
         ranked = build_context(doc, [question], k, embedder).selections
-        if ranked[0].sentence.position == target_position:
+        if ranked[0].position == target_position:
             rank_one += 1
 
         questions = [question]

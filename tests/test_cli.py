@@ -56,6 +56,23 @@ def _without_keywords(text: str) -> str:
     return json.dumps(model)
 
 
+def _without_iterations(text: str) -> str:
+    model = json.loads(text)
+    del model["iterations"]
+    return json.dumps(model)
+
+
+def _with_train_doc(part: str, value):
+    """An edit that sets one train document's transcript or summary to ``value``."""
+
+    def edit(text: str) -> str:
+        corpus = json.loads(text)
+        corpus[part]["acme_semiconductor"] = value  # a train id under the default split
+        return json.dumps(corpus)
+
+    return edit
+
+
 def _with_ghost_train_id(text: str) -> str:
     split = json.loads(text)
     split["train"].append("ghost")
@@ -241,7 +258,12 @@ class TestStages:
             ("ingest/split.json", lambda _: '{"train": [', "qgen"),
             ("ingest/split.json", lambda _: '{"train": []}', "qgen"),
             ("ingest/corpus.json", lambda _: "[]", "qgen"),
+            ("ingest/corpus.json", _with_train_doc("transcripts", []), "extract"),
+            ("ingest/corpus.json", _with_train_doc("summaries", []), "qgen"),
+            ("ingest/corpus.json", _with_train_doc("transcripts", "revenue rose"), "extract"),
+            ("ingest/corpus.json", _with_train_doc("summaries", [5]), "qgen"),
             ("topics/topic_model.json", _without_keywords, "route"),
+            ("topics/topic_model.json", _without_iterations, "route"),
             ("ingest/split.json", _with_ghost_train_id, "qgen"),
             ("generate/predictions.json", _predictions_not_lists, "eval"),
         ],
@@ -249,7 +271,12 @@ class TestStages:
             "truncated-split",
             "split-without-val",
             "corpus-list",
+            "corpus-empty-transcript",
+            "corpus-empty-summary",
+            "corpus-transcript-string",
+            "corpus-bullet-number",
             "model-without-keywords",
+            "model-without-iterations",
             "split-unknown-id",
             "predictions-not-lists",
         ],

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bulletsum.corpus import (
     Corpus,
@@ -66,6 +68,23 @@ class TestSegmentSentences:
         second = segment_sentences(rejoined)
         assert [s.text for s in first] == [s.text for s in second]
         assert [s.position for s in second] == list(range(len(second)))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["Revenue", "rose", "5%.", "Inc.", "U.S.", "Q3.", "EPS?", "up!"]),
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+            ),
+            max_size=12,
+        ).map(lambda parts: " ".join(parts))
+        | st.text(" \t\n.?!AaZz09", max_size=40)
+    )
+    def test_sentences_partition_the_whitespace_tokens(self, raw):
+        assume(raw.strip())
+        sentences = segment_sentences(raw)
+        assert [s.position for s in sentences] == list(range(len(sentences)))
+        assert all(s.text.strip() for s in sentences)
+        assert [tok for s in sentences for tok in s.text.split()] == raw.split()
 
     def test_positions_sequential_and_text_clean(self):
         for sentence in segment_sentences("  padded line \nnext one  "):

@@ -7,6 +7,8 @@ report, not a reason to loosen the comparison. After a deliberate golden
 reset, rewrite them with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each case, the files whose digests changed.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ if __name__ == "__main__":
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             digests = _workspace_digests(name, Path(tmp))
-        (GOLDEN / f"{name}.json").write_text(
-            json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"{name}: {len(digests)} files")
+        path = GOLDEN / f"{name}.json"
+        committed = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        changed = _differing(committed, digests)
+        print(f"{name}: {len(digests)} files, {len(changed)} changed")
+        for file in changed:
+            print(f"  {file}")

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,10 +10,9 @@ from hypothesis import strategies as st
 
 from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
+    ExtractiveContext,
     TfidfEmbedder,
     build_context,
-    context_from_dict,
-    context_to_dict,
     cosine_matrix,
     top_k,
 )
@@ -119,7 +120,7 @@ class TestTopK:
         emb = TfidfEmbedder([s.text for s in doc.sentences])
         question = make_question("what is quarterly revenue?")
         ranked = _selections(doc, question, k=2, embedder=emb)
-        assert ranked[0].sentence.position == 1
+        assert ranked[0].position == 1
         assert ranked[0].rank == 1
         assert ranked[0].score > ranked[1].score
 
@@ -134,7 +135,7 @@ class TestTopK:
         doc = make_transcript("d", ["revenue rose", "unrelated text", "revenue rose"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
         ranked = _selections(doc, make_question("what is revenue?"), 2, emb)
-        assert [s.sentence.position for s in ranked] == [0, 2]
+        assert [s.position for s in ranked] == [0, 2]
 
     def test_exact_tie_with_float_noise_goes_to_earlier_position(
         self, make_transcript, make_question
@@ -154,7 +155,7 @@ class TestTopK:
         )
         emb = TfidfEmbedder([s.text for s in doc.sentences])
         ranked = _selections(doc, make_question("what is flow dividend cash?"), 1, emb)
-        assert [s.sentence.position for s in ranked] == [0]
+        assert [s.position for s in ranked] == [0]
 
     def test_scores_non_increasing_by_rank(self, make_transcript, make_question):
         doc = make_transcript(
@@ -209,7 +210,7 @@ class TestBuildContext:
         expected = set()
         for q in questions:
             expected.update(
-                s.sentence.position for s in _selections(doc, q, 2, emb)
+                s.position for s in _selections(doc, q, 2, emb)
             )
         assert set(positions) == expected
 
@@ -268,7 +269,8 @@ class TestBuildContext:
         doc = make_transcript("d", ["revenue rose", "profit fell"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
         ctx = build_context(doc, [make_question("what is revenue?")], 1, emb)
-        clone = context_from_dict(context_to_dict(ctx))
+        clone = ExtractiveContext.from_dict(json.loads(json.dumps(asdict(ctx))))
+        assert clone == ctx
         assert clone.doc_id == ctx.doc_id
         assert clone.context_text == ctx.context_text
         assert [s.rank for s in clone.selections] == [s.rank for s in ctx.selections]

@@ -3,12 +3,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bulletsum.corpus import Sentence, Transcript
 from bulletsum.errors import NoTopicsDetected
-from bulletsum.qbank import QuestionBank
 from bulletsum.retrieval import TfidfEmbedder, cosine_matrix
 from bulletsum.router import detect_topics, select_questions
-from bulletsum.topics import TopicKeywords
+from bulletsum.text import tokenize
+from bulletsum.topics import UNCATEGORIZED, TopicKeywords
 
 KEYWORDS = TopicKeywords(
     keywords={
@@ -37,9 +40,9 @@ class TestDetectTopics:
         doc = make_transcript("d", ["revenue rose this quarter", "we hired staff"])
         detection = detect_topics(doc, KEYWORDS)
         assert [t.topic_id for t in detection.detected] == ["t0"]
-        evidence = detection.detected[0].evidence
-        assert evidence[0].keyword == "revenue"
-        assert evidence[0].position == 0
+        topic = detection.detected[0]
+        assert topic.keywords == ["revenue"]
+        assert topic.positions == [0]
 
     def test_no_shared_keywords(self, make_transcript):
         doc = make_transcript("d", ["the weather was pleasant"])
@@ -50,9 +53,16 @@ class TestDetectTopics:
             "d", ["dividend news", "dividend again", "more dividend talk"]
         )
         detection = detect_topics(doc, KEYWORDS)
-        evidence = detection.detected[0].evidence
-        assert len(evidence) == 3
-        assert [m.position for m in evidence] == [0, 1, 2]
+        topic = detection.detected[0]
+        assert len(topic.positions) == 3
+        assert topic.positions == [0, 1, 2]
+        assert topic.keywords == ["dividend"]
+
+    def test_keywords_in_topic_order(self, make_transcript):
+        doc = make_transcript("d", ["sales held", "revenue and sales rose"])
+        topic = detect_topics(doc, KEYWORDS).detected[0]
+        assert topic.keywords == ["revenue", "sales"]
+        assert topic.positions == [0, 1]
 
     def test_substring_does_not_match(self, make_transcript):
         # token-exact: "revenues" is not the keyword "revenue"
@@ -81,35 +91,70 @@ class TestDetectTopics:
         assert [t.topic_id for t in detect_topics(doc, keywords).detected] == ["t0"]
 
 
-class TestSelectQuestions:
-    def _bank(self, make_question):
-        return QuestionBank(
-            per_doc={},
-            master=[
-                make_question("what is quarterly revenue?", index=0, topics={"t0"}),
-                make_question("what is annual sales outlook?", index=1, topics={"t0"}),
-                make_question("what is net profit?", index=2, topics={"t1"}),
-                make_question("what is revenue and profit mix?", index=3, topics={"t0", "t1"}),
-            ],
+    WORDS = ["revenue", "sales", "profit", "margin", "dividend", "cash", "the", "rose", "q3"]
+
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(WORDS + ["Revenue,", "sales."]), max_size=6).map(" ".join),
+            max_size=8,
+        ),
+        keywords=st.dictionaries(
+            st.sampled_from(["t0", "t1", "t2", "t3", UNCATEGORIZED]),
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=4, unique=True),
+            max_size=5,
+        ),
+    )
+    def test_matches_brute_force_scan(self, sentences, keywords):
+        doc = Transcript(
+            id="d",
+            sentences=tuple(Sentence(i, text) for i, text in enumerate(sentences)),
+            word_count=0,
         )
+        detection = detect_topics(doc, TopicKeywords(keywords=keywords))
+        expected = []
+        for topic_id in sorted(keywords):
+            if topic_id == UNCATEGORIZED:
+                continue
+            hits = [
+                (keyword, i)
+                for i, text in enumerate(sentences)
+                for keyword in keywords[topic_id]
+                if keyword in tokenize(text)
+            ]
+            if hits:
+                matched = {keyword for keyword, _ in hits}
+                expected.append(
+                    (
+                        topic_id,
+                        [keyword for keyword in keywords[topic_id] if keyword in matched],
+                        sorted({i for _, i in hits}),
+                    )
+                )
+        assert detection.doc_id == "d"
+        assert [(t.topic_id, t.keywords, t.positions) for t in detection.detected] == expected
+
+
+class TestSelectQuestions:
+    def _master(self, make_question):
+        return [
+            make_question("what is quarterly revenue?", index=0, topics={"t0"}),
+            make_question("what is annual sales outlook?", index=1, topics={"t0"}),
+            make_question("what is net profit?", index=2, topics={"t1"}),
+            make_question("what is revenue and profit mix?", index=3, topics={"t0", "t1"}),
+        ]
 
     def test_single_question_topic_selected(self, make_transcript, make_question):
         doc = make_transcript("d", ["profit improved again this year"])
-        bank = QuestionBank(
-            per_doc={}, master=[make_question("what is net profit?", topics={"t1"})]
-        )
+        master = [make_question("what is net profit?", topics={"t1"})]
         detection = detect_topics(doc, KEYWORDS)
-        selected = select_questions(doc, detection, bank, 2, _embedder(doc))
+        selected = select_questions(doc, detection, master, 2, _embedder(doc))
         assert [q.text for q in selected] == ["what is net profit?"]
 
     def test_question_under_two_topics_appears_once(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit rose"])
-        bank = QuestionBank(
-            per_doc={},
-            master=[make_question("what is revenue and profit mix?", topics={"t0", "t1"})],
-        )
+        master = [make_question("what is revenue and profit mix?", topics={"t0", "t1"})]
         detection = detect_topics(doc, KEYWORDS)
-        selected = select_questions(doc, detection, bank, 2, _embedder(doc))
+        selected = select_questions(doc, detection, master, 2, _embedder(doc))
         assert len(selected) == 1
 
     def test_content_word_match_ranks_first(self, make_transcript, make_question):
@@ -121,29 +166,26 @@ class TestSelectQuestions:
                 "the office moved",
             ],
         )
-        bank = QuestionBank(
-            per_doc={},
-            master=[
-                make_question("what is annual sales outlook?", index=0, topics={"t0"}),
-                make_question("what is quarterly revenue grew?", index=1, topics={"t0"}),
-                make_question("what is miscellaneous trivia?", index=2, topics={"t0"}),
-            ],
-        )
+        master = [
+            make_question("what is annual sales outlook?", index=0, topics={"t0"}),
+            make_question("what is quarterly revenue grew?", index=1, topics={"t0"}),
+            make_question("what is miscellaneous trivia?", index=2, topics={"t0"}),
+        ]
         detection = detect_topics(doc, KEYWORDS)
         embedder = _embedder(doc)
-        selected = select_questions(doc, detection, bank, 1, embedder)
+        selected = select_questions(doc, detection, master, 1, embedder)
         assert selected[0].text == "what is quarterly revenue grew?"
         # brute-force oracle: cosine of each bucket question vs evidence centroid
         evidence_vec = embedder.embed(["quarterly revenue grew substantially"])[0]
         sims = {
             q.text: cosine(embedder.embed([q.text])[0], evidence_vec)
-            for q in bank.master
+            for q in master
         }
         assert max(sims, key=sims.get) == "what is quarterly revenue grew?"
         routine = cosine_matrix(
-            evidence_vec[None], embedder.embed([q.text for q in bank.master])
+            evidence_vec[None], embedder.embed([q.text for q in master])
         )[0]
-        for q, score in zip(bank.master, routine):
+        for q, score in zip(master, routine):
             assert abs(score - sims[q.text]) <= 1e-12
 
     def test_tie_goes_to_earlier_master_index(self, make_transcript, make_question):
@@ -151,40 +193,37 @@ class TestSelectQuestions:
         detection = detect_topics(doc, KEYWORDS)
         texts = ["what is revenue growth?", "what is growth revenue?"]
         for order in (texts, texts[::-1]):
-            bank = QuestionBank(
-                per_doc={},
-                master=[make_question(t, index=i, topics={"t0"}) for i, t in enumerate(order)],
-            )
-            selected = select_questions(doc, detection, bank, 1, _embedder(doc))
+            master = [make_question(t, index=i, topics={"t0"}) for i, t in enumerate(order)]
+            selected = select_questions(doc, detection, master, 1, _embedder(doc))
             assert [q.text for q in selected] == [order[0]]
 
     def test_output_subset_of_master_and_bounded(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell", "dividend paid"])
-        bank = self._bank(make_question)
+        master = self._master(make_question)
         detection = detect_topics(doc, KEYWORDS)
-        selected = select_questions(doc, detection, bank, 2, _embedder(doc))
-        master_texts = {q.text for q in bank.master}
+        selected = select_questions(doc, detection, master, 2, _embedder(doc))
+        master_texts = {q.text for q in master}
         assert all(q.text in master_texts for q in selected)
         assert len(selected) <= 2 * len(detection.detected)
 
     def test_deterministic(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell"])
-        bank = self._bank(make_question)
+        master = self._master(make_question)
         detection = detect_topics(doc, KEYWORDS)
-        first = select_questions(doc, detection, bank, 2, _embedder(doc))
-        second = select_questions(doc, detection, bank, 2, _embedder(doc))
+        first = select_questions(doc, detection, master, 2, _embedder(doc))
+        second = select_questions(doc, detection, master, 2, _embedder(doc))
         assert [q.text for q in first] == [q.text for q in second]
 
     def test_empty_detection_raises(self, make_transcript, make_question):
         doc = make_transcript("d", ["nothing relevant here"])
-        bank = self._bank(make_question)
+        master = self._master(make_question)
         detection = detect_topics(doc, KEYWORDS)
         with pytest.raises(NoTopicsDetected):
-            select_questions(doc, detection, bank, 2, _embedder(doc))
+            select_questions(doc, detection, master, 2, _embedder(doc))
 
     def test_q_per_topic_validated(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose"])
-        bank = self._bank(make_question)
+        master = self._master(make_question)
         detection = detect_topics(doc, KEYWORDS)
         with pytest.raises(ValueError):
-            select_questions(doc, detection, bank, 0, _embedder(doc))
+            select_questions(doc, detection, master, 0, _embedder(doc))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bulletsum import pipeline, topics
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
-from bulletsum.qbank import QuestionBank, build_question_bank
+from bulletsum.qbank import build_question_bank
 from bulletsum.topics import (
     UNCATEGORIZED,
     TopicKeywords,
@@ -118,96 +118,79 @@ class TestTopicKeywords:
             assert len(set(words)) == len(words)
 
 
-def _bank(make_summary, bullets_by_doc):
+def _master(make_summary, bullets_by_doc):
     return build_question_bank(
         [make_summary(doc, bullets) for doc, bullets in bullets_by_doc.items()]
-    )
+    ).master
 
 
 class TestCategorize:
     def test_keyword_match_assigns_topic(self, make_summary):
-        bank = _bank(make_summary, {"a": ["q2 revenue $5 million."]})
+        master = _master(make_summary, {"a": ["q2 revenue $5 million."]})
         keywords = TopicKeywords(keywords={"t0": ["revenue", "sales"], "t1": ["profit"]})
-        categorized = categorize_questions(bank, keywords)
-        assert "t0" in categorized.master[0].topics
+        categorized = categorize_questions(master, keywords)
+        assert "t0" in categorized[0].topics
 
     def test_multi_topic_membership(self, make_summary):
-        bank = _bank(make_summary, {"a": ["revenue and profit both grew 5%."]})
+        master = _master(make_summary, {"a": ["revenue and profit both grew 5%."]})
         keywords = TopicKeywords(keywords={"t0": ["revenue"], "t1": ["profit"]})
-        categorized = categorize_questions(bank, keywords)
-        assert categorized.master[0].topics == {"t0", "t1"}
+        categorized = categorize_questions(master, keywords)
+        assert categorized[0].topics == {"t0", "t1"}
 
     def test_no_match_gets_uncategorized(self, make_summary):
-        bank = _bank(make_summary, {"a": ["dividend raised 5%."]})
+        master = _master(make_summary, {"a": ["dividend raised 5%."]})
         keywords = TopicKeywords(keywords={"t0": ["revenue"]})
-        categorized = categorize_questions(bank, keywords)
-        assert categorized.master[0].topics == {UNCATEGORIZED}
+        categorized = categorize_questions(master, keywords)
+        assert categorized[0].topics == {UNCATEGORIZED}
 
     def test_adding_keyword_never_removes_membership(self, make_summary):
-        bank = _bank(
+        master = _master(
             make_summary,
             {"a": ["revenue grew 5%.", "profit fell 3%.", "margin held 2%."]},
         )
         base = TopicKeywords(keywords={"t0": ["revenue"], "t1": ["profit"]})
         grown = TopicKeywords(keywords={"t0": ["revenue", "margin"], "t1": ["profit"]})
-        before = categorize_questions(bank, base)
-        after = categorize_questions(bank, grown)
-        for q_before, q_after in zip(before.master, after.master):
+        before = categorize_questions(master, base)
+        after = categorize_questions(master, grown)
+        for q_before, q_after in zip(before, after):
             assert q_before.topics - {UNCATEGORIZED} <= q_after.topics
 
     def test_every_question_has_a_topic(self, make_summary):
-        bank = _bank(make_summary, {"a": ["alpha 1%.", "beta 2%.", "gamma 3%."]})
+        master = _master(make_summary, {"a": ["alpha 1%.", "beta 2%.", "gamma 3%."]})
         keywords = TopicKeywords(keywords={"t0": ["alpha"]})
-        categorized = categorize_questions(bank, keywords)
-        for question in categorized.master:
+        categorized = categorize_questions(master, keywords)
+        for question in categorized:
             assert question.topics
-
-    def test_per_doc_and_master_consistent(self, make_summary):
-        bank = _bank(make_summary, {"a": ["revenue up 5%."], "b": ["revenue up 9%."]})
-        keywords = TopicKeywords(keywords={"t0": ["revenue"]})
-        categorized = categorize_questions(bank, keywords)
-        by_text = {q.text: q.topics for q in categorized.master}
-        for questions in categorized.per_doc.values():
-            for question in questions:
-                if question.text in by_text:
-                    assert question.topics == by_text[question.text]
 
 
 class TestDistribution:
     def test_two_singleton_topics(self, make_question):
-        bank = QuestionBank(
-            per_doc={},
-            master=[
-                make_question("what is revenue?", topics={"t0"}),
-                make_question("what is profit?", topics={"t1"}),
-            ],
-        )
-        assert question_distribution(bank) == {"t0": 50.0, "t1": 50.0}
+        categorized = [
+            make_question("what is revenue?", topics={"t0"}),
+            make_question("what is profit?", topics={"t1"}),
+        ]
+        assert question_distribution(categorized) == {"t0": 50.0, "t1": 50.0}
 
     def test_multi_membership_counted_once_per_pair(self, make_question):
-        bank = QuestionBank(
-            per_doc={},
-            master=[make_question("what is revenue profit?", topics={"t0", "t1"})],
-        )
-        assert question_distribution(bank) == {"t0": 50.0, "t1": 50.0}
+        categorized = [make_question("what is revenue profit?", topics={"t0", "t1"})]
+        assert question_distribution(categorized) == {"t0": 50.0, "t1": 50.0}
 
     def test_percentages_sum_to_100(self, make_summary):
-        bank = _bank(
+        master = _master(
             make_summary,
             {"a": ["revenue 1%.", "profit 2%.", "revenue and profit 3%.", "misc 4%."]},
         )
         keywords = TopicKeywords(keywords={"t0": ["revenue"], "t1": ["profit"]})
-        distribution = question_distribution(categorize_questions(bank, keywords))
+        distribution = question_distribution(categorize_questions(master, keywords))
         assert sum(distribution.values()) == pytest.approx(100.0, abs=0.01)
 
     def test_empty_bank(self):
         with pytest.raises(EmptyBank):
-            question_distribution(QuestionBank(per_doc={}, master=[]))
+            question_distribution([])
 
     def test_uncategorized_bank_rejected(self, make_question):
-        bank = QuestionBank(per_doc={}, master=[make_question("what is x?")])
         with pytest.raises(EmptyBank):
-            question_distribution(bank)
+            question_distribution([make_question("what is x?")])
 
 
 class TestModelSerialization:
@@ -280,7 +263,7 @@ def bundled_master(tmp_path_factory, synthetic_dirs):
     workspace = tmp_path_factory.mktemp("bundled")
     pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
     pipeline.run_stage("qgen", PipelineConfig(), workspace)
-    return [q.text for q in pipeline._load_bank(workspace, categorized=False).master]
+    return [q.text for q in pipeline._load_bank(workspace).master]
 
 
 @pytest.fixture
