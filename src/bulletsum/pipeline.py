@@ -35,8 +35,8 @@ from .corpus import (
 )
 from .errors import IoError, MissingArtifact, NoTopicsDetected
 from .qbank import Question, QuestionBank, build_question_bank
-from .retrieval import ExtractiveContext, TfidfEmbedder, build_context
-from .router import detect_topics, select_questions
+from .retrieval import Embedder, ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
+from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords
 from .topics import (
@@ -235,10 +235,8 @@ def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
     return gen.PromptTemplate(separator=config.separator)
 
 
-def _embedder_for(doc: Transcript, config: PipelineConfig):
-    if config.embed_url:
-        return EmbeddingClient(config.embed_url)
-    return TfidfEmbedder([s.text for s in doc.sentences])
+def _embedding_client(config: PipelineConfig) -> EmbeddingClient | None:
+    return EmbeddingClient(config.embed_url) if config.embed_url else None
 
 
 def stage_ingest(
@@ -292,16 +290,22 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
     bank = _load_bank(workspace)
     template = _prompt_template(config)
+    client = _embedding_client(config)
 
     contexts = []
     pairs = []
     for doc_id in sorted(split.train):
         doc = corpus.transcripts[doc_id]
-        questions = bank.per_doc.get(doc_id, [])
+        questions = [q.text for q in bank.per_doc.get(doc_id, [])]
         if not questions:
             logger.warning("train document %s has no questions; skipped", doc_id)
             continue
-        context = build_context(doc, questions, config.k, _embedder_for(doc, config))
+        sentences = [s.text for s in doc.sentences]
+        embedder: Embedder = client if client else TfidfEmbedder(sentences)
+        sentence_vectors = embedder.embed(sentences)
+        context = build_context(
+            doc, questions, embedder.embed(questions), sentence_vectors, config.k
+        )
         contexts.append(context)
         pairs.append((context, corpus.summaries[doc_id]))
 
@@ -313,30 +317,52 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
     master = _read_json(workspace / "topics" / "question_bank.json", _master_from_dict)
     _, keywords = _read_json(workspace / "topics" / "topic_model.json", model_from_dict)
+    master_texts = [q.text for q in master]
+    index = TokenIndex(master_texts)
+    buckets = topic_buckets(master)
+    client = _embedding_client(config)
+    # A service's vectors do not depend on the document; TF-IDF columns do.
+    service_master_vectors = client.embed(master_texts) if client else None
 
-    detections = []
-    selected_questions = []
-    contexts = []
-    for doc_id in sorted(split.test):
-        doc = corpus.transcripts[doc_id]
-        embedder = _embedder_for(doc, config)
-        detection = detect_topics(doc, keywords)
-        detections.append(detection)
+    def route(doc: Transcript):
+        # Everything built here dies with the document, so two documents'
+        # master-list matrices are never alive at once.
+        sentences = [s.text for s in doc.sentences]
+        embedder: Embedder
+        if client:
+            embedder = client
+            sentence_ids = [index.encode(text) for text in sentences]
+            master_vectors = service_master_vectors
+        else:
+            embedder = TfidfEmbedder(sentences, index)
+            sentence_ids = embedder.fit_ids
+            master_vectors = embedder.embed(master_texts)
+        sentence_vectors = embedder.embed(sentences)
+        detection = detect_topics(doc, keywords, sentence_ids, index)
         try:
-            questions = select_questions(
-                doc, detection, master, config.q_per_topic, embedder
+            chosen = select_questions(
+                detection, sentence_vectors, master_vectors, buckets, config.q_per_topic
             )
         except NoTopicsDetected:
             if not config.fallback_on_empty_detection:
                 raise
             logger.warning(
-                "no topics detected for %s; falling back to the master list", doc_id
+                "no topics detected for %s; falling back to the master list", doc.id
             )
-            questions = list(master)
-        selected_questions.append(
-            {"doc_id": doc_id, "questions": [q.text for q in questions]}
+            chosen = list(range(len(master)))
+        questions = [master_texts[i] for i in chosen]
+        context = build_context(
+            doc, questions, master_vectors[chosen], sentence_vectors, config.k
         )
-        context = build_context(doc, questions, config.k, embedder)
+        return detection, questions, context
+
+    detections = []
+    selected_questions = []
+    contexts = []
+    for doc_id in sorted(split.test):
+        detection, questions, context = route(corpus.transcripts[doc_id])
+        detections.append(detection)
+        selected_questions.append({"doc_id": doc_id, "questions": questions})
         contexts.append(context)
 
     _write_jsonl(out / "detections.jsonl", detections)

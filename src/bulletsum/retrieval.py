@@ -2,12 +2,16 @@
 
 The built-in embedder is per-document TF-IDF: the vocabulary and IDF are fit
 on one transcript's sentences, which sharpens discrimination inside that
-document and needs no global state. A sentence-transformer service can be
-substituted through the embedding client; both sides expose ``embed``.
+document. Fit and embed share a ``TokenIndex``, so a text is tokenized once
+per stage and a count vector is a scatter of token ids into the document's
+columns. A sentence-transformer service can be substituted through the
+embedding client; both sides expose ``embed``. Ranking takes vectors, which
+a caller embeds once per document.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -15,7 +19,6 @@ import numpy as np
 
 from .corpus import Sentence, Transcript
 from .errors import NoQuestions
-from .qbank import Question
 from .text import tokenize
 
 # Decimals kept in every similarity score before ranking.
@@ -26,33 +29,91 @@ class Embedder(Protocol):
     def embed(self, texts: list[str]) -> np.ndarray: ...
 
 
+class TokenIndex:
+    """Tokens interned as ints, shared by the embedders of one stage.
+
+    Ids are handed out in first-seen order. ``encode`` tokenizes a text with
+    ``tokenize`` and interns its tokens, except for the texts the index was
+    made with: their ids are computed once and kept for the index's lifetime.
+    """
+
+    def __init__(self, kept: Iterable[str] = ()):
+        self.tokens: list[str] = []
+        self._ids: dict[str, int] = {}
+        self._kept: dict[str, np.ndarray] = {}  # empty while ``kept`` is encoded
+        self._kept = {text: self.encode(text) for text in kept}
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def id_of(self, token: str) -> int | None:
+        return self._ids.get(token)
+
+    def encode(self, text: str) -> np.ndarray:
+        kept = self._kept.get(text)
+        if kept is not None:
+            return kept
+        ids = self._ids
+        encoded = []
+        for token in tokenize(text):
+            token_id = ids.get(token)
+            if token_id is None:
+                token_id = ids[token] = len(self.tokens)
+                self.tokens.append(token)
+            encoded.append(token_id)
+        return np.array(encoded, dtype=np.intp)
+
+
+def _flatten(id_arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """All ids in one array, and the row each came from."""
+    rows = np.repeat(np.arange(len(id_arrays)), [len(ids) for ids in id_arrays])
+    ids = np.concatenate(id_arrays) if id_arrays else np.zeros(0, dtype=np.intp)
+    return ids, rows
+
+
 class TfidfEmbedder:
     """TF-IDF vectors over a fixed fit corpus (typically one document).
 
-    IDF = ln((1+N)/(1+df)) + 1, TF = raw count, vectors L2-normalized.
-    Text sharing no terms with the fit corpus embeds to the zero vector.
+    IDF = ln((1+N)/(1+df)) + 1, TF = raw count, vectors L2-normalized. The
+    columns are the fit corpus's tokens sorted as strings. Text sharing no
+    terms with the fit corpus embeds to the zero vector. The fit texts are
+    tokenized once, into ``index`` (a fresh one by default); embedding them
+    again reuses those ids.
     """
 
-    def __init__(self, fit_corpus: list[str]):
+    def __init__(self, fit_corpus: list[str], index: TokenIndex | None = None):
         if not fit_corpus:
             raise ValueError("fit_corpus must be non-empty")
-        docs = [tokenize(text) for text in fit_corpus]
-        self.vocab = sorted({tok for doc in docs for tok in doc})
-        self._index = {tok: i for i, tok in enumerate(self.vocab)}
-        n_docs = len(docs)
-        df = np.zeros(len(self.vocab))
-        for doc in docs:
-            for tok in set(doc):
-                df[self._index[tok]] += 1
-        self.idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+        self.index = TokenIndex() if index is None else index
+        self.fit_ids = [self.index.encode(text) for text in fit_corpus]
+        self._fit = dict(zip(fit_corpus, self.fit_ids))
+        ids, rows = _flatten(self.fit_ids)
+        present = np.zeros(len(self.index), dtype=bool)
+        present[ids] = True
+        self._vocab_ids = np.array(
+            sorted(np.flatnonzero(present).tolist(), key=self.index.tokens.__getitem__),
+            dtype=np.intp,
+        )
+        in_text = np.zeros((len(fit_corpus), len(self._vocab_ids)), dtype=bool)
+        in_text[rows, self._columns(ids)] = True
+        df = in_text.sum(axis=0)
+        self.idf = np.log((1.0 + len(fit_corpus)) / (1.0 + df)) + 1.0
+
+    def _columns(self, ids: np.ndarray) -> np.ndarray:
+        """The column of each token id; -1 for a token outside the vocabulary."""
+        columns = np.full(len(self.index), -1, dtype=np.intp)
+        columns[self._vocab_ids] = np.arange(len(self._vocab_ids))
+        return columns[ids]
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        vectors = np.zeros((len(texts), len(self.vocab)))
-        for row, text in enumerate(texts):
-            for tok in tokenize(text):
-                col = self._index.get(tok)
-                if col is not None:
-                    vectors[row, col] += 1.0
+        ids, rows = _flatten(
+            [self._fit[text] if text in self._fit else self.index.encode(text) for text in texts]
+        )
+        columns = self._columns(ids)
+        known = columns >= 0
+        width = len(self._vocab_ids)
+        vectors = np.zeros((len(texts), width))
+        np.add.at(vectors.reshape(-1), rows[known] * width + columns[known], 1.0)
         vectors *= self.idf
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         np.divide(vectors, norms, out=vectors, where=norms > 0)
@@ -102,34 +163,53 @@ class ExtractiveContext:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtractiveContext":
-        return cls(
+        """Read a context back, checking it against itself.
+
+        Raises ``ValueError`` when the stored ``context_text`` is not the
+        context sentences joined, or a selection names a position that is
+        not among them.
+        """
+        context = cls(
             doc_id=data["doc_id"],
             selections=[Selection(**item) for item in data["selections"]],
             context_sentences=[Sentence(**item) for item in data["context_sentences"]],
         )
+        if data["context_text"] != context.context_text:
+            raise ValueError(f"context_text of {context.doc_id!r} is not its sentences joined")
+        positions = {s.position for s in context.context_sentences}
+        stray = sorted({s.position for s in context.selections} - positions)
+        if stray:
+            raise ValueError(
+                f"selections of {context.doc_id!r} name positions {stray} outside the context"
+            )
+        return context
 
 
 def build_context(
-    doc: Transcript, questions: list[Question], k: int, embedder: Embedder
+    doc: Transcript,
+    questions: list[str],
+    question_vectors: np.ndarray,
+    sentence_vectors: np.ndarray,
+    k: int,
 ) -> ExtractiveContext:
     """Union of per-question top-k selections, deduplicated by position.
 
-    Each question takes the min(k, |sentences|) sentences of highest cosine
-    (``top_k``), so ties break toward the earlier document position. Context
-    sentences keep document order; the per-question selections are
-    retained for audit. At most k * len(questions) sentences survive.
+    Row i of ``question_vectors`` embeds ``questions[i]`` and row j of
+    ``sentence_vectors`` embeds ``doc.sentences[j]``. Each question takes the
+    min(k, |sentences|) sentences of highest cosine (``top_k``), so ties
+    break toward the earlier document position. Context sentences keep
+    document order; the per-question selections are retained for audit. At
+    most k * len(questions) sentences survive.
     """
     if not questions:
         raise NoQuestions(f"no questions supplied for document {doc.id!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    sentence_vectors = embedder.embed([s.text for s in doc.sentences])
-    question_vectors = embedder.embed([q.text for q in questions])
     scores = cosine_matrix(question_vectors, sentence_vectors)
 
     selections = [
         Selection(
-            question=question.text,
+            question=question,
             position=doc.sentences[i].position,
             score=float(row[i]),
             rank=rank,

@@ -14,10 +14,11 @@ import numpy as np
 
 from .corpus import Transcript
 from .errors import NoTopicsDetected
-from .qbank import Question, unique_questions
-from .retrieval import Embedder, cosine_matrix, top_k
-from .text import tokenize
+from .qbank import Question
+from .retrieval import TokenIndex, cosine_matrix, top_k
 from .topics import UNCATEGORIZED, TopicKeywords
+
+_EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -33,61 +34,76 @@ class TopicDetection:
     detected: list[DetectedTopic]
 
 
-def detect_topics(doc: Transcript, keywords: TopicKeywords) -> TopicDetection:
+def detect_topics(
+    doc: Transcript,
+    keywords: TopicKeywords,
+    sentence_ids: list[np.ndarray],
+    index: TokenIndex,
+) -> TopicDetection:
     """Topics whose keywords occur as tokens anywhere in the document.
 
-    Each detected topic lists the keywords that matched and the positions
-    of the sentences they matched in.
+    ``sentence_ids[i]`` holds the token ids of ``doc.sentences[i]`` in
+    ``index``. Each detected topic lists the keywords that matched and the
+    positions of the sentences they matched in.
     """
-    sentence_tokens = [set(tokenize(s.text)) for s in doc.sentences]
+    sentence_tokens = [set(ids.tolist()) for ids in sentence_ids]
     doc_tokens = set().union(*sentence_tokens)
     detected = []
     for topic_id in sorted(keywords.keywords):
         if topic_id == UNCATEGORIZED:
             continue
-        matched = [keyword for keyword in keywords.keywords[topic_id] if keyword in doc_tokens]
+        matched = [
+            keyword for keyword in keywords.keywords[topic_id] if index.id_of(keyword) in doc_tokens
+        ]
         if matched:
+            matched_ids = {index.id_of(keyword) for keyword in matched}
             positions = [
                 sentence.position
                 for sentence, tokens in zip(doc.sentences, sentence_tokens)
-                if not tokens.isdisjoint(matched)
+                if not tokens.isdisjoint(matched_ids)
             ]
             detected.append(DetectedTopic(topic_id, matched, positions))
     return TopicDetection(doc_id=doc.id, detected=detected)
 
 
-def select_questions(
-    doc: Transcript,
-    detection: TopicDetection,
-    master: list[Question],
-    q_per_topic: int,
-    embedder: Embedder,
-) -> list[Question]:
-    """Top-matched master-list questions for each detected topic.
+def topic_buckets(master: list[Question]) -> dict[str, np.ndarray]:
+    """The ascending master-list indices of the questions under each topic label."""
+    buckets: dict[str, list[int]] = {}
+    for i, question in enumerate(master):
+        for topic_id in question.topics:
+            buckets.setdefault(topic_id, []).append(i)
+    return {topic_id: np.array(indices, dtype=np.intp) for topic_id, indices in buckets.items()}
 
-    Per topic, questions carrying that topic label are ranked by cosine
-    between the question embedding and the mean vector of the sentences the
-    topic was detected in (``top_k``: ties go to the earlier master-list
-    index); the per-topic winners are unioned (``unique_questions``) in
-    (topic id, rank) order.
+
+def select_questions(
+    detection: TopicDetection,
+    sentence_vectors: np.ndarray,
+    master_vectors: np.ndarray,
+    buckets: dict[str, np.ndarray],
+    q_per_topic: int,
+) -> list[int]:
+    """Master-list indices of the top-matched questions for each detected topic.
+
+    Per topic, the questions in its bucket (``topic_buckets``) are ranked by
+    cosine between their row of ``master_vectors`` and the mean of the
+    ``sentence_vectors`` rows the topic was detected in (``top_k``: ties go
+    to the earlier master-list index); the per-topic winners are unioned in
+    (topic id, rank) order, each index once. Master-list texts are distinct
+    (``build_question_bank`` deduplicates them), so this is the union by
+    text as well.
     """
     if q_per_topic < 1:
         raise ValueError("q_per_topic must be >= 1")
     if not detection.detected:
-        raise NoTopicsDetected(f"no topics detected for document {doc.id!r}")
+        raise NoTopicsDetected(f"no topics detected for document {detection.doc_id!r}")
 
-    sentence_vectors = embedder.embed([s.text for s in doc.sentences])
-    question_vectors = embedder.embed([q.text for q in master])
     centroids = np.array(
         [sentence_vectors[topic.positions].mean(axis=0) for topic in detection.detected]
     )
-    scores = cosine_matrix(centroids, question_vectors)
+    scores = cosine_matrix(centroids, master_vectors)
 
-    winners: list[Question] = []
+    winners: list[int] = []
     for topic, row in zip(detection.detected, scores):
-        bucket = np.array(
-            [i for i, question in enumerate(master) if topic.topic_id in question.topics],
-            dtype=np.intp,
-        )
-        winners.extend(master[i] for i in bucket[top_k(row[bucket], q_per_topic)])
-    return unique_questions(winners)
+        bucket = buckets.get(topic.topic_id, _EMPTY_BUCKET)
+        winners.extend(bucket[top_k(row[bucket], q_per_topic)].tolist())
+    return list(dict.fromkeys(winners))

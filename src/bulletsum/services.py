@@ -54,7 +54,15 @@ class QGClient(_JsonServiceClient):
 
 
 class EmbeddingClient(_JsonServiceClient):
-    """Sentence-embedding service client; batches all texts in one call."""
+    """Sentence-embedding service client; batches all texts in one call.
+
+    Vectors from different calls are compared with each other, so every
+    response must have the width of the first one.
+    """
+
+    def __init__(self, base_url: str, timeout: float = DEFAULT_TIMEOUT):
+        super().__init__(base_url, timeout)
+        self._width: int | None = None
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -69,6 +77,12 @@ class EmbeddingClient(_JsonServiceClient):
             raise MalformedResponse("embed vectors are ragged or non-numeric") from exc
         if matrix.ndim != 2:
             raise MalformedResponse("embed vectors are ragged or non-numeric")
+        if self._width is None:
+            self._width = matrix.shape[1]
+        elif matrix.shape[1] != self._width:
+            raise MalformedResponse(
+                f"embed vectors have width {matrix.shape[1]}, earlier ones {self._width}"
+            )
         return matrix
 
 

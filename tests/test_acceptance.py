@@ -21,12 +21,13 @@ from bulletsum.corpus import Corpus, corpus_stats, load_corpus
 from bulletsum.generator import FineTuneSpec, PromptTemplate, export_finetune_dataset
 from bulletsum.metrics import num_prec, rouge_l, rouge_n
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder, build_context
+from bulletsum.retrieval import TfidfEmbedder
 from bulletsum.text import normalize_text
 from bulletsum.topics import fit_lda, topic_keywords
 
 from conftest import *  # noqa: F401,F403  (fixtures)
 from test_metrics import brute_force_lcs
+from test_retrieval import _context
 
 
 def _announce(name):
@@ -114,7 +115,7 @@ def test_criterion_retrieval_property(make_transcript, make_question):
         embedder = TfidfEmbedder(sentences)
 
         k = rng.randint(1, 4)
-        ranked = build_context(doc, [question], k, embedder).selections
+        ranked = _context(doc, [question], k, embedder).selections
         if ranked[0].position == target_position:
             rank_one += 1
 
@@ -123,7 +124,7 @@ def test_criterion_retrieval_property(make_transcript, make_question):
             questions.append(
                 make_question(f"what is {' '.join(rng.sample(distractor_pool, 2))}?", index=1)
             )
-        context = build_context(doc, questions, k, embedder)
+        context = _context(doc, questions, k, embedder)
         assert len(context.context_sentences) <= k * len(questions)
 
     assert rank_one == 100, f"dominant sentence ranked first in {rank_one}/100 cases"

@@ -83,6 +83,26 @@ def _predictions_not_lists(text: str) -> str:
     return json.dumps({doc_id: 5 for doc_id in json.loads(text)})
 
 
+def _with_first_context(change):
+    """An edit that applies ``change`` to the first record of a contexts.jsonl."""
+
+    def edit(text: str) -> str:
+        first, *rest = text.splitlines()
+        record = json.loads(first)
+        change(record)
+        return "\n".join([json.dumps(record), *rest]) + "\n"
+
+    return edit
+
+
+def _tamper_context_text(record: dict) -> None:
+    record["context_text"] = "tampered"
+
+
+def _stray_selection(record: dict) -> None:
+    record["selections"][0]["position"] = 9999
+
+
 class TestConfig:
     def test_defaults_are_paper_constants(self):
         config = PipelineConfig()
@@ -266,6 +286,8 @@ class TestStages:
             ("topics/topic_model.json", _without_iterations, "route"),
             ("ingest/split.json", _with_ghost_train_id, "qgen"),
             ("generate/predictions.json", _predictions_not_lists, "eval"),
+            ("route/contexts.jsonl", _with_first_context(_tamper_context_text), "generate"),
+            ("route/contexts.jsonl", _with_first_context(_stray_selection), "generate"),
         ],
         ids=[
             "truncated-split",
@@ -279,6 +301,8 @@ class TestStages:
             "model-without-iterations",
             "split-unknown-id",
             "predictions-not-lists",
+            "context-text-tampered",
+            "selection-outside-context",
         ],
     )
     def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bulletsum.corpus import (
@@ -182,6 +182,18 @@ class TestSplitCorpus:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             split_corpus(Corpus(transcripts={}, summaries={}), seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers())
+    def test_sizes_are_exact_floors_and_parts_partition_the_ids(self, n, seed):
+        corpus = self._corpus_of(n)
+        split = split_corpus(corpus, seed=seed)
+        assert len(split.train) == 7 * n // 10
+        assert len(split.val) == n // 10
+        assert len(split.test) == n - 7 * n // 10 - n // 10
+        parts = [set(split.train), set(split.val), set(split.test)]
+        assert sum(len(part) for part in parts) == n
+        assert set().union(*parts) == set(corpus.ids)
 
 
 class TestCorpusStats:

@@ -117,3 +117,28 @@ def test_traced_round_matches_untraced(tmp_path):
         s["name"] for s in spans
     }
     assert _tree_digest(traced) == _tree_digest(plain)
+
+
+def test_route_tokenizes_each_text_once(tmp_path, synthetic_dirs, monkeypatch):
+    """The master list is tokenized once per stage, each test sentence once."""
+    from bulletsum import retrieval
+    from bulletsum.text import tokenize
+
+    config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+    workspace = tmp_path / "ws"
+    for stage in ("ingest", "qgen", "topics"):
+        pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
+    pipeline.run_stage("route", config, workspace)
+
+    master = json.loads((workspace / "topics" / "question_bank.json").read_text())["master"]
+    transcripts = json.loads((workspace / "ingest" / "corpus.json").read_text())["transcripts"]
+    test_ids = json.loads((workspace / "ingest" / "split.json").read_text())["test"]
+    sentences = [text for doc_id in test_ids for text in transcripts[doc_id]]
+    assert sorted(calls) == sorted([q["text"] for q in master] + sentences)

@@ -12,10 +12,12 @@ from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
     ExtractiveContext,
     TfidfEmbedder,
+    TokenIndex,
     build_context,
     cosine_matrix,
     top_k,
 )
+from bulletsum.text import tokenize
 
 
 def cosine(u, v):
@@ -27,12 +29,85 @@ def cosine(u, v):
     return float(np.dot(u, v)) / (nu * nv)
 
 
+def _context(doc, questions, k, embedder):
+    """``build_context`` on the questions and sentences embedded as the extract stage does."""
+    texts = [q.text for q in questions]
+    sentence_vectors = embedder.embed([s.text for s in doc.sentences])
+    return build_context(doc, texts, embedder.embed(texts), sentence_vectors, k)
+
+
 def _selections(doc, question, k, embedder):
     """The selections ``build_context`` makes for one question."""
-    return build_context(doc, [question], k, embedder).selections
+    return _context(doc, [question], k, embedder).selections
+
+
+def loop_embed(fit_corpus, texts):
+    """TF-IDF vectors by a per-token Python loop: the reference for ``TfidfEmbedder``."""
+    docs = [tokenize(text) for text in fit_corpus]
+    vocab = sorted({tok for doc in docs for tok in doc})
+    index = {tok: i for i, tok in enumerate(vocab)}
+    df = np.zeros(len(vocab))
+    for doc in docs:
+        for tok in set(doc):
+            df[index[tok]] += 1
+    idf = np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0
+    vectors = np.zeros((len(texts), len(vocab)))
+    for row, text in enumerate(texts):
+        for tok in tokenize(text):
+            col = index.get(tok)
+            if col is not None:
+                vectors[row, col] += 1.0
+    vectors *= idf
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    np.divide(vectors, norms, out=vectors, where=norms > 0)
+    return vectors
+
+
+# Repeated words, case and punctuation variants, decimals, and tokenless text.
+EMBED_WORDS = ["revenue", "Revenue,", "sales", "q3", "0.97", "u.s.", "rose", "cash", "-", "!!"]
+embed_texts = st.one_of(
+    st.lists(st.sampled_from(EMBED_WORDS), max_size=8).map(" ".join),
+    st.text(max_size=12),
+)
 
 
 class TestTfidfEmbedder:
+    @given(
+        fit_corpus=st.lists(embed_texts, min_size=1, max_size=6),
+        others=st.lists(embed_texts, max_size=4),
+        data=st.data(),
+    )
+    def test_bytes_match_the_per_token_loop(self, fit_corpus, others, data):
+        # Queries mix fit texts (embedded from the fit's ids), texts kept by
+        # the shared index, and new ones with out-of-vocabulary tokens. The
+        # shared index has already served another document's embedder, as a
+        # route stage's index has.
+        queries = data.draw(st.lists(st.sampled_from(fit_corpus) | embed_texts, max_size=6))
+        expected = loop_embed(fit_corpus, queries)
+        shared = TokenIndex(others + queries)
+        TfidfEmbedder(others or ["unrelated text"], shared).embed(queries + others)
+        for embedder in (TfidfEmbedder(fit_corpus), TfidfEmbedder(fit_corpus, shared)):
+            vectors = embedder.embed(queries)
+            assert vectors.shape == expected.shape
+            assert vectors.tobytes() == expected.tobytes()
+
+    def test_fit_texts_are_tokenized_once(self, monkeypatch):
+        import bulletsum.retrieval as retrieval
+
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
+        index = TokenIndex(["what is revenue?"])
+        embedder = TfidfEmbedder(["revenue rose", "cash fell"], index)
+        embedder.embed(["revenue rose", "cash fell"])
+        embedder.embed(["what is revenue?"])
+        assert sorted(calls) == ["cash fell", "revenue rose", "what is revenue?"]
+
+
     def test_self_similarity_is_one(self):
         corpus = ["revenue rose sharply", "profit fell slightly"]
         emb = TfidfEmbedder(corpus)
@@ -178,7 +253,7 @@ class TestBuildContext:
     def test_single_question_small_doc_selects_all(self, make_transcript, make_question):
         doc = make_transcript("d", ["alpha one", "beta two", "gamma three"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
-        ctx = build_context(doc, [make_question("what is alpha?")], 3, emb)
+        ctx = _context(doc, [make_question("what is alpha?")], 3, emb)
         assert [s.position for s in ctx.context_sentences] == [0, 1, 2]
 
     def test_disjoint_selections_meet_kn_bound(self, make_transcript, make_question):
@@ -193,7 +268,7 @@ class TestBuildContext:
             make_question("what is alpha apple axle arrow alto atlas?"),
             make_question("what is bravo berry basil bison blend badge?"),
         ]
-        ctx = build_context(doc, questions, 2, emb)
+        ctx = _context(doc, questions, 2, emb)
         assert len(ctx.context_sentences) == 4  # k*n with disjoint picks
 
     def test_overlapping_selections_deduplicate(self, make_transcript, make_question):
@@ -202,7 +277,7 @@ class TestBuildContext:
         )
         emb = TfidfEmbedder([s.text for s in doc.sentences])
         questions = [make_question("what is revenue?"), make_question("what is profit?")]
-        ctx = build_context(doc, questions, 2, emb)
+        ctx = _context(doc, questions, 2, emb)
         positions = [s.position for s in ctx.context_sentences]
         assert len(positions) == len(set(positions))
         assert len(ctx.context_sentences) < 4
@@ -224,8 +299,8 @@ class TestBuildContext:
             make_question("what is profit?"),
             make_question("what is margin?"),
         ]
-        forward = build_context(doc, questions, 1, emb)
-        backward = build_context(doc, list(reversed(questions)), 1, emb)
+        forward = _context(doc, questions, 1, emb)
+        backward = _context(doc, list(reversed(questions)), 1, emb)
         assert [s.position for s in forward.context_sentences] == [
             s.position for s in backward.context_sentences
         ]
@@ -233,14 +308,14 @@ class TestBuildContext:
     def test_document_order_preserved(self, make_transcript, make_question):
         doc = make_transcript("d", ["zeta last word", "alpha first word", "mid word"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
-        ctx = build_context(doc, [make_question("what is zeta alpha?")], 2, emb)
+        ctx = _context(doc, [make_question("what is zeta alpha?")], 2, emb)
         positions = [s.position for s in ctx.context_sentences]
         assert positions == sorted(positions)
 
     def test_no_questions(self, make_transcript):
         doc = make_transcript("d", ["text"])
         with pytest.raises(NoQuestions):
-            build_context(doc, [], 3, TfidfEmbedder(["text"]))
+            _context(doc, [], 3, TfidfEmbedder(["text"]))
 
     def test_kn_bound_fuzz(self, make_transcript, make_question):
         rng = random.Random(99)
@@ -256,7 +331,7 @@ class TestBuildContext:
                 for i in range(rng.randint(1, 4))
             ]
             k = rng.randint(1, 4)
-            ctx = build_context(doc, questions, k, emb)
+            ctx = _context(doc, questions, k, emb)
             assert len(ctx.context_sentences) <= k * len(questions)
             assert len(ctx.selections) <= k * len(questions)
 
@@ -268,7 +343,7 @@ class TestBuildContext:
     def test_serialization_round_trip(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell"])
         emb = TfidfEmbedder([s.text for s in doc.sentences])
-        ctx = build_context(doc, [make_question("what is revenue?")], 1, emb)
+        ctx = _context(doc, [make_question("what is revenue?")], 1, emb)
         clone = ExtractiveContext.from_dict(json.loads(json.dumps(asdict(ctx))))
         assert clone == ctx
         assert clone.doc_id == ctx.doc_id

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from bulletsum.corpus import Sentence, Transcript
 from bulletsum.errors import NoTopicsDetected
-from bulletsum.retrieval import TfidfEmbedder, cosine_matrix
-from bulletsum.router import detect_topics, select_questions
+from bulletsum.retrieval import TfidfEmbedder, TokenIndex, cosine_matrix
+from bulletsum.router import detect_topics, select_questions, topic_buckets
 from bulletsum.text import tokenize
 from bulletsum.topics import UNCATEGORIZED, TopicKeywords
 
@@ -35,10 +35,28 @@ def _embedder(doc):
     return TfidfEmbedder([s.text for s in doc.sentences])
 
 
+def _detect(doc, keywords, kept=()):
+    """``detect_topics`` on the document's sentences tokenized into an index keeping ``kept``."""
+    index = TokenIndex(kept)
+    return detect_topics(doc, keywords, [index.encode(s.text) for s in doc.sentences], index)
+
+
+def _select(doc, detection, master, q_per_topic, embedder):
+    """The master questions ``select_questions`` picks, embedded as the route stage does."""
+    chosen = select_questions(
+        detection,
+        embedder.embed([s.text for s in doc.sentences]),
+        embedder.embed([q.text for q in master]),
+        topic_buckets(master),
+        q_per_topic,
+    )
+    return [master[i] for i in chosen]
+
+
 class TestDetectTopics:
     def test_keyword_presence_detects_topic(self, make_transcript):
         doc = make_transcript("d", ["revenue rose this quarter", "we hired staff"])
-        detection = detect_topics(doc, KEYWORDS)
+        detection = _detect(doc, KEYWORDS)
         assert [t.topic_id for t in detection.detected] == ["t0"]
         topic = detection.detected[0]
         assert topic.keywords == ["revenue"]
@@ -46,13 +64,13 @@ class TestDetectTopics:
 
     def test_no_shared_keywords(self, make_transcript):
         doc = make_transcript("d", ["the weather was pleasant"])
-        assert detect_topics(doc, KEYWORDS).detected == []
+        assert _detect(doc, KEYWORDS).detected == []
 
     def test_one_evidence_entry_per_sentence_hit(self, make_transcript):
         doc = make_transcript(
             "d", ["dividend news", "dividend again", "more dividend talk"]
         )
-        detection = detect_topics(doc, KEYWORDS)
+        detection = _detect(doc, KEYWORDS)
         topic = detection.detected[0]
         assert len(topic.positions) == 3
         assert topic.positions == [0, 1, 2]
@@ -60,26 +78,26 @@ class TestDetectTopics:
 
     def test_keywords_in_topic_order(self, make_transcript):
         doc = make_transcript("d", ["sales held", "revenue and sales rose"])
-        topic = detect_topics(doc, KEYWORDS).detected[0]
+        topic = _detect(doc, KEYWORDS).detected[0]
         assert topic.keywords == ["revenue", "sales"]
         assert topic.positions == [0, 1]
 
     def test_substring_does_not_match(self, make_transcript):
         # token-exact: "revenues" is not the keyword "revenue"
         doc = make_transcript("d", ["revenues grew nicely"])
-        assert detect_topics(doc, KEYWORDS).detected == []
+        assert _detect(doc, KEYWORDS).detected == []
 
     def test_monotone_under_added_sentences(self, make_transcript):
         base = ["revenue rose", "profit fell"]
         doc_small = make_transcript("d", base)
         doc_big = make_transcript("d", base + ["dividend declared", "misc line"])
-        small_ids = {t.topic_id for t in detect_topics(doc_small, KEYWORDS).detected}
-        big_ids = {t.topic_id for t in detect_topics(doc_big, KEYWORDS).detected}
+        small_ids = {t.topic_id for t in _detect(doc_small, KEYWORDS).detected}
+        big_ids = {t.topic_id for t in _detect(doc_big, KEYWORDS).detected}
         assert small_ids <= big_ids
 
     def test_serializable(self, make_transcript):
         doc = make_transcript("d", ["revenue rose"])
-        data = asdict(detect_topics(doc, KEYWORDS))
+        data = asdict(_detect(doc, KEYWORDS))
         assert data["doc_id"] == "d"
         assert data["detected"][0]["topic_id"] == "t0"
 
@@ -88,7 +106,7 @@ class TestDetectTopics:
             keywords={"t0": ["revenue"], "uncategorized": ["revenue"]}
         )
         doc = make_transcript("d", ["revenue rose"])
-        assert [t.topic_id for t in detect_topics(doc, keywords).detected] == ["t0"]
+        assert [t.topic_id for t in _detect(doc, keywords).detected] == ["t0"]
 
 
     WORDS = ["revenue", "sales", "profit", "margin", "dividend", "cash", "the", "rose", "q3"]
@@ -103,14 +121,16 @@ class TestDetectTopics:
             st.lists(st.sampled_from(WORDS), min_size=1, max_size=4, unique=True),
             max_size=5,
         ),
+        kept=st.lists(st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join), max_size=3),
     )
-    def test_matches_brute_force_scan(self, sentences, keywords):
+    def test_matches_brute_force_scan(self, sentences, keywords, kept):
+        # ``kept`` stands for the master list a stage's index holds first.
         doc = Transcript(
             id="d",
             sentences=tuple(Sentence(i, text) for i, text in enumerate(sentences)),
             word_count=0,
         )
-        detection = detect_topics(doc, TopicKeywords(keywords=keywords))
+        detection = _detect(doc, TopicKeywords(keywords=keywords), kept)
         expected = []
         for topic_id in sorted(keywords):
             if topic_id == UNCATEGORIZED:
@@ -134,6 +154,22 @@ class TestDetectTopics:
         assert [(t.topic_id, t.keywords, t.positions) for t in detection.detected] == expected
 
 
+class TestTopicBuckets:
+    def test_ascending_master_indices_per_label(self, make_question):
+        master = [
+            make_question("what is a?", topics={"t1"}),
+            make_question("what is b?", topics={"t0", "t1"}),
+            make_question("what is c?", topics={UNCATEGORIZED}),
+            make_question("what is d?", topics={"t1"}),
+        ]
+        buckets = topic_buckets(master)
+        assert {t: b.tolist() for t, b in buckets.items()} == {
+            "t0": [1],
+            "t1": [0, 1, 3],
+            UNCATEGORIZED: [2],
+        }
+
+
 class TestSelectQuestions:
     def _master(self, make_question):
         return [
@@ -146,15 +182,15 @@ class TestSelectQuestions:
     def test_single_question_topic_selected(self, make_transcript, make_question):
         doc = make_transcript("d", ["profit improved again this year"])
         master = [make_question("what is net profit?", topics={"t1"})]
-        detection = detect_topics(doc, KEYWORDS)
-        selected = select_questions(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(doc, KEYWORDS)
+        selected = _select(doc, detection, master, 2, _embedder(doc))
         assert [q.text for q in selected] == ["what is net profit?"]
 
     def test_question_under_two_topics_appears_once(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit rose"])
         master = [make_question("what is revenue and profit mix?", topics={"t0", "t1"})]
-        detection = detect_topics(doc, KEYWORDS)
-        selected = select_questions(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(doc, KEYWORDS)
+        selected = _select(doc, detection, master, 2, _embedder(doc))
         assert len(selected) == 1
 
     def test_content_word_match_ranks_first(self, make_transcript, make_question):
@@ -171,9 +207,9 @@ class TestSelectQuestions:
             make_question("what is quarterly revenue grew?", index=1, topics={"t0"}),
             make_question("what is miscellaneous trivia?", index=2, topics={"t0"}),
         ]
-        detection = detect_topics(doc, KEYWORDS)
+        detection = _detect(doc, KEYWORDS)
         embedder = _embedder(doc)
-        selected = select_questions(doc, detection, master, 1, embedder)
+        selected = _select(doc, detection, master, 1, embedder)
         assert selected[0].text == "what is quarterly revenue grew?"
         # brute-force oracle: cosine of each bucket question vs evidence centroid
         evidence_vec = embedder.embed(["quarterly revenue grew substantially"])[0]
@@ -190,18 +226,18 @@ class TestSelectQuestions:
 
     def test_tie_goes_to_earlier_master_index(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue growth was strong", "sales held"])
-        detection = detect_topics(doc, KEYWORDS)
+        detection = _detect(doc, KEYWORDS)
         texts = ["what is revenue growth?", "what is growth revenue?"]
         for order in (texts, texts[::-1]):
             master = [make_question(t, index=i, topics={"t0"}) for i, t in enumerate(order)]
-            selected = select_questions(doc, detection, master, 1, _embedder(doc))
+            selected = _select(doc, detection, master, 1, _embedder(doc))
             assert [q.text for q in selected] == [order[0]]
 
     def test_output_subset_of_master_and_bounded(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell", "dividend paid"])
         master = self._master(make_question)
-        detection = detect_topics(doc, KEYWORDS)
-        selected = select_questions(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(doc, KEYWORDS)
+        selected = _select(doc, detection, master, 2, _embedder(doc))
         master_texts = {q.text for q in master}
         assert all(q.text in master_texts for q in selected)
         assert len(selected) <= 2 * len(detection.detected)
@@ -209,21 +245,36 @@ class TestSelectQuestions:
     def test_deterministic(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell"])
         master = self._master(make_question)
-        detection = detect_topics(doc, KEYWORDS)
-        first = select_questions(doc, detection, master, 2, _embedder(doc))
-        second = select_questions(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(doc, KEYWORDS)
+        first = _select(doc, detection, master, 2, _embedder(doc))
+        second = _select(doc, detection, master, 2, _embedder(doc))
         assert [q.text for q in first] == [q.text for q in second]
+
+    def test_returns_master_indices_each_once(self, make_transcript, make_question):
+        doc = make_transcript("d", ["revenue rose", "profit fell"])
+        master = self._master(make_question)
+        embedder = _embedder(doc)
+        chosen = select_questions(
+            _detect(doc, KEYWORDS),
+            embedder.embed([s.text for s in doc.sentences]),
+            embedder.embed([q.text for q in master]),
+            topic_buckets(master),
+            3,
+        )
+        # t0 ranks its bucket [0, 1, 3] and t1 its bucket [2, 3]; 3 is in both
+        assert sorted(chosen) == [0, 1, 2, 3]
+        assert len(chosen) == len(set(chosen))
 
     def test_empty_detection_raises(self, make_transcript, make_question):
         doc = make_transcript("d", ["nothing relevant here"])
         master = self._master(make_question)
-        detection = detect_topics(doc, KEYWORDS)
+        detection = _detect(doc, KEYWORDS)
         with pytest.raises(NoTopicsDetected):
-            select_questions(doc, detection, master, 2, _embedder(doc))
+            _select(doc, detection, master, 2, _embedder(doc))
 
     def test_q_per_topic_validated(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose"])
         master = self._master(make_question)
-        detection = detect_topics(doc, KEYWORDS)
+        detection = _detect(doc, KEYWORDS)
         with pytest.raises(ValueError):
-            select_questions(doc, detection, master, 0, _embedder(doc))
+            _select(doc, detection, master, 0, _embedder(doc))

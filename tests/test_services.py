@@ -1,13 +1,27 @@
 import json
+import re
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from bulletsum import pipeline
+from bulletsum.config import PipelineConfig
 from bulletsum.errors import MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import generate_questions_external
 from bulletsum.services import EmbeddingClient, GenerationClient, QGClient
+
+BOW_WIDTH = 16
+
+
+def bow_vector(text: str) -> list[float]:
+    """Word counts hashed into ``BOW_WIDTH`` buckets: the ``/bow`` route's vectors."""
+    vector = [0.0] * BOW_WIDTH
+    for word in re.findall(r"\w+", text.lower()):
+        vector[zlib.crc32(word.encode("utf-8")) % BOW_WIDTH] += 1.0
+    return vector
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -45,6 +59,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, "this is not json", raw=True)
         elif self.path.startswith("/badschema/v1/embed"):
             self._reply(200, {"vectors": [[1.0, 2.0], [3.0]]})
+        elif self.path == "/widening/v1/embed":
+            # every vector of a response is one wider than the batch is long
+            width = len(payload["texts"]) + 1
+            self._reply(200, {"vectors": [[1.0] * width for _ in payload["texts"]]})
+        elif self.path == "/bow/v1/embed":
+            self.server.embed_log.append(payload["texts"])
+            self._reply(200, {"vectors": [bow_vector(t) for t in payload["texts"]]})
         elif self.path.startswith("/badschema"):
             self._reply(200, {"unexpected": "keys"})
         else:
@@ -52,12 +73,19 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture(scope="module")
-def server_url():
+def server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.embed_log = []  # the texts of each /bow embed request, in arrival order
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield server
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture(scope="module")
+def server_url(server):
+    return f"http://127.0.0.1:{server.server_port}"
 
 
 class TestQGClient:
@@ -100,6 +128,47 @@ class TestEmbeddingClient:
     def test_non_200(self, server_url):
         with pytest.raises(ServiceUnavailable):
             EmbeddingClient(f"{server_url}/down").embed(["a"])
+
+    def test_width_differing_from_the_first_response_rejected(self, server_url):
+        client = EmbeddingClient(f"{server_url}/widening")
+        assert client.embed(["a"]).shape == (1, 2)
+        with pytest.raises(MalformedResponse, match="width 3"):
+            client.embed(["a", "b"])
+        assert client.embed(["c"]).shape == (1, 2)
+
+
+class TestRouteWithEmbeddingService:
+    def test_master_list_once_per_stage_sentences_once_per_document(
+        self, server, server_url, tmp_path, synthetic_dirs
+    ):
+        config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+        workspace = tmp_path / "ws"
+        for stage in ("ingest", "qgen", "topics"):
+            pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+        server.embed_log.clear()
+        config = PipelineConfig.from_dict({**config.to_dict(), "embed_url": f"{server_url}/bow"})
+        pipeline.run_stage("route", config, workspace)
+
+        master = json.loads((workspace / "topics" / "question_bank.json").read_text())["master"]
+        transcripts = json.loads((workspace / "ingest" / "corpus.json").read_text())["transcripts"]
+        test_ids = json.loads((workspace / "ingest" / "split.json").read_text())["test"]
+        requests = server.embed_log
+        assert test_ids
+        assert requests.count([q["text"] for q in master]) == 1
+        for doc_id in test_ids:
+            assert requests.count(transcripts[doc_id]) == 1
+        assert len(requests) == 1 + len(test_ids)
+
+        lines = (workspace / "route" / "contexts.jsonl").read_text().splitlines()
+        assert sorted(json.loads(line)["doc_id"] for line in lines) == sorted(test_ids)
+        for line in lines:
+            record = json.loads(line)
+            sentences = transcripts[record["doc_id"]]
+            for selection in record["selections"]:
+                u = np.array(bow_vector(selection["question"]))
+                v = np.array(bow_vector(sentences[selection["position"]]))
+                expected = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+                assert abs(selection["score"] - expected) <= 1e-9
 
 
 class TestGenerationClient:
