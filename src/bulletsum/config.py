@@ -82,7 +82,7 @@ class PipelineConfig:
             raise ConfigInvalid(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigInvalid("config file must hold a JSON object")

@@ -5,11 +5,11 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DivisionDegenerate, EmptyCorpus, EmptyDocument, IoError
-from .text import word_count
+from .text import read_text_file, word_count
 
 logger = logging.getLogger(__name__)
 
@@ -25,25 +25,15 @@ _BOUNDARY_RE = re.compile(r"[.?!](?=\s+[A-Z0-9])")
 
 
 @dataclass(frozen=True)
-class Sentence:
-    position: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Transcript:
+    """A transcript's sentence texts; a sentence's position is its index."""
+
     id: str
-    sentences: tuple[Sentence, ...]
-    word_count: int
+    sentences: tuple[str, ...]
 
     @classmethod
     def from_text(cls, doc_id: str, raw_text: str) -> "Transcript":
-        sentences = tuple(segment_sentences(raw_text))
-        return cls(
-            id=doc_id,
-            sentences=sentences,
-            word_count=sum(word_count(s.text) for s in sentences),
-        )
+        return cls(id=doc_id, sentences=tuple(segment_sentences(raw_text)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ class Corpus:
         return len(self.transcripts)
 
 
-def segment_sentences(raw_text: str) -> list[Sentence]:
+def segment_sentences(raw_text: str) -> list[str]:
     """Split a document into sentences.
 
     Text containing line breaks (after stripping outer whitespace) is treated
@@ -93,8 +83,7 @@ def segment_sentences(raw_text: str) -> list[Sentence]:
         raise EmptyDocument("document is empty or whitespace-only")
 
     if "\n" in stripped:
-        lines = [line.strip() for line in stripped.splitlines() if line.strip()]
-        return [Sentence(position=i, text=line) for i, line in enumerate(lines)]
+        return [line.strip() for line in stripped.splitlines() if line.strip()]
 
     pieces = []
     start = 0
@@ -108,7 +97,7 @@ def segment_sentences(raw_text: str) -> list[Sentence]:
     tail = stripped[start:].strip()
     if tail:
         pieces.append(tail)
-    return [Sentence(position=i, text=piece) for i, piece in enumerate(pieces)]
+    return pieces
 
 
 def _txt_stems(directory: Path) -> dict[str, Path]:
@@ -148,7 +137,7 @@ def load_corpus(transcripts_dir, summaries_dir) -> Corpus:
             (BulletSummary.from_text, summary_files, summaries),
         ):
             try:
-                parsed[stem] = parse(stem, files[stem].read_text(encoding="utf-8"))
+                parsed[stem] = parse(stem, read_text_file(files[stem], "input file"))
             except EmptyDocument as exc:
                 raise EmptyDocument(f"{files[stem]}: {exc}") from exc
     return Corpus(transcripts=transcripts, summaries=summaries)
@@ -178,7 +167,9 @@ def corpus_stats(corpus: Corpus) -> dict[str, float]:
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot compute stats on an empty corpus")
-    total_doc_words = sum(t.word_count for t in corpus.transcripts.values())
+    total_doc_words = sum(
+        word_count(sentence) for t in corpus.transcripts.values() for sentence in t.sentences
+    )
     total_summary_words = sum(
         word_count(bullet) for s in corpus.summaries.values() for bullet in s.bullets
     )

@@ -138,7 +138,7 @@ def num_prec(candidate: str, source: Transcript) -> float:
         return 1.0
     source_numbers = set()
     for sentence in source.sentences:
-        source_numbers.update(tok.normalized for tok in extract_numbers(sentence.text))
+        source_numbers.update(tok.normalized for tok in extract_numbers(sentence))
     return len(cand_numbers & source_numbers) / len(cand_numbers)
 
 

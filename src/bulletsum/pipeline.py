@@ -16,6 +16,7 @@ import json
 import logging
 import shutil
 import tempfile
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -27,7 +28,6 @@ from .corpus import (
     BulletSummary,
     Corpus,
     CorpusSplit,
-    Sentence,
     Transcript,
     corpus_stats,
     load_corpus,
@@ -38,7 +38,7 @@ from .qbank import Question, QuestionBank, build_question_bank
 from .retrieval import Embedder, ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
-from .text import QUESTION_STOPWORDS, load_stopwords
+from .text import QUESTION_STOPWORDS, load_stopwords, read_text_file
 from .topics import (
     categorize_questions,
     fit_lda,
@@ -92,7 +92,7 @@ def _read_json(path: Path, parse):
         raise MissingArtifact(f"missing artifact {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IoError(f"artifact {path} is not valid JSON: {exc}") from exc
     return _parse_artifact(path, parse, data)
 
@@ -104,7 +104,7 @@ def _read_jsonl(path: Path, parse) -> list:
     with path.open(encoding="utf-8") as fh:
         try:
             records = [json.loads(line) for line in fh if line.strip()]
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IoError(f"artifact {path} is not valid JSON lines: {exc}") from exc
     return [_parse_artifact(path, parse, record) for record in records]
 
@@ -158,8 +158,7 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
 def _corpus_to_dict(corpus: Corpus) -> dict:
     return {
         "transcripts": {
-            doc_id: [s.text for s in t.sentences]
-            for doc_id, t in sorted(corpus.transcripts.items())
+            doc_id: list(t.sentences) for doc_id, t in sorted(corpus.transcripts.items())
         },
         "summaries": {
             doc_id: list(s.bullets) for doc_id, s in sorted(corpus.summaries.items())
@@ -176,12 +175,7 @@ def _corpus_from_dict(data: dict) -> Corpus:
     for doc_id, sentences in data["transcripts"].items():
         if not _is_text_list(sentences):
             raise ValueError(f"transcript {doc_id!r} is not a non-empty list of strings")
-        sents = tuple(Sentence(position=i, text=text) for i, text in enumerate(sentences))
-        transcripts[doc_id] = Transcript(
-            id=doc_id,
-            sentences=sents,
-            word_count=sum(len(s.text.split()) for s in sents),
-        )
+        transcripts[doc_id] = Transcript(id=doc_id, sentences=tuple(sentences))
     summaries = {}
     for doc_id, bullets in data["summaries"].items():
         if not _is_text_list(bullets):
@@ -191,12 +185,17 @@ def _corpus_from_dict(data: dict) -> Corpus:
 
 
 def _split_from_dict(data: dict) -> CorpusSplit:
-    return CorpusSplit(
-        train=tuple(data["train"]),
-        val=tuple(data["val"]),
-        test=tuple(data["test"]),
-        seed=data["seed"],
-    )
+    parts = {}
+    for name in ("train", "val", "test"):
+        ids = data[name]
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise TypeError(f"split part {name!r} is not a list of strings")
+        parts[name] = tuple(ids)
+    counts = Counter(i for ids in parts.values() for i in ids)
+    repeated = sorted(i for i, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"split ids appear more than once: {repeated}")
+    return CorpusSplit(**parts, seed=data["seed"])
 
 
 def _predictions_from_dict(data: dict) -> dict[str, list[str]]:
@@ -227,10 +226,7 @@ def _master_from_dict(data: dict) -> list[Question]:
 
 def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
     if config.instruction_file:
-        path = Path(config.instruction_file)
-        if not path.is_file():
-            raise MissingArtifact(f"instruction file not found: {path}")
-        instruction = path.read_text(encoding="utf-8").strip()
+        instruction = read_text_file(config.instruction_file, "instruction file").strip()
         return gen.PromptTemplate(instruction=instruction, separator=config.separator)
     return gen.PromptTemplate(separator=config.separator)
 
@@ -300,9 +296,8 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
         if not questions:
             logger.warning("train document %s has no questions; skipped", doc_id)
             continue
-        sentences = [s.text for s in doc.sentences]
-        embedder: Embedder = client if client else TfidfEmbedder(sentences)
-        sentence_vectors = embedder.embed(sentences)
+        embedder: Embedder = client if client else TfidfEmbedder(doc.sentences)
+        sentence_vectors = embedder.embed(doc.sentences)
         context = build_context(
             doc, questions, embedder.embed(questions), sentence_vectors, config.k
         )
@@ -327,17 +322,16 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     def route(doc: Transcript):
         # Everything built here dies with the document, so two documents'
         # master-list matrices are never alive at once.
-        sentences = [s.text for s in doc.sentences]
         embedder: Embedder
         if client:
             embedder = client
-            sentence_ids = [index.encode(text) for text in sentences]
+            sentence_ids = [index.encode(text) for text in doc.sentences]
             master_vectors = service_master_vectors
         else:
-            embedder = TfidfEmbedder(sentences, index)
+            embedder = TfidfEmbedder(doc.sentences, index)
             sentence_ids = embedder.fit_ids
             master_vectors = embedder.embed(master_texts)
-        sentence_vectors = embedder.embed(sentences)
+        sentence_vectors = embedder.embed(doc.sentences)
         detection = detect_topics(doc, keywords, sentence_ids, index)
         try:
             chosen = select_questions(

@@ -11,13 +11,13 @@ a caller embeds once per document.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
-from .corpus import Sentence, Transcript
+from .corpus import Transcript
 from .errors import NoQuestions
 from .text import tokenize
 
@@ -26,7 +26,7 @@ SCORE_DECIMALS = 12
 
 
 class Embedder(Protocol):
-    def embed(self, texts: list[str]) -> np.ndarray: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class TokenIndex:
@@ -81,7 +81,7 @@ class TfidfEmbedder:
     again reuses those ids.
     """
 
-    def __init__(self, fit_corpus: list[str], index: TokenIndex | None = None):
+    def __init__(self, fit_corpus: Sequence[str], index: TokenIndex | None = None):
         if not fit_corpus:
             raise ValueError("fit_corpus must be non-empty")
         self.index = TokenIndex() if index is None else index
@@ -105,7 +105,7 @@ class TfidfEmbedder:
         columns[self._vocab_ids] = np.arange(len(self._vocab_ids))
         return columns[ids]
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         ids, rows = _flatten(
             [self._fit[text] if text in self._fit else self.index.encode(text) for text in texts]
         )
@@ -141,6 +141,14 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     lower index.
     """
     return np.argsort(-np.round(scores, SCORE_DECIMALS), kind="stable")[:k]
+
+
+@dataclass(frozen=True)
+class Sentence:
+    """A context sentence: its text and its index in the transcript."""
+
+    position: int
+    text: str
 
 
 @dataclass(frozen=True)
@@ -210,15 +218,15 @@ def build_context(
     selections = [
         Selection(
             question=question,
-            position=doc.sentences[i].position,
-            score=float(row[i]),
+            position=p,
+            score=float(row[p]),
             rank=rank,
         )
         for question, row in zip(questions, scores)
-        for rank, i in enumerate(top_k(row, k), start=1)
+        for rank, p in enumerate(top_k(row, k).tolist(), start=1)
     ]
     positions = {s.position for s in selections}
-    context_sentences = [s for s in doc.sentences if s.position in positions]
+    context_sentences = [Sentence(p, doc.sentences[p]) for p in sorted(positions)]
     return ExtractiveContext(
         doc_id=doc.id, selections=selections, context_sentences=context_sentences
     )

@@ -58,9 +58,7 @@ def detect_topics(
         if matched:
             matched_ids = {index.id_of(keyword) for keyword in matched}
             positions = [
-                sentence.position
-                for sentence, tokens in zip(doc.sentences, sentence_tokens)
-                if not tokens.isdisjoint(matched_ids)
+                p for p, tokens in enumerate(sentence_tokens) if not tokens.isdisjoint(matched_ids)
             ]
             detected.append(DetectedTopic(topic_id, matched, positions))
     return TopicDetection(doc_id=doc.id, detected=detected)

@@ -12,6 +12,8 @@ response that does not match the schema raises MalformedResponse.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 import requests
 
@@ -64,7 +66,7 @@ class EmbeddingClient(_JsonServiceClient):
         super().__init__(base_url, timeout)
         self._width: int | None = None
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, 0))
         body = self._post("/v1/embed", {"texts": list(texts)})

@@ -1,9 +1,12 @@
-"""Shared text utilities: tokenization, normalization, stop words."""
+"""Shared text utilities: tokenization, normalization, stop words, text files."""
 
 from __future__ import annotations
 
 import re
 import string
+from pathlib import Path
+
+from .errors import IoError, MissingArtifact
 
 # Tokens are runs of letters/digits; decimal points survive only inside numbers
 # ("0.97" is one token, "u.s." is ["u", "s"]).
@@ -50,8 +53,20 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
+def read_text_file(path, what: str) -> str:
+    """The UTF-8 text of an input file; a missing or unreadable file is a typed error."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingArtifact(f"{what} not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoError(f"{what} {path} is not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise IoError(f"could not read {what} {path}: {exc}") from exc
+
+
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word file (one word per line, blank lines ignored)."""
-    with open(path, encoding="utf-8") as fh:
-        words = {line.strip().lower() for line in fh if line.strip()}
-    return frozenset(words)
+    lines = read_text_file(path, "stopword file").split("\n")
+    return frozenset(line.strip().lower() for line in lines if line.strip())

@@ -1,19 +1,14 @@
 import pytest
 
 from bulletsum import synthetic_data_dirs
-from bulletsum.corpus import BulletSummary, Sentence, Transcript
+from bulletsum.corpus import BulletSummary, Transcript
 from bulletsum.qbank import Question
 
 
 @pytest.fixture
 def make_transcript():
     def _make(doc_id, sentences):
-        sents = tuple(Sentence(position=i, text=t) for i, t in enumerate(sentences))
-        return Transcript(
-            id=doc_id,
-            sentences=sents,
-            word_count=sum(len(t.split()) for t in sentences),
-        )
+        return Transcript(id=doc_id, sentences=tuple(sentences))
 
     return _make
 

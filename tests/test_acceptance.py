@@ -182,8 +182,7 @@ def test_criterion_pipeline_constants(tmp_path, make_summary):
     assert emitted["max_new_tokens"] == 60
 
     # fine-tune sidecar carries the training constants
-    from bulletsum.corpus import Sentence
-    from bulletsum.retrieval import ExtractiveContext
+    from bulletsum.retrieval import ExtractiveContext, Sentence
 
     context = ExtractiveContext(
         doc_id="a",

@@ -79,6 +79,21 @@ def _with_ghost_train_id(text: str) -> str:
     return json.dumps(split)
 
 
+def _with_train_id_in(part: str, value=None):
+    """An edit that appends ``value`` to a split part; by default the first train id."""
+
+    def edit(text: str) -> str:
+        split = json.loads(text)
+        split[part].append(split["train"][0] if value is None else value)
+        return json.dumps(split)
+
+    return edit
+
+
+def _not_utf8(text: str) -> bytes:
+    return text.encode("utf-8") + b"\xff\xfe"
+
+
 def _predictions_not_lists(text: str) -> str:
     return json.dumps({doc_id: 5 for doc_id in json.loads(text)})
 
@@ -272,6 +287,13 @@ class TestStages:
         assert error["error"] == "ConfigInvalid"
         assert "lda_beta" in error["message"]
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"k": 5}\xff\xfe')
+        code = _run(["ingest", "--workspace", tmp_path / "ws", "--config", config_path])
+        error = self._error(code, capsys)
+        assert error["error"] == "ConfigInvalid"
+
     @pytest.mark.parametrize(
         "artifact, edit, stage",
         [
@@ -285,6 +307,10 @@ class TestStages:
             ("topics/topic_model.json", _without_keywords, "route"),
             ("topics/topic_model.json", _without_iterations, "route"),
             ("ingest/split.json", _with_ghost_train_id, "qgen"),
+            ("ingest/split.json", _with_train_id_in("train", ["x"]), "qgen"),
+            ("ingest/split.json", _with_train_id_in("test"), "qgen"),
+            ("ingest/split.json", _not_utf8, "qgen"),
+            ("route/contexts.jsonl", _not_utf8, "generate"),
             ("generate/predictions.json", _predictions_not_lists, "eval"),
             ("route/contexts.jsonl", _with_first_context(_tamper_context_text), "generate"),
             ("route/contexts.jsonl", _with_first_context(_stray_selection), "generate"),
@@ -300,6 +326,10 @@ class TestStages:
             "model-without-keywords",
             "model-without-iterations",
             "split-unknown-id",
+            "split-unhashable-id",
+            "split-overlapping-parts",
+            "split-not-utf8",
+            "contexts-not-utf8",
             "predictions-not-lists",
             "context-text-tampered",
             "selection-outside-context",
@@ -313,7 +343,8 @@ class TestStages:
             assert _run([name, "--workspace", workspace, "--transcripts", transcripts,
                          "--summaries", summaries, *FAST_FLAGS]) == 0
         path = workspace / artifact
-        path.write_text(edit(path.read_text()))
+        edited = edit(path.read_text(encoding="utf-8"))
+        path.write_bytes(edited if isinstance(edited, bytes) else edited.encode("utf-8"))
         error = self._error(_run([stage, "--workspace", workspace]), capsys)
         assert error["error"] == "IoError"
         assert error["stage"] == stage
@@ -330,6 +361,45 @@ class TestStages:
         error = self._error(code, capsys)
         assert error["error"] == "EmptyDocument"
         assert str(transcripts / "acme.txt") in error["message"]
+
+    @pytest.mark.parametrize("bad", ["transcripts", "summaries"])
+    def test_non_utf8_input_names_file(self, tmp_path, capsys, bad):
+        dirs = {name: tmp_path / name for name in ("transcripts", "summaries")}
+        for directory in dirs.values():
+            directory.mkdir()
+            (directory / "acme.txt").write_text("revenue rose 5%.\n", encoding="utf-8")
+        (dirs[bad] / "acme.txt").write_bytes(b"revenue rose \xff\xfe 5%.\n")
+        code = _run(["ingest", "--workspace", tmp_path / "ws", "--transcripts",
+                     dirs["transcripts"], "--summaries", dirs["summaries"]])
+        error = self._error(code, capsys)
+        assert error["error"] == "IoError"
+        assert str(dirs[bad] / "acme.txt") in error["message"]
+
+    @pytest.mark.parametrize(
+        "stage, flag, content, expected",
+        [
+            ("topics", "--stopword-file", None, "MissingArtifact"),
+            ("topics", "--stopword-file", b"revenue\n\xff\xfe\n", "IoError"),
+            ("extract", "--instruction-file", b"Summarize \xff\xfe\n", "IoError"),
+        ],
+        ids=["stopwords-missing", "stopwords-not-utf8", "instruction-not-utf8"],
+    )
+    def test_unreadable_input_file(
+        self, tmp_path, synthetic_dirs, capsys, stage, flag, content, expected
+    ):
+        transcripts, summaries = synthetic_dirs
+        workspace = tmp_path / "ws"
+        order = list(STAGES)
+        for name in order[: order.index(stage)]:
+            assert _run([name, "--workspace", workspace, "--transcripts", transcripts,
+                         "--summaries", summaries, *FAST_FLAGS]) == 0
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        error = self._error(_run([stage, "--workspace", workspace, flag, path]), capsys)
+        assert error["error"] == expected
+        assert error["stage"] == stage
+        assert str(path) in error["message"]
 
     def test_flags_override_config_file(self, tmp_path, synthetic_dirs):
         transcripts, summaries = synthetic_dirs

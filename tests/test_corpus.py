@@ -15,15 +15,15 @@ from bulletsum.errors import DivisionDegenerate, EmptyCorpus, EmptyDocument, IoE
 class TestSegmentSentences:
     def test_pre_segmented_lines(self):
         sentences = segment_sentences("line a\nline b")
-        assert [(s.position, s.text) for s in sentences] == [(0, "line a"), (1, "line b")]
+        assert sentences == ["line a", "line b"]
 
     def test_blank_lines_skipped(self):
         sentences = segment_sentences("one\n\n  \ntwo\n")
-        assert [s.text for s in sentences] == ["one", "two"]
+        assert sentences == ["one", "two"]
 
     def test_single_line_punctuation_split(self):
         sentences = segment_sentences("Revenue rose. EPS was $0.97.")
-        assert [s.text for s in sentences] == ["Revenue rose.", "EPS was $0.97."]
+        assert sentences == ["Revenue rose.", "EPS was $0.97."]
 
     def test_split_before_digit(self):
         sentences = segment_sentences("Margins improved. 16% growth followed.")
@@ -32,7 +32,7 @@ class TestSegmentSentences:
     def test_abbreviations_do_not_split(self):
         text = "We acquired Widget Inc. It closed fast. Sales in the U.S. Grew well."
         sentences = segment_sentences(text)
-        assert [s.text for s in sentences] == [
+        assert sentences == [
             "We acquired Widget Inc. It closed fast.",
             "Sales in the U.S. Grew well.",
         ]
@@ -64,10 +64,9 @@ class TestSegmentSentences:
     )
     def test_idempotent_on_joined_output(self, raw):
         first = segment_sentences(raw)
-        rejoined = "\n".join(s.text for s in first)
+        rejoined = "\n".join(first)
         second = segment_sentences(rejoined)
-        assert [s.text for s in first] == [s.text for s in second]
-        assert [s.position for s in second] == list(range(len(second)))
+        assert first == second
 
     @given(
         st.lists(
@@ -82,14 +81,13 @@ class TestSegmentSentences:
     def test_sentences_partition_the_whitespace_tokens(self, raw):
         assume(raw.strip())
         sentences = segment_sentences(raw)
-        assert [s.position for s in sentences] == list(range(len(sentences)))
-        assert all(s.text.strip() for s in sentences)
-        assert [tok for s in sentences for tok in s.text.split()] == raw.split()
+        assert all(s.strip() for s in sentences)
+        assert [tok for s in sentences for tok in s.split()] == raw.split()
 
     def test_positions_sequential_and_text_clean(self):
         for sentence in segment_sentences("  padded line \nnext one  "):
-            assert sentence.text == sentence.text.strip()
-            assert "\n" not in sentence.text
+            assert sentence == sentence.strip()
+            assert "\n" not in sentence
 
 
 def _write_corpus(tmp_path, docs, summaries):
@@ -130,7 +128,7 @@ class TestLoadCorpus:
             tmp_path, {"a": "two words\nthree little words"}, {"a": "one bullet here"}
         )
         corpus = load_corpus(tdir, sdir)
-        assert corpus.transcripts["a"].word_count == 5
+        assert corpus_stats(corpus)["mean_doc_words"] == 5
 
     def test_synthetic_bundle_loads(self, synthetic_dirs):
         corpus = load_corpus(*synthetic_dirs)
@@ -143,15 +141,13 @@ class TestLoadCorpus:
 
 class TestSplitCorpus:
     def _corpus_of(self, n):
-        from bulletsum.corpus import BulletSummary, Sentence, Transcript
+        from bulletsum.corpus import BulletSummary, Transcript
 
         transcripts = {}
         summaries = {}
         for i in range(n):
             doc_id = f"doc{i:04d}"
-            transcripts[doc_id] = Transcript(
-                id=doc_id, sentences=(Sentence(0, "text here"),), word_count=2
-            )
+            transcripts[doc_id] = Transcript(id=doc_id, sentences=("text here",))
             summaries[doc_id] = BulletSummary(id=doc_id, bullets=("a bullet",))
         return Corpus(transcripts=transcripts, summaries=summaries)
 
@@ -198,14 +194,12 @@ class TestSplitCorpus:
 
 class TestCorpusStats:
     def _corpus(self, doc_words, summary_words):
-        from bulletsum.corpus import BulletSummary, Sentence, Transcript
+        from bulletsum.corpus import BulletSummary, Transcript
 
         text = " ".join(["word"] * doc_words)
         bullets = (" ".join(["tok"] * summary_words),) if summary_words else ("x",)
         corpus = Corpus(
-            transcripts={
-                "a": Transcript(id="a", sentences=(Sentence(0, text),), word_count=doc_words)
-            },
+            transcripts={"a": Transcript(id="a", sentences=(text,))},
             summaries={"a": BulletSummary(id="a", bullets=bullets)},
         )
         return corpus
@@ -232,12 +226,10 @@ class TestCorpusStats:
         assert dup["compression_ratio"] == pytest.approx(base["compression_ratio"])
 
     def test_zero_summary_words(self):
-        from bulletsum.corpus import BulletSummary, Sentence, Transcript
+        from bulletsum.corpus import BulletSummary, Transcript
 
         corpus = Corpus(
-            transcripts={
-                "a": Transcript(id="a", sentences=(Sentence(0, "w w"),), word_count=2)
-            },
+            transcripts={"a": Transcript(id="a", sentences=("w w",))},
             summaries={"a": BulletSummary(id="a", bullets=("",))},
         )
         with pytest.raises(DivisionDegenerate):

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from bulletsum.corpus import Sentence
 from bulletsum.errors import EmptyContext, EmptyGeneration, MalformedPrompt
 from bulletsum.generator import (
     FineTuneSpec,
@@ -13,7 +12,7 @@ from bulletsum.generator import (
     generate,
     mock_generate,
 )
-from bulletsum.retrieval import ExtractiveContext
+from bulletsum.retrieval import ExtractiveContext, Sentence
 
 
 def _context(doc_id, texts):

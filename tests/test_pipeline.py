@@ -7,6 +7,7 @@ import pytest
 
 from bulletsum import pipeline
 from bulletsum.config import PipelineConfig
+from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import QuestionBank, build_question_bank
 
@@ -23,6 +24,16 @@ def ingested(tmp_path, synthetic_dirs):
     workspace = tmp_path / "ws"
     pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
     return workspace, _tree_digest(workspace / "ingest")
+
+
+def test_ingest_reads_back_as_loaded(ingested, synthetic_dirs):
+    workspace, _ = ingested
+    corpus, split = pipeline._load_ingest(workspace)
+    loaded = load_corpus(*synthetic_dirs)
+    assert corpus == loaded
+    assert split == split_corpus(loaded, PipelineConfig().split_seed)
+    stats = json.loads((workspace / "ingest" / "stats.json").read_text(encoding="utf-8"))
+    assert corpus_stats(corpus) == stats
 
 
 class TestPublish:

@@ -32,7 +32,7 @@ def cosine(u, v):
 def _context(doc, questions, k, embedder):
     """``build_context`` on the questions and sentences embedded as the extract stage does."""
     texts = [q.text for q in questions]
-    sentence_vectors = embedder.embed([s.text for s in doc.sentences])
+    sentence_vectors = embedder.embed(doc.sentences)
     return build_context(doc, texts, embedder.embed(texts), sentence_vectors, k)
 
 
@@ -192,7 +192,7 @@ class TestTopK:
                 "the cafeteria menu changed",
             ],
         )
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         question = make_question("what is quarterly revenue?")
         ranked = _selections(doc, question, k=2, embedder=emb)
         assert ranked[0].position == 1
@@ -201,14 +201,14 @@ class TestTopK:
 
     def test_k_clamped_to_doc_size(self, make_transcript, make_question):
         doc = make_transcript("d", ["first one", "second one"])
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ranked = _selections(doc, make_question("what is first?"), 3, emb)
         assert len(ranked) == 2
         assert [s.rank for s in ranked] == [1, 2]
 
     def test_tie_broken_by_earlier_position(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "unrelated text", "revenue rose"])
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ranked = _selections(doc, make_question("what is revenue?"), 2, emb)
         assert [s.position for s in ranked] == [0, 2]
 
@@ -228,7 +228,7 @@ class TestTopK:
                 "backlog net income dividend",
             ],
         )
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ranked = _selections(doc, make_question("what is flow dividend cash?"), 1, emb)
         assert [s.position for s in ranked] == [0]
 
@@ -236,7 +236,7 @@ class TestTopK:
         doc = make_transcript(
             "d", ["revenue rose fast", "revenue stayed flat", "profit and margin", "misc"]
         )
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ranked = _selections(doc, make_question("what is revenue margin?"), 4, emb)
         scores = [s.score for s in ranked]
         assert scores == sorted(scores, reverse=True)
@@ -252,9 +252,10 @@ class TestTopK:
 class TestBuildContext:
     def test_single_question_small_doc_selects_all(self, make_transcript, make_question):
         doc = make_transcript("d", ["alpha one", "beta two", "gamma three"])
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ctx = _context(doc, [make_question("what is alpha?")], 3, emb)
         assert [s.position for s in ctx.context_sentences] == [0, 1, 2]
+        assert [s.text for s in ctx.context_sentences] == list(doc.sentences)
 
     def test_disjoint_selections_meet_kn_bound(self, make_transcript, make_question):
         sentences = [
@@ -275,7 +276,7 @@ class TestBuildContext:
         doc = make_transcript(
             "d", ["revenue and profit", "only revenue here", "only profit here", "noise"]
         )
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         questions = [make_question("what is revenue?"), make_question("what is profit?")]
         ctx = _context(doc, questions, 2, emb)
         positions = [s.position for s in ctx.context_sentences]
@@ -293,7 +294,7 @@ class TestBuildContext:
         doc = make_transcript(
             "d", ["revenue rose", "profit fell", "margin grew", "costs dropped"]
         )
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         questions = [
             make_question("what is revenue?"),
             make_question("what is profit?"),
@@ -307,7 +308,7 @@ class TestBuildContext:
 
     def test_document_order_preserved(self, make_transcript, make_question):
         doc = make_transcript("d", ["zeta last word", "alpha first word", "mid word"])
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ctx = _context(doc, [make_question("what is zeta alpha?")], 2, emb)
         positions = [s.position for s in ctx.context_sentences]
         assert positions == sorted(positions)
@@ -342,7 +343,7 @@ class TestBuildContext:
 
     def test_serialization_round_trip(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose", "profit fell"])
-        emb = TfidfEmbedder([s.text for s in doc.sentences])
+        emb = TfidfEmbedder(doc.sentences)
         ctx = _context(doc, [make_question("what is revenue?")], 1, emb)
         clone = ExtractiveContext.from_dict(json.loads(json.dumps(asdict(ctx))))
         assert clone == ctx

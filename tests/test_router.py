@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bulletsum.corpus import Sentence, Transcript
+from bulletsum.corpus import Transcript
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.retrieval import TfidfEmbedder, TokenIndex, cosine_matrix
 from bulletsum.router import detect_topics, select_questions, topic_buckets
@@ -32,20 +32,20 @@ def cosine(u, v):
 
 
 def _embedder(doc):
-    return TfidfEmbedder([s.text for s in doc.sentences])
+    return TfidfEmbedder(doc.sentences)
 
 
 def _detect(doc, keywords, kept=()):
     """``detect_topics`` on the document's sentences tokenized into an index keeping ``kept``."""
     index = TokenIndex(kept)
-    return detect_topics(doc, keywords, [index.encode(s.text) for s in doc.sentences], index)
+    return detect_topics(doc, keywords, [index.encode(text) for text in doc.sentences], index)
 
 
 def _select(doc, detection, master, q_per_topic, embedder):
     """The master questions ``select_questions`` picks, embedded as the route stage does."""
     chosen = select_questions(
         detection,
-        embedder.embed([s.text for s in doc.sentences]),
+        embedder.embed(doc.sentences),
         embedder.embed([q.text for q in master]),
         topic_buckets(master),
         q_per_topic,
@@ -125,11 +125,7 @@ class TestDetectTopics:
     )
     def test_matches_brute_force_scan(self, sentences, keywords, kept):
         # ``kept`` stands for the master list a stage's index holds first.
-        doc = Transcript(
-            id="d",
-            sentences=tuple(Sentence(i, text) for i, text in enumerate(sentences)),
-            word_count=0,
-        )
+        doc = Transcript(id="d", sentences=tuple(sentences))
         detection = _detect(doc, TopicKeywords(keywords=keywords), kept)
         expected = []
         for topic_id in sorted(keywords):
@@ -256,7 +252,7 @@ class TestSelectQuestions:
         embedder = _embedder(doc)
         chosen = select_questions(
             _detect(doc, KEYWORDS),
-            embedder.embed([s.text for s in doc.sentences]),
+            embedder.embed(doc.sentences),
             embedder.embed([q.text for q in master]),
             topic_buckets(master),
             3,
