@@ -297,10 +297,10 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
             logger.warning("train document %s has no questions; skipped", doc_id)
             continue
         embedder: Embedder = client if client else TfidfEmbedder(doc.sentences)
-        sentence_vectors = embedder.embed(doc.sentences)
-        context = build_context(
-            doc, questions, embedder.embed(questions), sentence_vectors, config.k
-        )
+        # One call; a row depends only on its own text.
+        vectors = embedder.embed([*doc.sentences, *questions])
+        n = len(doc.sentences)
+        context = build_context(doc, questions, vectors[n:], vectors[:n], config.k)
         contexts.append(context)
         pairs.append((context, corpus.summaries[doc_id]))
 
@@ -332,7 +332,7 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
             sentence_ids = embedder.fit_ids
             master_vectors = embedder.embed(master_texts)
         sentence_vectors = embedder.embed(doc.sentences)
-        detection = detect_topics(doc, keywords, sentence_ids, index)
+        detection = detect_topics(doc.id, keywords, sentence_ids, index)
         try:
             chosen = select_questions(
                 detection, sentence_vectors, master_vectors, buckets, config.q_per_topic

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Transcript
 from .errors import NoTopicsDetected
 from .qbank import Question
 from .retrieval import TokenIndex, cosine_matrix, top_k
@@ -35,15 +34,15 @@ class TopicDetection:
 
 
 def detect_topics(
-    doc: Transcript,
+    doc_id: str,
     keywords: TopicKeywords,
     sentence_ids: list[np.ndarray],
     index: TokenIndex,
 ) -> TopicDetection:
     """Topics whose keywords occur as tokens anywhere in the document.
 
-    ``sentence_ids[i]`` holds the token ids of ``doc.sentences[i]`` in
-    ``index``. Each detected topic lists the keywords that matched and the
+    ``sentence_ids[i]`` holds the token ids of the document's sentence ``i``
+    in ``index``. Each detected topic lists the keywords that matched and the
     positions of the sentences they matched in.
     """
     sentence_tokens = [set(ids.tolist()) for ids in sentence_ids]
@@ -61,7 +60,7 @@ def detect_topics(
                 p for p, tokens in enumerate(sentence_tokens) if not tokens.isdisjoint(matched_ids)
             ]
             detected.append(DetectedTopic(topic_id, matched, positions))
-    return TopicDetection(doc_id=doc.id, detected=detected)
+    return TopicDetection(doc_id=doc_id, detected=detected)
 
 
 def topic_buckets(master: list[Question]) -> dict[str, np.ndarray]:

@@ -38,7 +38,7 @@ def _embedder(doc):
 def _detect(doc, keywords, kept=()):
     """``detect_topics`` on the document's sentences tokenized into an index keeping ``kept``."""
     index = TokenIndex(kept)
-    return detect_topics(doc, keywords, [index.encode(text) for text in doc.sentences], index)
+    return detect_topics(doc.id, keywords, [index.encode(text) for text in doc.sentences], index)
 
 
 def _select(doc, detection, master, q_per_topic, embedder):

@@ -1,12 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
+import time
+import urllib.request
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bulletsum
 from bulletsum import pipeline
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import MalformedResponse, ServiceUnavailable
@@ -14,6 +21,17 @@ from bulletsum.qbank import generate_questions_external
 from bulletsum.services import EmbeddingClient, GenerationClient, QGClient
 
 BOW_WIDTH = 16
+SLOW_REPLY_S = 0.5
+HTTP_MODULES = ("requests", "urllib3", "http.client", "ssl")
+# Bodies of the /<name>/v1/embed routes: two vectors that are not finite numbers.
+BAD_VECTORS = {
+    "strings": '{"vectors": [["1", "2"], ["3", "4"]]}',
+    "bools": '{"vectors": [[true, false], [false, true]]}',
+    "nonfinite": '{"vectors": [[NaN, 1.0], [Infinity, 2]]}',
+    "nulls": '{"vectors": [[null, 1.0], [2.0, 3.0]]}',
+    "objects": '{"vectors": [{"a": 1}, {"b": 2}]}',
+    "hugeint": '{"vectors": [[1%s, 1], [2, 3]]}' % ("0" * 400),
+}
 
 
 def bow_vector(text: str) -> list[float]:
@@ -42,6 +60,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data.encode("utf-8"))
 
     def do_POST(self):
+        self.server.connection_log.append(self.headers.get("Connection"))
         payload = self._read_payload()
         if self.path == "/v1/question":
             sentence = payload["sentence"]
@@ -68,6 +87,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"vectors": [bow_vector(t) for t in payload["texts"]]})
         elif self.path.startswith("/badschema"):
             self._reply(200, {"unexpected": "keys"})
+        elif self.path == "/created/v1/question":
+            self._reply(201, {"question": "what is created?"})
+        elif self.path.startswith("/slow"):
+            time.sleep(SLOW_REPLY_S)
+            self._reply(200, {"question": "what is late?"})
+        elif self.path.startswith("/truncated"):
+            # promises more bytes than it sends, then closes the connection
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"question"')
+        elif self.path.endswith("/v1/embed") and self.path.split("/")[1] in BAD_VECTORS:
+            self._reply(200, BAD_VECTORS[self.path.split("/")[1]], raw=True)
         else:
             self._reply(404, {"detail": "not found"})
 
@@ -76,6 +108,7 @@ class _Handler(BaseHTTPRequestHandler):
 def server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.embed_log = []  # the texts of each /bow embed request, in arrival order
+    server.connection_log = []  # the Connection header of each request
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -111,6 +144,78 @@ class TestQGClient:
             client.question("x")
 
 
+class TestTransport:
+    def test_201_is_service_error(self, server_url):
+        with pytest.raises(ServiceUnavailable, match="returned 201"):
+            QGClient(f"{server_url}/created").question("x")
+
+    def test_timeout_is_service_error(self, server_url):
+        client = QGClient(f"{server_url}/slow", timeout=0.2)
+        started = time.perf_counter()
+        with pytest.raises(ServiceUnavailable):
+            client.question("x")
+        assert time.perf_counter() - started < SLOW_REPLY_S
+
+    def test_body_shorter_than_its_length_is_service_error(self, server_url):
+        with pytest.raises(ServiceUnavailable):
+            QGClient(f"{server_url}/truncated").question("x")
+
+    @pytest.mark.parametrize("base_url", ["localhost:1", "http://[::1"])
+    def test_malformed_url_is_service_error(self, base_url):
+        with pytest.raises(ServiceUnavailable):
+            QGClient(base_url).question("x")
+
+    def test_file_url_refused_before_opening(self, tmp_path, monkeypatch):
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "question").write_text('{"question": "what is local?"}')
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("a file URL was opened")
+
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", no_open)
+        with pytest.raises(ServiceUnavailable, match="only http and https"):
+            QGClient(tmp_path.as_uri()).question("x")
+
+    def test_every_request_closes_its_connection(self, server, server_url):
+        server.connection_log.clear()
+        client = QGClient(server_url)
+        for sentence in ("a.", "b.", "c."):
+            client.question(sentence)
+        assert server.connection_log == ["close"] * 3
+
+    def test_proxy_from_environment(self, server_url, monkeypatch):
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        monkeypatch.delenv("HTTP_PROXY", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        monkeypatch.delenv("no_proxy", raising=False)
+        with pytest.raises(ServiceUnavailable):
+            QGClient(server_url, timeout=0.5).question("x")  # sent to the dead proxy
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert QGClient(server_url).question("x.") == "what is x?"
+
+    def test_offline_run_loads_no_http_modules(self, tmp_path):
+        code = (
+            "import json, sys\n"
+            "from bulletsum import synthetic_data_dirs\n"
+            "from bulletsum.config import PipelineConfig\n"
+            "from bulletsum.pipeline import run_stage\n"
+            "run_stage('run', PipelineConfig(lda_iters=20), sys.argv[1], *synthetic_data_dirs())\n"
+            f"print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))\n"
+        )
+        src = str(Path(bulletsum.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "ws")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "ws" / "eval" / "report.json").is_file()
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 class TestEmbeddingClient:
     def test_one_vector_per_text_shared_dim(self, server_url):
         client = EmbeddingClient(server_url)
@@ -128,6 +233,11 @@ class TestEmbeddingClient:
     def test_non_200(self, server_url):
         with pytest.raises(ServiceUnavailable):
             EmbeddingClient(f"{server_url}/down").embed(["a"])
+
+    @pytest.mark.parametrize("route", sorted(BAD_VECTORS))
+    def test_entries_that_are_not_finite_numbers_rejected(self, server_url, route):
+        with pytest.raises(MalformedResponse, match="not finite numbers"):
+            EmbeddingClient(f"{server_url}/{route}").embed(["a", "b"])
 
     def test_width_differing_from_the_first_response_rejected(self, server_url):
         client = EmbeddingClient(f"{server_url}/widening")
@@ -169,6 +279,30 @@ class TestRouteWithEmbeddingService:
                 v = np.array(bow_vector(sentences[selection["position"]]))
                 expected = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
                 assert abs(selection["score"] - expected) <= 1e-9
+
+
+class TestExtractWithEmbeddingService:
+    def test_one_request_per_train_document_sentences_then_questions(
+        self, server, server_url, tmp_path, synthetic_dirs
+    ):
+        config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+        workspace = tmp_path / "ws"
+        for stage in ("ingest", "qgen", "topics"):
+            pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+        server.embed_log.clear()
+        config = PipelineConfig.from_dict({**config.to_dict(), "embed_url": f"{server_url}/bow"})
+        pipeline.run_stage("extract", config, workspace)
+
+        per_doc = json.loads((workspace / "qgen" / "question_bank.json").read_text())["per_doc"]
+        transcripts = json.loads((workspace / "ingest" / "corpus.json").read_text())["transcripts"]
+        train_ids = json.loads((workspace / "ingest" / "split.json").read_text())["train"]
+        expected = [
+            transcripts[doc_id] + [q["text"] for q in per_doc[doc_id]]
+            for doc_id in sorted(train_ids)
+            if per_doc.get(doc_id)
+        ]
+        assert expected
+        assert server.embed_log == expected
 
 
 class TestGenerationClient:
