@@ -316,26 +316,32 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     index = TokenIndex(master_texts)
     buckets = topic_buckets(master)
     client = _embedding_client(config)
-    # A service's vectors do not depend on the document; TF-IDF columns do.
-    service_master_vectors = client.embed(master_texts) if client else None
+    # A service's vectors do not depend on the document, so the master list is
+    # embedded once. TF-IDF vectors do; the master list's term counts over its
+    # own tokens (the index's first ids) are built once and weighed per document.
+    if client:
+        service_master_vectors = client.embed(master_texts)
+    else:
+        master_counts = index.counts(master_texts)
 
     def route(doc: Transcript):
-        # Everything built here dies with the document, so two documents'
-        # master-list matrices are never alive at once.
-        embedder: Embedder
         if client:
-            embedder = client
             sentence_ids = [index.encode(text) for text in doc.sentences]
-            master_vectors = service_master_vectors
+            sentence_vectors = client.embed(doc.sentences)
+            ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
         else:
             embedder = TfidfEmbedder(doc.sentences, index)
             sentence_ids = embedder.fit_ids
-            master_vectors = embedder.embed(master_texts)
-        sentence_vectors = embedder.embed(doc.sentences)
+            sentence_vectors = embedder.embed(doc.sentences)
+            # A master row is zero outside the master tokens' columns, so a
+            # cosine on them is the full one times a positive factor per topic
+            # centroid: each topic ranks its bucket the same.
+            columns, ranked_master = embedder.embed_counts(master_counts)
+            ranked_sentences = sentence_vectors[:, columns]
         detection = detect_topics(doc.id, keywords, sentence_ids, index)
         try:
             chosen = select_questions(
-                detection, sentence_vectors, master_vectors, buckets, config.q_per_topic
+                detection, ranked_sentences, ranked_master, buckets, config.q_per_topic
             )
         except NoTopicsDetected:
             if not config.fallback_on_empty_detection:
@@ -345,9 +351,9 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
             )
             chosen = list(range(len(master)))
         questions = [master_texts[i] for i in chosen]
-        context = build_context(
-            doc, questions, master_vectors[chosen], sentence_vectors, config.k
-        )
+        # A row depends only on its own text: these are the full master rows.
+        question_vectors = service_master_vectors[chosen] if client else embedder.embed(questions)
+        context = build_context(doc, questions, question_vectors, sentence_vectors, config.k)
         return detection, questions, context
 
     detections = []

@@ -39,11 +39,17 @@ class Question:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Question":
+        """Read a question back; raises ``TypeError`` for a field of the wrong type."""
+        text, source_doc = data["text"], data["source_doc"]
+        index, topics = data["source_bullet_index"], data["topics"]
+        if not isinstance(text, str) or not isinstance(source_doc, str):
+            raise TypeError(f"question text and source_doc must be strings: {data!r}")
+        if type(index) is not int:  # a bool is an int to isinstance
+            raise TypeError(f"source_bullet_index must be an int: {index!r}")
+        if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
+            raise TypeError(f"question topics must be a list of strings: {topics!r}")
         return cls(
-            text=data["text"],
-            source_doc=data["source_doc"],
-            source_bullet_index=data["source_bullet_index"],
-            topics=frozenset(data["topics"]),
+            text=text, source_doc=source_doc, source_bullet_index=index, topics=frozenset(topics)
         )
 
 

@@ -6,7 +6,8 @@ document. Fit and embed share a ``TokenIndex``, so a text is tokenized once
 per stage and a count vector is a scatter of token ids into the document's
 columns. A sentence-transformer service can be substituted through the
 embedding client; both sides expose ``embed``. Ranking takes vectors, which
-a caller embeds once per document.
+a caller embeds once per document. ``embed_counts`` weighs a text list counted
+once per stage (``TokenIndex.counts``) on the columns of its tokens only.
 """
 
 from __future__ import annotations
@@ -63,12 +64,24 @@ class TokenIndex:
             encoded.append(token_id)
         return np.array(encoded, dtype=np.intp)
 
+    def counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Raw term counts: a row per text, a column per id handed out so far."""
+        ids, rows = _flatten([self.encode(text) for text in texts])
+        return _scatter_counts(len(texts), len(self), rows, ids)
+
 
 def _flatten(id_arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """All ids in one array, and the row each came from."""
     rows = np.repeat(np.arange(len(id_arrays)), [len(ids) for ids in id_arrays])
     ids = np.concatenate(id_arrays) if id_arrays else np.zeros(0, dtype=np.intp)
     return ids, rows
+
+
+def _scatter_counts(n_rows: int, width: int, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """An ``n_rows`` x ``width`` matrix counting each (row, column) pair."""
+    counts = np.zeros((n_rows, width))
+    np.add.at(counts.reshape(-1), rows * width + columns, 1.0)
+    return counts
 
 
 class TfidfEmbedder:
@@ -111,13 +124,29 @@ class TfidfEmbedder:
         )
         columns = self._columns(ids)
         known = columns >= 0
-        width = len(self._vocab_ids)
-        vectors = np.zeros((len(texts), width))
-        np.add.at(vectors.reshape(-1), rows[known] * width + columns[known], 1.0)
-        vectors *= self.idf
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        np.divide(vectors, norms, out=vectors, where=norms > 0)
-        return vectors
+        counts = _scatter_counts(len(texts), len(self._vocab_ids), rows[known], columns[known])
+        return _weigh(counts, self.idf)
+
+    def embed_counts(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """TF-IDF rows of texts given as ``TokenIndex.counts`` rows, on their columns only.
+
+        ``counts`` has a column for each of the index's first
+        ``counts.shape[1]`` token ids. Returns the ascending columns of this
+        embedder's vocabulary that hold one of those tokens, and the rows
+        weighed and L2-normalized on those columns. ``embed`` of such a text
+        is zero outside them, so a row is ``embed``'s row restricted to the
+        columns, up to the rounding of its norm.
+        """
+        columns = np.flatnonzero(self._vocab_ids < counts.shape[1])
+        return columns, _weigh(counts[:, self._vocab_ids[columns]], self.idf[columns])
+
+
+def _weigh(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:
+    """Term counts times ``idf``, each row L2-normalized, in place; a zero row stays zero."""
+    counts *= idf
+    norms = np.linalg.norm(counts, axis=1, keepdims=True)
+    np.divide(counts, norms, out=counts, where=norms > 0)
+    return counts
 
 
 def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -173,10 +202,12 @@ class ExtractiveContext:
     def from_dict(cls, data: dict) -> "ExtractiveContext":
         """Read a context back, checking it against itself.
 
-        Raises ``ValueError`` when the stored ``context_text`` is not the
-        context sentences joined, or a selection names a position that is
-        not among them.
+        Raises ``ValueError`` when ``doc_id`` is not a string, the stored
+        ``context_text`` is not the context sentences joined, or a selection
+        names a position that is not among them.
         """
+        if not isinstance(data["doc_id"], str):
+            raise ValueError(f"context doc_id must be a string: {data['doc_id']!r}")
         context = cls(
             doc_id=data["doc_id"],
             selections=[Selection(**item) for item in data["selections"]],

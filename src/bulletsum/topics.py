@@ -315,4 +315,10 @@ def model_from_dict(data: dict) -> tuple[TopicModel, TopicKeywords]:
         iterations=data["iterations"],
         seed=data["seed"],
     )
-    return model, TopicKeywords(keywords={k: list(v) for k, v in data["keywords"].items()})
+    keywords = data["keywords"]
+    if not isinstance(keywords, dict) or not all(
+        isinstance(words, list) and all(isinstance(w, str) for w in words)
+        for words in keywords.values()
+    ):
+        raise TypeError("keywords must map topic ids to lists of strings")
+    return model, TopicKeywords(keywords={k: list(v) for k, v in keywords.items()})

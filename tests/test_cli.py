@@ -8,8 +8,11 @@ import pytest
 
 from bulletsum.cli import build_parser, main, resolve_config
 from bulletsum.config import PipelineConfig
+from bulletsum.corpus import Transcript
 from bulletsum.errors import ConfigInvalid
 from bulletsum.pipeline import STAGES
+from bulletsum.retrieval import ExtractiveContext, TfidfEmbedder, build_context
+from bulletsum.text import tokenize
 
 FAST_FLAGS = ["--num-topics", "6", "--lda-iters", "60", "--keywords-per-topic", "4"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -108,6 +111,36 @@ def _with_first_context(change):
         return "\n".join([json.dumps(record), *rest]) + "\n"
 
     return edit
+
+
+def _with_json(change):
+    """An edit that applies ``change`` to the data of a JSON artifact."""
+
+    def edit(text: str) -> str:
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+
+    return edit
+
+
+def _with_first_master(key: str, value):
+    """An edit that sets ``key`` of a question bank's first master question."""
+    return _with_json(lambda bank: bank["master"][0].__setitem__(key, value))
+
+
+def _with_first_per_doc(key: str, value):
+    """An edit that sets ``key`` of the first question of a bank's first document."""
+    return _with_json(lambda bank: next(iter(bank["per_doc"].values()))[0].__setitem__(key, value))
+
+
+def _with_first_keyword(value):
+    """An edit that replaces the first keyword of a topic model's first topic."""
+    return _with_json(lambda model: next(iter(model["keywords"].values())).__setitem__(0, value))
+
+
+def _with_doc_id(value):
+    return lambda record: record.__setitem__("doc_id", value)
 
 
 def _tamper_context_text(record: dict) -> None:
@@ -314,6 +347,15 @@ class TestStages:
             ("generate/predictions.json", _predictions_not_lists, "eval"),
             ("route/contexts.jsonl", _with_first_context(_tamper_context_text), "generate"),
             ("route/contexts.jsonl", _with_first_context(_stray_selection), "generate"),
+            ("topics/question_bank.json", _with_first_master("text", 5), "route"),
+            ("topics/question_bank.json", _with_first_master("text", {"a": 1}), "route"),
+            ("topics/question_bank.json", _with_first_master("topics", "abc"), "route"),
+            ("topics/topic_model.json", _with_first_keyword({"a": 1}), "route"),
+            ("topics/topic_model.json", _with_first_keyword(7), "route"),
+            ("qgen/question_bank.json", _with_first_per_doc("text", 5), "extract"),
+            ("qgen/question_bank.json", _with_first_master("text", True), "topics"),
+            ("route/contexts.jsonl", _with_first_context(_with_doc_id(None)), "generate"),
+            ("route/contexts.jsonl", _with_first_context(_with_doc_id({})), "generate"),
         ],
         ids=[
             "truncated-split",
@@ -333,6 +375,15 @@ class TestStages:
             "predictions-not-lists",
             "context-text-tampered",
             "selection-outside-context",
+            "master-text-int",
+            "master-text-object",
+            "master-topics-string",
+            "keyword-object",
+            "keyword-int",
+            "per-doc-text-int",
+            "qgen-master-text-bool",
+            "context-doc-id-null",
+            "context-doc-id-object",
         ],
     )
     def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):
@@ -349,6 +400,43 @@ class TestStages:
         assert error["error"] == "IoError"
         assert error["stage"] == stage
         assert str(path) in error["message"]
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_route_with_no_topic_detected(self, tmp_path, synthetic_dirs, capsys, fallback):
+        """A test document with no topic keyword fails, or falls back to the master list."""
+        transcripts, summaries = synthetic_dirs
+        workspace = tmp_path / "ws"
+        for stage in ("ingest", "qgen", "topics"):
+            assert _run([stage, "--workspace", workspace, "--transcripts", transcripts,
+                         "--summaries", summaries, *FAST_FLAGS]) == 0
+        corpus_path = workspace / "ingest" / "corpus.json"
+        corpus = json.loads(corpus_path.read_text(encoding="utf-8"))
+        doc_id = json.loads((workspace / "ingest" / "split.json").read_text())["test"][0]
+        sentences = ["Good morning and welcome to the call.", "Operator, please go ahead."]
+        corpus["transcripts"][doc_id] = sentences
+        corpus_path.write_text(json.dumps(corpus), encoding="utf-8")
+        model = json.loads((workspace / "topics" / "topic_model.json").read_text())
+        keywords = {word for words in model["keywords"].values() for word in words}
+        assert keywords.isdisjoint(tokenize(" ".join(sentences)))
+
+        flags = ["--fallback-on-empty-detection"] if fallback else []
+        code = _run(["route", "--workspace", workspace, *FAST_FLAGS, *flags])
+        if not fallback:
+            error = self._error(code, capsys)
+            assert error["error"] == "NoTopicsDetected"
+            assert doc_id in error["message"]
+            return
+        assert code == 0
+        contexts = [json.loads(line) for line in
+                    (workspace / "route" / "contexts.jsonl").read_text().splitlines()]
+        routed = next(c for c in contexts if c["doc_id"] == doc_id)
+        master = [q["text"] for q in json.loads(
+            (workspace / "topics" / "question_bank.json").read_text())["master"]]
+        doc = Transcript(id=doc_id, sentences=tuple(sentences))
+        embedder = TfidfEmbedder(doc.sentences)
+        expected = build_context(doc, master, embedder.embed(master),
+                                 embedder.embed(doc.sentences), PipelineConfig().k)
+        assert ExtractiveContext.from_dict(routed) == expected
 
     def test_empty_transcript_names_file(self, tmp_path, capsys):
         transcripts, summaries = tmp_path / "ects", tmp_path / "gts"

@@ -3,15 +3,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bulletsum import pipeline
+from bulletsum import pipeline, retrieval
 from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import QuestionBank, build_question_bank
+from bulletsum.retrieval import TfidfEmbedder, TokenIndex
+from bulletsum.router import detect_topics, select_questions, topic_buckets
+from bulletsum.topics import model_from_dict
 
 from test_cli import _tree_digest
+from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUND = ROOT / "bench" / "round.py"
@@ -153,3 +158,79 @@ def test_route_tokenizes_each_text_once(tmp_path, synthetic_dirs, monkeypatch):
     test_ids = json.loads((workspace / "ingest" / "split.json").read_text())["test"]
     sentences = [text for doc_id in test_ids for text in transcripts[doc_id]]
     assert sorted(calls) == sorted([q["text"] for q in master] + sentences)
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def topics_workspace(request, tmp_path_factory):
+    """The golden cases' workspaces up to ``topics``, and their configs."""
+    config, corpus = CASES[request.param]
+    tmp = tmp_path_factory.mktemp(request.param)
+    dirs = corpus(tmp / "corpus")
+    workspace = tmp / "ws"
+    for stage in ("ingest", "qgen", "topics"):
+        pipeline.run_stage(stage, config, workspace, *dirs)
+    return config, workspace
+
+
+def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, monkeypatch):
+    """Every test document chooses, and hands ``build_context``, what the dense reference does.
+
+    The reference embeds the whole master list on the document's vocabulary.
+    The stage ranks on the master tokens' columns (``embed_counts``) and
+    embeds only the chosen questions.
+    """
+    config, workspace = topics_workspace
+    handed = {}
+
+    def recording_build_context(doc, questions, question_vectors, sentence_vectors, k):
+        handed[doc.id] = question_vectors
+        return retrieval.build_context(doc, questions, question_vectors, sentence_vectors, k)
+
+    monkeypatch.setattr(pipeline, "build_context", recording_build_context)
+    pipeline.run_stage("route", config, workspace)
+    routed = {
+        record["doc_id"]: record["questions"]
+        for record in pipeline._read_jsonl(workspace / "route" / "questions.jsonl", dict)
+    }
+
+    corpus, split = pipeline._load_ingest(workspace)
+    master = pipeline._read_json(workspace / "topics" / "question_bank.json", pipeline._master_from_dict)
+    _, keywords = pipeline._read_json(workspace / "topics" / "topic_model.json", model_from_dict)
+    texts = [q.text for q in master]
+    index = TokenIndex(texts)
+    counts = index.counts(texts)
+    buckets = topic_buckets(master)
+    assert sorted(routed) == sorted(split.test)
+    for doc_id in sorted(split.test):
+        doc = corpus.transcripts[doc_id]
+        embedder = TfidfEmbedder(doc.sentences, index)
+        sentences = embedder.embed(doc.sentences)
+        dense = embedder.embed(texts)
+        columns, narrow = embedder.embed_counts(counts)
+        detection = detect_topics(doc.id, keywords, embedder.fit_ids, index)
+        chosen = select_questions(detection, sentences, dense, buckets, config.q_per_topic)
+        narrow_chosen = select_questions(
+            detection, sentences[:, columns], narrow, buckets, config.q_per_topic
+        )
+        assert narrow_chosen == chosen
+        assert routed[doc_id] == [texts[i] for i in chosen]
+        assert np.array_equal(handed[doc_id], dense[chosen])
+
+
+def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeypatch):
+    """No per-document embed of the whole master list."""
+    config, workspace = topics_workspace
+    master = {q.text for q in pipeline._read_json(
+        workspace / "topics" / "question_bank.json", pipeline._master_from_dict
+    )}
+    embed = TfidfEmbedder.embed
+    embedded = []
+
+    def counting_embed(self, texts):
+        embedded.extend(text for text in texts if text in master)
+        return embed(self, texts)
+
+    monkeypatch.setattr(TfidfEmbedder, "embed", counting_embed)
+    pipeline.run_stage("route", config, workspace)
+    records = pipeline._read_jsonl(workspace / "route" / "questions.jsonl", dict)
+    assert 0 < len(embedded) <= sum(len(record["questions"]) for record in records)

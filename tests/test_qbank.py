@@ -1,10 +1,11 @@
+import json
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bulletsum import pipeline
 from bulletsum.errors import EmptyCorpus, MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import (
     Question,
@@ -156,8 +157,30 @@ class TestBuildQuestionBank:
 
     def test_serialization_round_trip(self, make_summary):
         bank = build_question_bank([make_summary("a", ["q1 sales $4 million."])])
-        clone = QuestionBank.from_dict(asdict(bank))
+        bank.master[0] = bank.master[0].with_topics({"t1"})
+        clone = QuestionBank.from_dict(json.loads(pipeline._dumps(bank)))
         assert clone == bank
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("text", 5),
+            ("text", None),
+            ("source_doc", 3),
+            ("source_bullet_index", True),
+            ("source_bullet_index", "0"),
+            ("source_bullet_index", 1.0),
+            ("topics", "abc"),
+            ("topics", [1]),
+            ("topics", {"t1": 1}),
+        ],
+    )
+    def test_wrong_typed_field_rejected(self, key, value):
+        data = {"text": "what is q1 sales?", "source_doc": "a", "source_bullet_index": 0,
+                "topics": ["t1"]}
+        assert Question.from_dict(data) == Question("what is q1 sales?", "a", 0, frozenset({"t1"}))
+        with pytest.raises(TypeError):
+            Question.from_dict({**data, key: value})
 
     def test_external_generator_path(self, make_summary):
         bank = build_question_bank(

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bulletsum.corpus import Transcript
@@ -42,7 +42,12 @@ def _detect(doc, keywords, kept=()):
 
 
 def _select(doc, detection, master, q_per_topic, embedder):
-    """The master questions ``select_questions`` picks, embedded as the route stage does."""
+    """The master questions ``select_questions`` picks on dense vectors.
+
+    This is the dense reference: the whole master list is embedded on the
+    document's vocabulary. The route stage ranks on the master tokens'
+    columns instead (``TfidfEmbedder.embed_counts``), which chooses the same.
+    """
     chosen = select_questions(
         detection,
         embedder.embed(doc.sentences),
@@ -267,6 +272,53 @@ class TestSelectQuestions:
         detection = _detect(doc, KEYWORDS)
         with pytest.raises(NoTopicsDetected):
             _select(doc, detection, master, 2, _embedder(doc))
+
+    MASTER_WORDS = ["revenue", "sales", "profit", "margin", "what", "is"]
+    DOC_WORDS = ["revenue", "profit", "cash", "the", "rose", "q3"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(DOC_WORDS), max_size=6).map(" ".join), min_size=1, max_size=8
+        ),
+        master=st.lists(
+            st.lists(st.sampled_from(MASTER_WORDS), min_size=1, max_size=5).map(" ".join),
+            min_size=1,
+            max_size=6,
+        ),
+        groups=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=4),
+    )
+    @example(sentences=["cash rose", "the q3"], master=["what is margin"], groups=[[0, 1]])
+    @example(
+        sentences=["cash rose", "revenue rose in q3"], master=["what is revenue", "sales"],
+        groups=[[0], [1], [0, 1]],
+    )
+    def test_master_columns_scale_each_centroid_score(self, sentences, master, groups):
+        """The cosine on the master tokens' columns is the dense one over ||c_K|| / ||c||.
+
+        c is a centroid of sentence vectors and c_K its part on those columns.
+        The examples share no master token with the document, and exactly one.
+        """
+        index = TokenIndex(master)
+        embedder = TfidfEmbedder(sentences, index)
+        sentence_vectors = embedder.embed(sentences)
+        dense = embedder.embed(master)
+        columns, narrow = embedder.embed_counts(index.counts(master))
+        outside = np.ones(dense.shape[1], dtype=bool)
+        outside[columns] = False
+        assert not dense[:, outside].any()
+        centroids = np.array(
+            [sentence_vectors[[p % len(sentences) for p in group]].mean(axis=0) for group in groups]
+        )
+        full = np.linalg.norm(centroids, axis=1)
+        part = np.linalg.norm(centroids[:, columns], axis=1)
+        factor = np.divide(part, full, out=np.zeros_like(full), where=full > 0)
+        np.testing.assert_allclose(
+            cosine_matrix(centroids[:, columns], narrow) * factor[:, None],
+            cosine_matrix(centroids, dense),
+            rtol=0,
+            atol=1e-12,
+        )
 
     def test_q_per_topic_validated(self, make_transcript, make_question):
         doc = make_transcript("d", ["revenue rose"])
