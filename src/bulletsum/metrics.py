@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus import BulletSummary, Transcript
@@ -117,14 +118,27 @@ _NUMBER_RE = re.compile(
 )
 
 
+def _normalize_number(raw: str) -> str:
+    return raw.replace("$", "").replace(",", "").rstrip("%")
+
+
 def extract_numbers(text: str) -> list[NumberToken]:
     """Find standalone numbers; normalization strips $, commas, and %."""
     found = []
     for match in _NUMBER_RE.finditer(text):
         raw = match.group(0)
-        normalized = raw.replace("$", "").replace(",", "").rstrip("%")
-        found.append(NumberToken(normalized=normalized, raw=raw, char_offset=match.start()))
+        found.append(NumberToken(normalized=_normalize_number(raw), raw=raw, char_offset=match.start()))
     return found
+
+
+def normalized_numbers(texts: Sequence[str]) -> set[str]:
+    """The normalized standalone numbers of ``extract_numbers`` over all ``texts``.
+
+    One scan over the texts joined by line breaks: no part of the pattern
+    matches a line break, and it is outside the characters the pattern looks
+    around at, so a text's ends match as they do alone.
+    """
+    return {_normalize_number(raw) for raw in _NUMBER_RE.findall("\n".join(texts))}
 
 
 def num_prec(candidate: str, source: Transcript) -> float:
@@ -133,13 +147,10 @@ def num_prec(candidate: str, source: Transcript) -> float:
     A candidate with no numbers scores 1.0 (vacuous precision); verbatim
     extracts of the source always score 1.0.
     """
-    cand_numbers = {tok.normalized for tok in extract_numbers(candidate)}
+    cand_numbers = normalized_numbers([candidate])
     if not cand_numbers:
         return 1.0
-    source_numbers = set()
-    for sentence in source.sentences:
-        source_numbers.update(tok.normalized for tok in extract_numbers(sentence))
-    return len(cand_numbers & source_numbers) / len(cand_numbers)
+    return len(cand_numbers & normalized_numbers(source.sentences)) / len(cand_numbers)
 
 
 def _mean_rouge(scores: list[RougeScore]) -> RougeScore:

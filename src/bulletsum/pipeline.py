@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
+import re
 import shutil
 import tempfile
 from collections import Counter
@@ -116,6 +118,30 @@ def _rename(source: Path, target: Path) -> None:
         raise IoError(f"could not rename {source} to {target}: {exc}") from exc
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` may be running; only a lookup that finds none says no."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # another user's process, or an id kill cannot take
+        pass
+    return True
+
+
+def _remove_dead_leftovers(workspace: Path, stage: str) -> None:
+    """Remove the ``_publish`` directories of ``stage`` whose process is not running.
+
+    A leftover ``.old`` is the last good output while ``workspace/<stage>``
+    is missing, so it is removed only when that exists.
+    """
+    published = (workspace / stage).exists()
+    for path in workspace.glob(f".{stage}.*"):
+        match = re.fullmatch(rf"\.{stage}\.(\d+)\.\w+(\.old)?", path.name)
+        if match and not _running(int(match[1])) and (published or not match[2]):
+            shutil.rmtree(path, ignore_errors=True)
+
+
 @contextmanager
 def _publish(workspace: Path, stage: str, config: PipelineConfig):
     """Yield a fresh directory for ``stage``'s artifacts, then publish it.
@@ -127,10 +153,13 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
     exists on disk at every instant. If the new one cannot be renamed in, the
     old one is put back and the error is an ``IoError``. A workspace this
     call created is removed again if the stage raises and leaves it empty.
+    The directory is named ``.<stage>.<pid>.*``, so that before publishing,
+    the leftovers of a process that died mid-stage can be told apart and
+    removed (``_remove_dead_leftovers``).
     """
     created = not workspace.exists()
     workspace.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{stage}.", dir=workspace))
+    tmp = Path(tempfile.mkdtemp(prefix=f".{stage}.{os.getpid()}.", dir=workspace))
     try:
         logger.info("stage %s config hash %s", stage, config.hash())
         _write_json(tmp / "config.json", {"config": config.to_dict(), "hash": config.hash()})
@@ -141,6 +170,7 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
             with suppress(OSError):  # rmdir removes it only while it is empty
                 workspace.rmdir()
         raise
+    _remove_dead_leftovers(workspace, stage)
     final = workspace / stage
     aside = tmp.with_name(tmp.name + ".old")
     if final.exists():

@@ -164,12 +164,12 @@ def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k highest scores in a row, best first.
+    """Indices of the k highest scores along the last axis, best first.
 
-    Scores are compared rounded to ``SCORE_DECIMALS``; equal scores go to the
-    lower index.
+    A matrix gives a row of indices per row of scores. Scores are compared
+    rounded to ``SCORE_DECIMALS``; equal scores go to the lower index.
     """
-    return np.argsort(-np.round(scores, SCORE_DECIMALS), kind="stable")[:k]
+    return np.argsort(-np.round(scores, SCORE_DECIMALS), axis=-1, kind="stable")[..., :k]
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,8 @@ def build_context(
             score=float(row[p]),
             rank=rank,
         )
-        for question, row in zip(questions, scores)
-        for rank, p in enumerate(top_k(row, k).tolist(), start=1)
+        for question, row, best in zip(questions, scores, top_k(scores, k).tolist())
+        for rank, p in enumerate(best, start=1)
     ]
     positions = {s.position for s in selections}
     context_sentences = [Sentence(p, doc.sentences[p]) for p in sorted(positions)]

@@ -14,10 +14,12 @@ import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import TokenIndex, cosine_matrix, top_k
+from .retrieval import SCORE_DECIMALS, TokenIndex, _flatten, cosine_matrix
 from .topics import UNCATEGORIZED, TopicKeywords
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
+# Below every cosine, above the -inf that masks what a topic cannot choose.
+_BELOW_ANY_SCORE = -np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -43,23 +45,48 @@ def detect_topics(
 
     ``sentence_ids[i]`` holds the token ids of the document's sentence ``i``
     in ``index``. Each detected topic lists the keywords that matched and the
-    positions of the sentences they matched in.
+    positions of the sentences they matched in. One scatter of the ids marks
+    which keywords each sentence holds, and one product with the topic x
+    keyword membership gives the topics each sentence matches.
     """
-    sentence_tokens = [set(ids.tolist()) for ids in sentence_ids]
-    doc_tokens = set().union(*sentence_tokens)
+    topic_ids = [topic_id for topic_id in sorted(keywords.keywords) if topic_id != UNCATEGORIZED]
+    # Each keyword's row in the keyword x sentence incidence, one per distinct
+    # token id; a keyword the index does not know has none and never matches.
+    row_of: dict[int, int] = {}
+    keyword_rows = [
+        [
+            None if (token_id := index.id_of(keyword)) is None
+            else row_of.setdefault(token_id, len(row_of))
+            for keyword in keywords.keywords[topic_id]
+        ]
+        for topic_id in topic_ids
+    ]
+    rows_by_id = np.full(len(index), -1, dtype=np.intp)
+    rows_by_id[list(row_of)] = list(row_of.values())
+    ids, sentences = _flatten(sentence_ids)
+    rows = rows_by_id[ids]
+    hit = rows >= 0
+    incidence = np.zeros((len(row_of), len(sentence_ids)))
+    incidence[rows[hit], sentences[hit]] = 1.0
+    pairs = np.array(
+        [(t, row) for t, topic_rows in enumerate(keyword_rows) for row in topic_rows if row is not None],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    membership = np.zeros((len(topic_ids), len(row_of)))
+    membership[pairs[:, 0], pairs[:, 1]] = 1.0
+    # A count of matching keywords per topic and sentence; nonzero is a match.
+    topic_sentences = membership @ incidence > 0
+    present = incidence.any(axis=1).tolist()
+
     detected = []
-    for topic_id in sorted(keywords.keywords):
-        if topic_id == UNCATEGORIZED:
-            continue
+    for topic_id, topic_rows, matches in zip(topic_ids, keyword_rows, topic_sentences):
         matched = [
-            keyword for keyword in keywords.keywords[topic_id] if index.id_of(keyword) in doc_tokens
+            keyword
+            for keyword, row in zip(keywords.keywords[topic_id], topic_rows)
+            if row is not None and present[row]
         ]
         if matched:
-            matched_ids = {index.id_of(keyword) for keyword in matched}
-            positions = [
-                p for p, tokens in enumerate(sentence_tokens) if not tokens.isdisjoint(matched_ids)
-            ]
-            detected.append(DetectedTopic(topic_id, matched, positions))
+            detected.append(DetectedTopic(topic_id, matched, np.flatnonzero(matches).tolist()))
     return TopicDetection(doc_id=doc_id, detected=detected)
 
 
@@ -83,24 +110,43 @@ def select_questions(
 
     Per topic, the questions in its bucket (``topic_buckets``) are ranked by
     cosine between their row of ``master_vectors`` and the mean of the
-    ``sentence_vectors`` rows the topic was detected in (``top_k``: ties go
-    to the earlier master-list index); the per-topic winners are unioned in
-    (topic id, rank) order, each index once. Master-list texts are distinct
-    (``build_question_bank`` deduplicates them), so this is the union by
-    text as well.
+    ``sentence_vectors`` rows the topic was detected in, rounded as ``top_k``
+    rounds, ties going to the earlier master-list index. All topics are ranked
+    together, one masked ``argmax`` per rank. The per-topic winners are
+    unioned in (topic id, rank) order, each index once. Master-list texts are
+    distinct (``build_question_bank`` deduplicates them), so this is the
+    union by text as well.
     """
     if q_per_topic < 1:
         raise ValueError("q_per_topic must be >= 1")
     if not detection.detected:
         raise NoTopicsDetected(f"no topics detected for document {detection.doc_id!r}")
 
-    centroids = np.array(
-        [sentence_vectors[topic.positions].mean(axis=0) for topic in detection.detected]
-    )
+    detected = detection.detected
+    # Every centroid in one product: a topics x sentences incidence times the
+    # sentence vectors sums each topic's rows, then divided by their count.
+    positions, topics = _flatten([topic.positions for topic in detected])
+    incidence = np.zeros((len(detected), len(sentence_vectors)))
+    incidence[topics, positions] = 1.0
+    centroids = incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True)
     scores = cosine_matrix(centroids, master_vectors)
 
-    winners: list[int] = []
-    for topic, row in zip(detection.detected, scores):
-        bucket = buckets.get(topic.topic_id, _EMPTY_BUCKET)
-        winners.extend(bucket[top_k(row[bucket], q_per_topic)].tolist())
-    return list(dict.fromkeys(winners))
+    # Each topic's row holds the rounded scores of its bucket and -inf elsewhere;
+    # a NaN score goes below every number, as in ``top_k``.
+    detected_buckets = [buckets.get(topic.topic_id, _EMPTY_BUCKET) for topic in detected]
+    sizes = np.array([len(bucket) for bucket in detected_buckets])
+    columns, rows = _flatten(detected_buckets)
+    masked = np.full(scores.shape, -np.inf)
+    masked[rows, columns] = np.nan_to_num(
+        np.round(scores[rows, columns], SCORE_DECIMALS), nan=_BELOW_ANY_SCORE
+    )
+    # Rank r of every topic at once: argmax takes the first maximum, so equal
+    # scores go to the lower master index; the winner is then masked out.
+    rounds = min(q_per_topic, int(sizes.max()))
+    ranked = np.empty((len(detected), rounds), dtype=np.intp)
+    every_topic = np.arange(len(detected))
+    for r in range(rounds):
+        ranked[:, r] = masked.argmax(axis=1)
+        masked[every_topic, ranked[:, r]] = -np.inf
+    kept = np.arange(rounds) < sizes[:, None]
+    return list(dict.fromkeys(ranked[kept].tolist()))

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bulletsum.corpus import Transcript
 from bulletsum.errors import AlignmentError
 from bulletsum.metrics import (
     MetricsReport,
     evaluate_corpus,
     extract_numbers,
+    normalized_numbers,
     format_report_table,
     num_prec,
     rouge_l,
@@ -201,6 +203,18 @@ class TestNumPrec:
             current = num_prec(candidate, doc)
             assert current <= previous
             previous = current
+
+    # Sentences of these characters put numbers against both sentence ends.
+    NUMBER_TEXT = st.text("0123456789ab$,.%", max_size=12)
+
+    @given(sentences=st.lists(NUMBER_TEXT, min_size=1, max_size=6), candidate=NUMBER_TEXT)
+    def test_one_scan_is_the_union_over_sentences(self, sentences, candidate):
+        union = {tok.normalized for sentence in sentences for tok in extract_numbers(sentence)}
+        assert normalized_numbers(sentences) == union
+        wanted = {tok.normalized for tok in extract_numbers(candidate)}
+        expected = len(wanted & union) / len(wanted) if wanted else 1.0
+        doc = Transcript(id="d", sentences=tuple(sentences))
+        assert num_prec(candidate, doc) == expected
 
 
 class TestEvaluateCorpus:

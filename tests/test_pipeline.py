@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,44 @@ class TestPublish:
         assert (tmp_path / "qgen" / "owner.txt").read_text() == "first"
         assert (tmp_path / "qgen" / "config.json").is_file()
         assert list(tmp_path.glob(".qgen.*")) == []
+
+    @pytest.fixture
+    def dead_pid(self):
+        """The id of a process that has exited."""
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()
+        return child.pid
+
+    def test_leftovers_of_dead_processes_removed(self, tmp_path, dead_pid):
+        (tmp_path / "qgen").mkdir()
+        leftovers = [tmp_path / f".qgen.{dead_pid}.abc_123", tmp_path / f".qgen.{dead_pid}.xyz.old"]
+        for leftover in leftovers:
+            leftover.mkdir()
+            (leftover / "config.json").write_text("{}")
+        other_stage = tmp_path / f".topics.{dead_pid}.abc"
+        other_stage.mkdir()
+        with pipeline._publish(tmp_path, "qgen", PipelineConfig()):
+            pass
+        assert not any(leftover.exists() for leftover in leftovers)
+        assert other_stage.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [other_stage.name, "qgen"]
+
+    def test_leftover_of_a_running_process_kept(self, tmp_path):
+        running = tmp_path / f".qgen.{os.getpid()}.abc"
+        running.mkdir()
+        with pipeline._publish(tmp_path, "qgen", PipelineConfig()):
+            pass
+        assert running.is_dir()
+
+    def test_old_output_kept_while_the_stage_is_missing(self, tmp_path, dead_pid):
+        aside = tmp_path / f".qgen.{dead_pid}.abc.old"
+        aside.mkdir()
+        with pipeline._publish(tmp_path, "qgen", PipelineConfig()):
+            pass
+        assert aside.is_dir()
+        with pipeline._publish(tmp_path, "qgen", PipelineConfig()):
+            pass
+        assert not aside.exists()
 
 
 def test_artifact_is_its_dataclass_fields(tmp_path, make_summary):

@@ -181,6 +181,26 @@ class TestRankingRoutine:
         expected = sorted(range(len(scores)), key=lambda i: (-round(scores[i], 12), i))[:k]
         assert top_k(np.array(scores), k).tolist() == expected
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.tuples(st.integers(-3, 3), st.sampled_from([-1e-15, 0.0, 1e-15])),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        st.integers(1, 9),
+    )
+    def test_top_k_ranks_each_row_of_a_matrix(self, rows, k):
+        scores = np.array([[base / 10 + noise for base, noise in row] for row in rows])
+        ranked = top_k(scores, k)
+        assert ranked.shape == (len(rows), min(k, scores.shape[1]))
+        assert ranked.tolist() == [top_k(row, k).tolist() for row in scores]
+
 
 class TestTopK:
     def test_dominant_sentence_ranks_first(self, make_transcript, make_question):

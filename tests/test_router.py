@@ -1,15 +1,23 @@
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bulletsum import router
 from bulletsum.corpus import Transcript
 from bulletsum.errors import NoTopicsDetected
-from bulletsum.retrieval import TfidfEmbedder, TokenIndex, cosine_matrix
-from bulletsum.router import detect_topics, select_questions, topic_buckets
+from bulletsum.retrieval import TfidfEmbedder, TokenIndex, cosine_matrix, top_k
+from bulletsum.router import (
+    DetectedTopic,
+    TopicDetection,
+    detect_topics,
+    select_questions,
+    topic_buckets,
+)
 from bulletsum.text import tokenize
 from bulletsum.topics import UNCATEGORIZED, TopicKeywords
 
@@ -318,6 +326,61 @@ class TestSelectQuestions:
             cosine_matrix(centroids, dense),
             rtol=0,
             atol=1e-12,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n_master=st.integers(1, 8),
+        topic_ids=st.lists(st.sampled_from(["t0", "t1", "t2", "t3"]), min_size=1, max_size=4, unique=True),
+    )
+    def test_matches_the_per_topic_top_k_loop(self, data, n_master, topic_ids):
+        """Masked argmax picks what ``top_k`` on each topic's bucket picked.
+
+        Buckets may be empty, missing or overlap; scores repeat a few values
+        plus noise below the rounding, so rounded ties are common, and a NaN
+        score ranks last as in ``top_k``.
+        """
+        buckets = {
+            topic_id: np.array(sorted(indices), dtype=np.intp)
+            for topic_id in topic_ids
+            if (indices := data.draw(st.none() | st.sets(st.integers(0, n_master - 1)))) is not None
+        }
+        largest = max((len(bucket) for bucket in buckets.values()), default=0)
+        q_per_topic = data.draw(st.integers(1, largest + 2))
+        value = st.tuples(
+            st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, math.nan]), st.floats(-4e-13, 4e-13)
+        ).map(sum)
+        row = st.lists(value, min_size=n_master, max_size=n_master)
+        scores = np.array(data.draw(st.lists(row, min_size=len(topic_ids), max_size=len(topic_ids))))
+        detection = TopicDetection("d", [DetectedTopic(t, ["k"], [0]) for t in topic_ids])
+
+        # The reference: each topic ranks its own bucket with ``top_k``.
+        winners = []
+        for topic_id, row in zip(topic_ids, scores):
+            bucket = buckets.get(topic_id, np.zeros(0, dtype=np.intp))
+            winners.extend(bucket[top_k(row[bucket], q_per_topic)].tolist())
+        expected = list(dict.fromkeys(winners))
+
+        with mock.patch.object(router, "cosine_matrix", return_value=scores):
+            chosen = select_questions(
+                detection, np.zeros((1, 1)), np.zeros((n_master, 1)), buckets, q_per_topic
+            )
+        assert chosen == expected
+
+    def test_centroids_are_the_mean_of_each_topics_sentences(self):
+        rng = np.random.default_rng(3)
+        sentence_vectors = rng.normal(size=(6, 4))
+        master_vectors = rng.normal(size=(5, 4))
+        groups = [[0], [1, 2, 5], [0, 3, 4, 5]]
+        detection = TopicDetection(
+            "d", [DetectedTopic(f"t{i}", ["k"], group) for i, group in enumerate(groups)]
+        )
+        with mock.patch.object(router, "cosine_matrix", wraps=cosine_matrix) as scored:
+            select_questions(detection, sentence_vectors, master_vectors, {}, 1)
+        centroids = scored.call_args.args[0]
+        np.testing.assert_allclose(
+            centroids, [sentence_vectors[group].mean(axis=0) for group in groups], rtol=0, atol=1e-12
         )
 
     def test_q_per_topic_validated(self, make_transcript, make_question):
