@@ -14,19 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigInvalid
-
-
-def _has_type(value, annotation) -> bool:
-    """Whether a value fits a field annotation such as ``float | None``.
-
-    A bool is not an int, and an int is accepted where a float is expected.
-    """
-    types = typing.get_args(annotation) or (annotation,)
-    if isinstance(value, bool):
-        return bool in types
-    if isinstance(value, int) and float in types:
-        return True
-    return isinstance(value, types)
+from .records import reader
 
 
 @dataclass
@@ -55,8 +43,10 @@ class PipelineConfig:
         annotations = typing.get_type_hints(type(self))
         for field in fields(self):
             value = getattr(self, field.name)
-            if not _has_type(value, annotations[field.name]):
-                raise ConfigInvalid(f"{field.name} must be {field.type}, got {value!r}")
+            try:
+                reader(annotations[field.name])(value)
+            except TypeError:
+                raise ConfigInvalid(f"{field.name} must be {field.type}, got {value!r}") from None
             # Every number is a count, a seed or a prior, and must be > 0.
             is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if is_number and value <= 0:

@@ -37,6 +37,7 @@ from .corpus import (
 )
 from .errors import IoError, MissingArtifact, NoTopicsDetected
 from .qbank import Question, QuestionBank, build_question_bank
+from .records import reader
 from .retrieval import Embedder, ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
@@ -81,34 +82,20 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write(_dumps(record) + "\n")
 
 
-def _parse_artifact(path: Path, parse, data):
-    try:
-        return parse(data)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise IoError(f"artifact {path} does not have the expected shape: {exc!r}") from exc
-
-
 def _read_json(path: Path, parse):
-    """Read a JSON artifact and turn it into an object with ``parse``."""
+    """Read a JSON artifact with ``parse``; a ``.jsonl`` one into a list, record by record."""
     if not path.is_file():
         raise MissingArtifact(f"missing artifact {path}")
+    jsonl = path.suffix == ".jsonl"
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with path.open(encoding="utf-8") as fh:
+            data = [json.loads(line) for line in fh if line.strip()] if jsonl else json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IoError(f"artifact {path} is not valid JSON: {exc}") from exc
-    return _parse_artifact(path, parse, data)
-
-
-def _read_jsonl(path: Path, parse) -> list:
-    """Read a JSON-lines artifact and turn each record into an object with ``parse``."""
-    if not path.is_file():
-        raise MissingArtifact(f"missing artifact {path}")
-    with path.open(encoding="utf-8") as fh:
-        try:
-            records = [json.loads(line) for line in fh if line.strip()]
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IoError(f"artifact {path} is not valid JSON lines: {exc}") from exc
-    return [_parse_artifact(path, parse, record) for record in records]
+    try:
+        return [parse(record) for record in data] if jsonl else parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoError(f"artifact {path} does not have the expected shape: {exc!r}") from exc
 
 
 def _rename(source: Path, target: Path) -> None:
@@ -196,62 +183,39 @@ def _corpus_to_dict(corpus: Corpus) -> dict:
     }
 
 
-def _is_text_list(value) -> bool:
-    return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
-
-
 def _corpus_from_dict(data: dict) -> Corpus:
-    transcripts = {}
-    for doc_id, sentences in data["transcripts"].items():
-        if not _is_text_list(sentences):
-            raise ValueError(f"transcript {doc_id!r} is not a non-empty list of strings")
-        transcripts[doc_id] = Transcript(id=doc_id, sentences=tuple(sentences))
-    summaries = {}
-    for doc_id, bullets in data["summaries"].items():
-        if not _is_text_list(bullets):
-            raise ValueError(f"summary {doc_id!r} is not a non-empty list of strings")
-        summaries[doc_id] = BulletSummary(id=doc_id, bullets=tuple(bullets))
-    return Corpus(transcripts=transcripts, summaries=summaries)
-
-
-def _split_from_dict(data: dict) -> CorpusSplit:
-    parts = {}
-    for name in ("train", "val", "test"):
-        ids = data[name]
-        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-            raise TypeError(f"split part {name!r} is not a list of strings")
-        parts[name] = tuple(ids)
-    counts = Counter(i for ids in parts.values() for i in ids)
-    repeated = sorted(i for i, n in counts.items() if n > 1)
-    if repeated:
-        raise ValueError(f"split ids appear more than once: {repeated}")
-    return CorpusSplit(**parts, seed=data["seed"])
-
-
-def _predictions_from_dict(data: dict) -> dict[str, list[str]]:
-    for bullets in data.values():
-        if not isinstance(bullets, list) or not all(isinstance(b, str) for b in bullets):
-            raise TypeError(f"a prediction is not a list of strings: {bullets!r}")
-    return data
+    parts = reader(dict[str, dict[str, tuple[str, ...]]])(data)
+    for name, texts_by_id in parts.items():
+        empty = sorted(doc_id for doc_id, texts in texts_by_id.items() if not texts)
+        if empty:
+            raise ValueError(f"{name} {empty} are empty")
+    return Corpus(
+        transcripts={i: Transcript(i, texts) for i, texts in parts["transcripts"].items()},
+        summaries={i: BulletSummary(i, texts) for i, texts in parts["summaries"].items()},
+    )
 
 
 def _load_ingest(workspace: Path) -> tuple[Corpus, CorpusSplit]:
     corpus = _read_json(workspace / "ingest" / "corpus.json", _corpus_from_dict)
     split_path = workspace / "ingest" / "split.json"
-    split = _read_json(split_path, _split_from_dict)
-    known = corpus.transcripts.keys() & corpus.summaries.keys()
-    unknown = sorted(set(split.train + split.val + split.test) - known)
+    split = _read_json(split_path, reader(CorpusSplit))
+    counts = Counter(split.train + split.val + split.test)
+    repeated = sorted(i for i, n in counts.items() if n > 1)
+    if repeated:
+        raise IoError(f"artifact {split_path} names ids more than once: {repeated}")
+    unknown = sorted(counts.keys() - (corpus.transcripts.keys() & corpus.summaries.keys()))
     if unknown:
         raise IoError(f"artifact {split_path} names ids missing from the corpus: {unknown}")
     return corpus, split
 
 
 def _load_bank(workspace: Path) -> QuestionBank:
-    return _read_json(workspace / "qgen" / "question_bank.json", QuestionBank.from_dict)
+    return _read_json(workspace / "qgen" / "question_bank.json", reader(QuestionBank))
 
 
-def _master_from_dict(data: dict) -> list[Question]:
-    return [Question.from_dict(q) for q in data["master"]]
+def _load_master(workspace: Path) -> list[Question]:
+    path = workspace / "topics" / "question_bank.json"
+    return _read_json(path, lambda data: reader(list[Question])(data["master"]))
 
 
 def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
@@ -340,7 +304,7 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
 def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
-    master = _read_json(workspace / "topics" / "question_bank.json", _master_from_dict)
+    master = _load_master(workspace)
     _, keywords = _read_json(workspace / "topics" / "topic_model.json", model_from_dict)
     master_texts = [q.text for q in master]
     index = TokenIndex(master_texts)
@@ -401,7 +365,7 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
 
 def stage_generate(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    contexts = _read_jsonl(workspace / "route" / "contexts.jsonl", ExtractiveContext.from_dict)
+    contexts = _read_json(workspace / "route" / "contexts.jsonl", ExtractiveContext.from_dict)
     template = _prompt_template(config)
     if config.generate_url:
         client = GenerationClient(config.generate_url)
@@ -417,9 +381,8 @@ def stage_generate(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
 def stage_eval(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
-    predictions = _read_json(
-        workspace / "generate" / "predictions.json", _predictions_from_dict
-    )
+    path = workspace / "generate" / "predictions.json"
+    predictions = _read_json(path, reader(dict[str, list[str]]))
     references = {doc_id: corpus.summaries[doc_id] for doc_id in split.test}
     sources = {doc_id: corpus.transcripts[doc_id] for doc_id in split.test}
     report = met.evaluate_corpus(predictions, references, sources)

@@ -37,21 +37,6 @@ class Question:
     def with_topics(self, topics) -> "Question":
         return replace(self, topics=frozenset(topics))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Question":
-        """Read a question back; raises ``TypeError`` for a field of the wrong type."""
-        text, source_doc = data["text"], data["source_doc"]
-        index, topics = data["source_bullet_index"], data["topics"]
-        if not isinstance(text, str) or not isinstance(source_doc, str):
-            raise TypeError(f"question text and source_doc must be strings: {data!r}")
-        if type(index) is not int:  # a bool is an int to isinstance
-            raise TypeError(f"source_bullet_index must be an int: {index!r}")
-        if not isinstance(topics, list) or not all(isinstance(t, str) for t in topics):
-            raise TypeError(f"question topics must be a list of strings: {topics!r}")
-        return cls(
-            text=text, source_doc=source_doc, source_bullet_index=index, topics=frozenset(topics)
-        )
-
 
 @dataclass
 class QuestionBank:
@@ -60,16 +45,6 @@ class QuestionBank:
 
     def n_of(self, doc_id: str) -> int:
         return len(self.per_doc.get(doc_id, []))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuestionBank":
-        return cls(
-            per_doc={
-                doc_id: [Question.from_dict(q) for q in questions]
-                for doc_id, questions in data["per_doc"].items()
-            },
-            master=[Question.from_dict(q) for q in data["master"]],
-        )
 
 
 def _clean_token(token: str) -> str:

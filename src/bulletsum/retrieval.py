@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import Transcript
 from .errors import NoQuestions
+from .records import reader
 from .text import tokenize
 
 # Decimals kept in every similarity score before ranking.
@@ -200,19 +201,13 @@ class ExtractiveContext:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExtractiveContext":
-        """Read a context back, checking it against itself.
+        """Read a context back through ``reader``, checking it against itself.
 
-        Raises ``ValueError`` when ``doc_id`` is not a string, the stored
-        ``context_text`` is not the context sentences joined, or a selection
-        names a position that is not among them.
+        Raises ``TypeError`` for a value that does not match its field, and
+        ``ValueError`` when the stored ``context_text`` is not the context
+        sentences joined or a selection names a position that is not among them.
         """
-        if not isinstance(data["doc_id"], str):
-            raise ValueError(f"context doc_id must be a string: {data['doc_id']!r}")
-        context = cls(
-            doc_id=data["doc_id"],
-            selections=[Selection(**item) for item in data["selections"]],
-            context_sentences=[Sentence(**item) for item in data["context_sentences"]],
-        )
+        context = reader(cls)(data)
         if data["context_text"] != context.context_text:
             raise ValueError(f"context_text of {context.doc_id!r} is not its sentences joined")
         positions = {s.position for s in context.context_sentences}

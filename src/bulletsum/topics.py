@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
 from .qbank import Question
+from .records import reader
 from .text import QUESTION_STOPWORDS, tokenize
 
 UNCATEGORIZED = "uncategorized"
@@ -306,19 +307,14 @@ def model_to_dict(model: TopicModel, keywords: TopicKeywords) -> dict:
 
 
 def model_from_dict(data: dict) -> tuple[TopicModel, TopicKeywords]:
+    """Read ``model_to_dict``'s output back; raises ``TypeError`` for a value of the wrong type."""
     model = TopicModel(
-        num_topics=data["K"],
-        vocab=list(data["vocab"]),
-        phi=np.array(data["phi"], dtype=np.float64),
-        alpha=data["alpha"],
-        beta=data["beta"],
-        iterations=data["iterations"],
-        seed=data["seed"],
+        num_topics=reader(int)(data["K"]),
+        vocab=reader(list[str])(data["vocab"]),
+        phi=np.array(reader(list[list[float]])(data["phi"]), dtype=np.float64),
+        alpha=reader(float)(data["alpha"]),
+        beta=reader(float)(data["beta"]),
+        iterations=reader(int)(data["iterations"]),
+        seed=reader(int)(data["seed"]),
     )
-    keywords = data["keywords"]
-    if not isinstance(keywords, dict) or not all(
-        isinstance(words, list) and all(isinstance(w, str) for w in words)
-        for words in keywords.values()
-    ):
-        raise TypeError("keywords must map topic ids to lists of strings")
-    return model, TopicKeywords(keywords={k: list(v) for k, v in keywords.items()})
+    return model, TopicKeywords(keywords=reader(dict[str, list[str]])(data["keywords"]))

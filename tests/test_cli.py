@@ -139,6 +139,11 @@ def _with_first_keyword(value):
     return _with_json(lambda model: next(iter(model["keywords"].values())).__setitem__(0, value))
 
 
+def _with_first_selection(key: str, value):
+    """A change that sets ``key`` of a context record's first selection."""
+    return lambda record: record["selections"][0].__setitem__(key, value)
+
+
 def _with_doc_id(value):
     return lambda record: record.__setitem__("doc_id", value)
 
@@ -356,6 +361,17 @@ class TestStages:
             ("qgen/question_bank.json", _with_first_master("text", True), "topics"),
             ("route/contexts.jsonl", _with_first_context(_with_doc_id(None)), "generate"),
             ("route/contexts.jsonl", _with_first_context(_with_doc_id({})), "generate"),
+            ("ingest/split.json", _with_json(lambda split: split.__setitem__("seed", "")), "qgen"),
+            ("route/contexts.jsonl", _with_first_context(_with_first_selection("score", "x")),
+             "generate"),
+            ("route/contexts.jsonl", _with_first_context(_with_first_selection("question", 0)),
+             "generate"),
+            ("route/contexts.jsonl", _with_first_context(_with_first_selection("rank", None)),
+             "generate"),
+            ("topics/topic_model.json", _with_json(lambda model: model["vocab"].__setitem__(0, 1)),
+             "route"),
+            ("topics/topic_model.json",
+             _with_json(lambda model: model["phi"][0].__setitem__(0, None)), "route"),
         ],
         ids=[
             "truncated-split",
@@ -384,6 +400,12 @@ class TestStages:
             "qgen-master-text-bool",
             "context-doc-id-null",
             "context-doc-id-object",
+            "split-seed-string",
+            "selection-score-string",
+            "selection-question-int",
+            "selection-rank-null",
+            "vocab-entry-int",
+            "phi-entry-null",
         ],
     )
     def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):

@@ -12,6 +12,7 @@ from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import QuestionBank, build_question_bank
+from bulletsum.records import reader
 from bulletsum.retrieval import TfidfEmbedder, TokenIndex
 from bulletsum.router import detect_topics, select_questions, topic_buckets
 from bulletsum.topics import model_from_dict
@@ -142,7 +143,7 @@ def test_artifact_is_its_dataclass_fields(tmp_path, make_summary):
         "source_bullet_index": 0,
         "topics": ["t10", "t2"],
     }
-    assert pipeline._read_json(path, QuestionBank.from_dict) == bank
+    assert pipeline._read_json(path, reader(QuestionBank)) == bank
     with pytest.raises(TypeError):
         pipeline._write_json(path, object())
 
@@ -229,11 +230,11 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     pipeline.run_stage("route", config, workspace)
     routed = {
         record["doc_id"]: record["questions"]
-        for record in pipeline._read_jsonl(workspace / "route" / "questions.jsonl", dict)
+        for record in pipeline._read_json(workspace / "route" / "questions.jsonl", dict)
     }
 
     corpus, split = pipeline._load_ingest(workspace)
-    master = pipeline._read_json(workspace / "topics" / "question_bank.json", pipeline._master_from_dict)
+    master = pipeline._load_master(workspace)
     _, keywords = pipeline._read_json(workspace / "topics" / "topic_model.json", model_from_dict)
     texts = [q.text for q in master]
     index = TokenIndex(texts)
@@ -259,9 +260,7 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
 def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeypatch):
     """No per-document embed of the whole master list."""
     config, workspace = topics_workspace
-    master = {q.text for q in pipeline._read_json(
-        workspace / "topics" / "question_bank.json", pipeline._master_from_dict
-    )}
+    master = {q.text for q in pipeline._load_master(workspace)}
     embed = TfidfEmbedder.embed
     embedded = []
 
@@ -271,5 +270,5 @@ def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeyp
 
     monkeypatch.setattr(TfidfEmbedder, "embed", counting_embed)
     pipeline.run_stage("route", config, workspace)
-    records = pipeline._read_jsonl(workspace / "route" / "questions.jsonl", dict)
+    records = pipeline._read_json(workspace / "route" / "questions.jsonl", dict)
     assert 0 < len(embedded) <= sum(len(record["questions"]) for record in records)

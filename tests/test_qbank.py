@@ -15,6 +15,7 @@ from bulletsum.qbank import (
     question_from_bullet,
     unique_questions,
 )
+from bulletsum.records import reader
 from bulletsum.text import normalize_text
 
 
@@ -158,7 +159,7 @@ class TestBuildQuestionBank:
     def test_serialization_round_trip(self, make_summary):
         bank = build_question_bank([make_summary("a", ["q1 sales $4 million."])])
         bank.master[0] = bank.master[0].with_topics({"t1"})
-        clone = QuestionBank.from_dict(json.loads(pipeline._dumps(bank)))
+        clone = reader(QuestionBank)(json.loads(pipeline._dumps(bank)))
         assert clone == bank
 
     @pytest.mark.parametrize(
@@ -178,9 +179,9 @@ class TestBuildQuestionBank:
     def test_wrong_typed_field_rejected(self, key, value):
         data = {"text": "what is q1 sales?", "source_doc": "a", "source_bullet_index": 0,
                 "topics": ["t1"]}
-        assert Question.from_dict(data) == Question("what is q1 sales?", "a", 0, frozenset({"t1"}))
+        assert reader(Question)(data) == Question("what is q1 sales?", "a", 0, frozenset({"t1"}))
         with pytest.raises(TypeError):
-            Question.from_dict({**data, key: value})
+            reader(Question)({**data, key: value})
 
     def test_external_generator_path(self, make_summary):
         bank = build_question_bank(
