@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -47,10 +48,10 @@ class PipelineConfig:
                 reader(annotations[field.name])(value)
             except TypeError:
                 raise ConfigInvalid(f"{field.name} must be {field.type}, got {value!r}") from None
-            # Every number is a count, a seed or a prior, and must be > 0.
+            # Every number is a count, a seed or a prior: finite and > 0.
             is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if is_number and value <= 0:
-                raise ConfigInvalid(f"{field.name} must be positive, got {value!r}")
+            if is_number and not 0 < value < math.inf:
+                raise ConfigInvalid(f"{field.name} must be positive and finite, got {value!r}")
         if not self.separator:
             raise ConfigInvalid("separator must be non-empty")
 

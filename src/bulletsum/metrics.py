@@ -26,15 +26,6 @@ class RougeScore:
     f1: float
 
 
-@dataclass(frozen=True)
-class NumberToken:
-    """A standalone numeric expression found in text."""
-
-    normalized: str
-    raw: str
-    char_offset: int
-
-
 @dataclass
 class DocumentScores:
     doc_id: str
@@ -122,17 +113,8 @@ def _normalize_number(raw: str) -> str:
     return raw.replace("$", "").replace(",", "").rstrip("%")
 
 
-def extract_numbers(text: str) -> list[NumberToken]:
-    """Find standalone numbers; normalization strips $, commas, and %."""
-    found = []
-    for match in _NUMBER_RE.finditer(text):
-        raw = match.group(0)
-        found.append(NumberToken(normalized=_normalize_number(raw), raw=raw, char_offset=match.start()))
-    return found
-
-
 def normalized_numbers(texts: Sequence[str]) -> set[str]:
-    """The normalized standalone numbers of ``extract_numbers`` over all ``texts``.
+    """The standalone numbers in any of ``texts``, with $, commas and % stripped.
 
     One scan over the texts joined by line breaks: no part of the pattern
     matches a line break, and it is outside the characters the pattern looks

@@ -35,21 +35,14 @@ from .corpus import (
     load_corpus,
     split_corpus,
 )
-from .errors import IoError, MissingArtifact, NoTopicsDetected
+from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTopicsDetected
 from .qbank import Question, QuestionBank, build_question_bank
 from .records import reader
 from .retrieval import Embedder, ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords, read_text_file
-from .topics import (
-    categorize_questions,
-    fit_lda,
-    model_from_dict,
-    model_to_dict,
-    question_distribution,
-    topic_keywords,
-)
+from .topics import TopicModel, categorize_questions, fit_lda, question_distribution, topic_keywords
 
 logger = logging.getLogger(__name__)
 
@@ -142,20 +135,27 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
     call created is removed again if the stage raises and leaves it empty.
     The directory is named ``.<stage>.<pid>.*``, so that before publishing,
     the leftovers of a process that died mid-stage can be told apart and
-    removed (``_remove_dead_leftovers``).
+    removed (``_remove_dead_leftovers``). An ``OSError`` on the way, such as
+    a workspace path that is a file or an artifact that cannot be read or
+    written, is an ``IoError`` naming the path.
     """
     created = not workspace.exists()
-    workspace.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=f".{stage}.{os.getpid()}.", dir=workspace))
+    try:
+        workspace.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{stage}.{os.getpid()}.", dir=workspace))
+    except OSError as exc:
+        raise IoError(f"could not create a {stage} directory in {workspace}: {exc}") from exc
     try:
         logger.info("stage %s config hash %s", stage, config.hash())
         _write_json(tmp / "config.json", {"config": config.to_dict(), "hash": config.hash()})
         yield tmp
-    except BaseException:
+    except BaseException as exc:
         shutil.rmtree(tmp, ignore_errors=True)
         if created:
             with suppress(OSError):  # rmdir removes it only while it is empty
                 workspace.rmdir()
+        if isinstance(exc, OSError):
+            raise IoError(f"stage {stage} could not read or write a file: {exc}") from exc
         raise
     _remove_dead_leftovers(workspace, stage)
     final = workspace / stage
@@ -221,6 +221,8 @@ def _load_master(workspace: Path) -> list[Question]:
 def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
     if config.instruction_file:
         instruction = read_text_file(config.instruction_file, "instruction file").strip()
+        if not instruction:
+            raise EmptyDocument(f"instruction file {config.instruction_file} holds only whitespace")
         return gen.PromptTemplate(instruction=instruction, separator=config.separator)
     return gen.PromptTemplate(separator=config.separator)
 
@@ -269,9 +271,12 @@ def stage_topics(config: PipelineConfig, workspace: Path, out: Path) -> None:
         seed=config.lda_seed,
         stopwords=stopwords,
     )
-    keywords = topic_keywords(model, w=config.keywords_per_topic)
-    categorized = categorize_questions(bank.master, keywords)
-    _write_json(out / "topic_model.json", model_to_dict(model, keywords))
+    try:
+        model.keywords = topic_keywords(model, w=config.keywords_per_topic)
+    except ValueError as exc:
+        raise ConfigInvalid(f"keywords_per_topic: {exc}") from None
+    categorized = categorize_questions(bank.master, model.keywords)
+    _write_json(out / "topic_model.json", model)
     _write_json(out / "question_bank.json", {"master": categorized})
     _write_json(out / "distribution.json", question_distribution(categorized))
 
@@ -305,7 +310,7 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
 def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     corpus, split = _load_ingest(workspace)
     master = _load_master(workspace)
-    _, keywords = _read_json(workspace / "topics" / "topic_model.json", model_from_dict)
+    keywords = _read_json(workspace / "topics" / "topic_model.json", reader(TopicModel)).keywords
     master_texts = [q.text for q in master]
     index = TokenIndex(master_texts)
     buckets = topic_buckets(master)

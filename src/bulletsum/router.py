@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NoTopicsDetected
 from .qbank import Question
 from .retrieval import SCORE_DECIMALS, TokenIndex, _flatten, cosine_matrix
-from .topics import UNCATEGORIZED, TopicKeywords
+from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
 # Below every cosine, above the -inf that masks what a topic cannot choose.
@@ -37,7 +37,7 @@ class TopicDetection:
 
 def detect_topics(
     doc_id: str,
-    keywords: TopicKeywords,
+    keywords: dict[str, list[str]],
     sentence_ids: list[np.ndarray],
     index: TokenIndex,
 ) -> TopicDetection:
@@ -49,7 +49,7 @@ def detect_topics(
     which keywords each sentence holds, and one product with the topic x
     keyword membership gives the topics each sentence matches.
     """
-    topic_ids = [topic_id for topic_id in sorted(keywords.keywords) if topic_id != UNCATEGORIZED]
+    topic_ids = [topic_id for topic_id in sorted(keywords) if topic_id != UNCATEGORIZED]
     # Each keyword's row in the keyword x sentence incidence, one per distinct
     # token id; a keyword the index does not know has none and never matches.
     row_of: dict[int, int] = {}
@@ -57,7 +57,7 @@ def detect_topics(
         [
             None if (token_id := index.id_of(keyword)) is None
             else row_of.setdefault(token_id, len(row_of))
-            for keyword in keywords.keywords[topic_id]
+            for keyword in keywords[topic_id]
         ]
         for topic_id in topic_ids
     ]
@@ -82,7 +82,7 @@ def detect_topics(
     for topic_id, topic_rows, matches in zip(topic_ids, keyword_rows, topic_sentences):
         matched = [
             keyword
-            for keyword, row in zip(keywords.keywords[topic_id], topic_rows)
+            for keyword, row in zip(keywords[topic_id], topic_rows)
             if row is not None and present[row]
         ]
         if matched:

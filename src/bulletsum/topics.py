@@ -5,6 +5,11 @@ with symmetric Dirichlet priors, run single-threaded so a fixed seed gives
 bit-identical results. Topic-word probabilities come from the final counts
 with beta smoothing.
 
+``TopicModel`` is the record ``topics/topic_model.json`` holds: ``fit_lda``
+fills every field but ``keywords`` (``topic_keywords`` gives those), the
+``topics`` stage writes it as its fields, and ``route`` reads it back through
+``records.reader``.
+
 The sweeps run in a small C kernel (``lda_sweep.c``) that draws exactly the
 chain of the Python loop kept here as the reference: the same float
 expression in the same order, and uniforms that continue ``random``'s
@@ -27,14 +32,13 @@ import os
 import random
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
 from .qbank import Question
-from .records import reader
 from .text import QUESTION_STOPWORDS, tokenize
 
 UNCATEGORIZED = "uncategorized"
@@ -51,23 +55,20 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TopicModel:
-    num_topics: int
+    K: int
     vocab: list[str]
-    phi: np.ndarray  # num_topics x len(vocab), rows sum to 1
+    phi: list[list[float]]  # K x len(vocab), rows sum to 1
     alpha: float
     beta: float
     iterations: int
     seed: int
+    # topic id -> keywords, highest probability first (``topic_keywords``)
+    keywords: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def topic_ids(self) -> list[str]:
-        width = len(str(self.num_topics - 1))
-        return [f"t{i:0{width}d}" for i in range(self.num_topics)]
-
-
-@dataclass
-class TopicKeywords:
-    keywords: dict[str, list[str]]  # topic id -> keywords, highest probability first
+        width = len(str(self.K - 1))
+        return [f"t{i:0{width}d}" for i in range(self.K)]
 
 
 @functools.cache
@@ -237,9 +238,9 @@ def fit_lda(
     counts = np.array(n_wk, dtype=np.float64).T  # K x V
     phi = (counts + beta) / (counts.sum(axis=1, keepdims=True) + beta_v)
     return TopicModel(
-        num_topics=K,
+        K=K,
         vocab=vocab,
-        phi=phi,
+        phi=phi.tolist(),
         alpha=alpha,
         beta=beta,
         iterations=iters,
@@ -247,25 +248,27 @@ def fit_lda(
     )
 
 
-def topic_keywords(model: TopicModel, w: int = 10) -> TopicKeywords:
+def topic_keywords(model: TopicModel, w: int = 10) -> dict[str, list[str]]:
     """Top-w vocabulary words per topic; probability ties break lexically."""
     if not 1 <= w <= len(model.vocab):
-        raise ValueError(f"w must be in [1, {len(model.vocab)}], got {w}")
+        raise ValueError(f"w must be from 1 to the vocabulary size {len(model.vocab)}, got {w}")
     keywords = {}
     for k, topic_id in enumerate(model.topic_ids):
         row = model.phi[k]
         order = sorted(range(len(model.vocab)), key=lambda i: (-row[i], model.vocab[i]))
         keywords[topic_id] = [model.vocab[i] for i in order[:w]]
-    return TopicKeywords(keywords=keywords)
+    return keywords
 
 
-def categorize_questions(questions: list[Question], keywords: TopicKeywords) -> list[Question]:
+def categorize_questions(
+    questions: list[Question], keywords: dict[str, list[str]]
+) -> list[Question]:
     """Assign every question the topics whose keywords it contains.
 
     Multi-label: a question joins every topic with at least one keyword
     present as a token. Questions matching nothing get ``uncategorized``.
     """
-    keyword_sets = {tid: set(kws) for tid, kws in keywords.keywords.items()}
+    keyword_sets = {tid: set(kws) for tid, kws in keywords.items()}
 
     def assign(question: Question) -> Question:
         tokens = set(tokenize(question.text))
@@ -292,29 +295,3 @@ def question_distribution(questions: list[Question]) -> dict[str, float]:
         raise EmptyBank("question bank has not been categorized")
     return {tid: 100.0 * count / total for tid, count in sorted(counts.items())}
 
-
-def model_to_dict(model: TopicModel, keywords: TopicKeywords) -> dict:
-    return {
-        "K": model.num_topics,
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "seed": model.seed,
-        "iterations": model.iterations,
-        "vocab": list(model.vocab),
-        "phi": model.phi.tolist(),
-        "keywords": {tid: list(kws) for tid, kws in sorted(keywords.keywords.items())},
-    }
-
-
-def model_from_dict(data: dict) -> tuple[TopicModel, TopicKeywords]:
-    """Read ``model_to_dict``'s output back; raises ``TypeError`` for a value of the wrong type."""
-    model = TopicModel(
-        num_topics=reader(int)(data["K"]),
-        vocab=reader(list[str])(data["vocab"]),
-        phi=np.array(reader(list[list[float]])(data["phi"]), dtype=np.float64),
-        alpha=reader(float)(data["alpha"]),
-        beta=reader(float)(data["beta"]),
-        iterations=reader(int)(data["iterations"]),
-        seed=reader(int)(data["seed"]),
-    )
-    return model, TopicKeywords(keywords=reader(dict[str, list[str]])(data["keywords"]))

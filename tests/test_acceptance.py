@@ -147,7 +147,7 @@ def test_criterion_lda_determinism_and_separation():
     separated = 0
     for seed in range(100):
         model = fit_lda(questions, K=2, alpha=1.0, iters=500, seed=seed)
-        kws = topic_keywords(model, w=2).keywords
+        kws = topic_keywords(model, w=2)
         first, second = (set(kws[tid]) for tid in sorted(kws))
         if (first == revenue_group and second == profit_group) or (
             first == profit_group and second == revenue_group

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -175,6 +176,8 @@ class TestConfig:
             ("lda_alpha", 0),
             ("lda_beta", -1),
             ("lda_seed", 0),
+            ("lda_alpha", math.nan),
+            ("lda_beta", math.inf),
         ):
             with pytest.raises(ConfigInvalid, match=name):
                 PipelineConfig(**{name: value})
@@ -372,6 +375,8 @@ class TestStages:
              "route"),
             ("topics/topic_model.json",
              _with_json(lambda model: model["phi"][0].__setitem__(0, None)), "route"),
+            ("topics/topic_model.json", _with_json(lambda model: model.__setitem__("extra", 1)),
+             "route"),
         ],
         ids=[
             "truncated-split",
@@ -406,6 +411,7 @@ class TestStages:
             "selection-rank-null",
             "vocab-entry-int",
             "phi-entry-null",
+            "model-extra-key",
         ],
     )
     def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):
@@ -491,8 +497,11 @@ class TestStages:
             ("topics", "--stopword-file", None, "MissingArtifact"),
             ("topics", "--stopword-file", b"revenue\n\xff\xfe\n", "IoError"),
             ("extract", "--instruction-file", b"Summarize \xff\xfe\n", "IoError"),
+            ("extract", "--instruction-file", b" \n\t\n", "EmptyDocument"),
         ],
-        ids=["stopwords-missing", "stopwords-not-utf8", "instruction-not-utf8"],
+        ids=[
+            "stopwords-missing", "stopwords-not-utf8", "instruction-not-utf8", "instruction-blank"
+        ],
     )
     def test_unreadable_input_file(
         self, tmp_path, synthetic_dirs, capsys, stage, flag, content, expected
@@ -510,6 +519,36 @@ class TestStages:
         assert error["error"] == expected
         assert error["stage"] == stage
         assert str(path) in error["message"]
+
+    def test_more_keywords_than_vocabulary(self, tmp_path, synthetic_dirs, capsys):
+        transcripts, summaries = synthetic_dirs
+        workspace = tmp_path / "ws"
+        flags = ["--num-topics", "5", "--lda-iters", "20"]
+        for stage in ("ingest", "qgen", "topics"):
+            assert _run([stage, "--workspace", workspace, "--transcripts", transcripts,
+                         "--summaries", summaries, *flags]) == 0
+        published = _tree_digest(workspace)
+        vocab = json.loads((workspace / "topics" / "topic_model.json").read_text())["vocab"]
+        code = _run(["topics", "--workspace", workspace, *flags, "--keywords-per-topic", "100000"])
+        error = self._error(code, capsys)
+        assert error["error"] == "ConfigInvalid"
+        assert "keywords_per_topic" in error["message"]
+        assert f"vocabulary size {len(vocab)}" in error["message"]
+        assert _tree_digest(workspace) == published
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+    def test_workspace_that_is_not_a_directory(self, tmp_path, synthetic_dirs, capsys, nested):
+        transcripts, summaries = synthetic_dirs
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        workspace = blocker / "ws" if nested else blocker
+        code = _run(["ingest", "--workspace", workspace, "--transcripts", transcripts,
+                     "--summaries", summaries])
+        error = self._error(code, capsys)
+        assert error["error"] == "IoError"
+        assert error["stage"] == "ingest"
+        assert str(workspace) in error["message"]
+        assert blocker.read_text() == "not a directory"
 
     def test_flags_override_config_file(self, tmp_path, synthetic_dirs):
         transcripts, summaries = synthetic_dirs

@@ -15,7 +15,7 @@ from bulletsum.qbank import QuestionBank, build_question_bank
 from bulletsum.records import reader
 from bulletsum.retrieval import TfidfEmbedder, TokenIndex
 from bulletsum.router import detect_topics, select_questions, topic_buckets
-from bulletsum.topics import model_from_dict
+from bulletsum.topics import TopicModel
 
 from test_cli import _tree_digest
 from test_golden import CASES
@@ -235,7 +235,8 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
 
     corpus, split = pipeline._load_ingest(workspace)
     master = pipeline._load_master(workspace)
-    _, keywords = pipeline._read_json(workspace / "topics" / "topic_model.json", model_from_dict)
+    model = pipeline._read_json(workspace / "topics" / "topic_model.json", reader(TopicModel))
+    keywords = model.keywords
     texts = [q.text for q in master]
     index = TokenIndex(texts)
     counts = index.counts(texts)

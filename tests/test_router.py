@@ -19,15 +19,13 @@ from bulletsum.router import (
     topic_buckets,
 )
 from bulletsum.text import tokenize
-from bulletsum.topics import UNCATEGORIZED, TopicKeywords
+from bulletsum.topics import UNCATEGORIZED
 
-KEYWORDS = TopicKeywords(
-    keywords={
-        "t0": ["revenue", "sales"],
-        "t1": ["profit", "income"],
-        "t2": ["dividend"],
-    }
-)
+KEYWORDS = {
+    "t0": ["revenue", "sales"],
+    "t1": ["profit", "income"],
+    "t2": ["dividend"],
+}
 
 
 def cosine(u, v):
@@ -115,9 +113,7 @@ class TestDetectTopics:
         assert data["detected"][0]["topic_id"] == "t0"
 
     def test_uncategorized_never_detected(self, make_transcript):
-        keywords = TopicKeywords(
-            keywords={"t0": ["revenue"], "uncategorized": ["revenue"]}
-        )
+        keywords = {"t0": ["revenue"], "uncategorized": ["revenue"]}
         doc = make_transcript("d", ["revenue rose"])
         assert [t.topic_id for t in _detect(doc, keywords).detected] == ["t0"]
 
@@ -139,7 +135,7 @@ class TestDetectTopics:
     def test_matches_brute_force_scan(self, sentences, keywords, kept):
         # ``kept`` stands for the master list a stage's index holds first.
         doc = Transcript(id="d", sentences=tuple(sentences))
-        detection = _detect(doc, TopicKeywords(keywords=keywords), kept)
+        detection = _detect(doc, keywords, kept)
         expected = []
         for topic_id in sorted(keywords):
             if topic_id == UNCATEGORIZED:

@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 import shutil
@@ -12,13 +13,12 @@ from bulletsum import pipeline, topics
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
 from bulletsum.qbank import build_question_bank
+from bulletsum.records import reader
 from bulletsum.topics import (
     UNCATEGORIZED,
-    TopicKeywords,
+    TopicModel,
     categorize_questions,
     fit_lda,
-    model_from_dict,
-    model_to_dict,
     question_distribution,
     topic_keywords,
 )
@@ -31,12 +31,12 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 def _python_phi(questions, K, **kwargs) -> bytes:
     with mock.patch.object(topics, "_compiled_sweeps", lambda: None):
-        return fit_lda(questions, K, **kwargs).phi.tobytes()
+        return np.array(fit_lda(questions, K, **kwargs).phi).tobytes()
 
 
 def _compiled_phi(questions, K, **kwargs) -> bytes:
     assert topics._compiled_sweeps() is not None
-    return fit_lda(questions, K, **kwargs).phi.tobytes()
+    return np.array(fit_lda(questions, K, **kwargs).phi).tobytes()
 
 
 class TestFitLda:
@@ -55,7 +55,7 @@ class TestFitLda:
         # Sampler-as-oracle on a separable corpus: assert the groups split,
         # not exact probabilities.
         model = fit_lda(SEPARABLE, K=2, iters=500, seed=0)
-        kws = topic_keywords(model, w=1).keywords
+        kws = topic_keywords(model, w=1)
         first, second = [kws[tid][0] for tid in sorted(kws)]
         assert (first in REVENUE_GROUP and second in PROFIT_GROUP) or (
             first in PROFIT_GROUP and second in REVENUE_GROUP
@@ -63,8 +63,10 @@ class TestFitLda:
 
     def test_phi_rows_are_distributions(self):
         model = fit_lda(SEPARABLE, K=3, iters=20, seed=5)
-        assert np.all(model.phi >= 0)
-        np.testing.assert_allclose(model.phi.sum(axis=1), 1.0, atol=1e-9)
+        phi = np.array(model.phi)
+        assert phi.shape == (3, len(model.vocab))
+        assert np.all(phi >= 0)
+        np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-9)
 
     def test_stopwords_filtered_from_vocab(self):
         model = fit_lda(["what is the revenue of q2?"] * 3, K=1, iters=10, seed=0)
@@ -92,7 +94,7 @@ class TestFitLda:
 class TestTopicKeywords:
     def test_full_vocab_in_probability_order(self):
         model = fit_lda(SEPARABLE, K=2, iters=100, seed=0)
-        kws = topic_keywords(model, w=len(model.vocab)).keywords
+        kws = topic_keywords(model, w=len(model.vocab))
         for tid, words in kws.items():
             assert sorted(words) == sorted(model.vocab)
             k = sorted(kws).index(tid)
@@ -101,7 +103,7 @@ class TestTopicKeywords:
 
     def test_equal_counts_tie_breaks_lexicographically(self):
         model = fit_lda(["what is zulu alpha?"] * 2, K=1, iters=10, seed=0)
-        kws = topic_keywords(model, w=2).keywords
+        kws = topic_keywords(model, w=2)
         (words,) = kws.values()
         assert words == ["alpha", "zulu"]
 
@@ -114,7 +116,7 @@ class TestTopicKeywords:
 
     def test_keywords_distinct_within_topic(self):
         model = fit_lda(SEPARABLE, K=2, iters=100, seed=3)
-        for words in topic_keywords(model, w=3).keywords.values():
+        for words in topic_keywords(model, w=3).values():
             assert len(set(words)) == len(words)
 
 
@@ -127,19 +129,19 @@ def _master(make_summary, bullets_by_doc):
 class TestCategorize:
     def test_keyword_match_assigns_topic(self, make_summary):
         master = _master(make_summary, {"a": ["q2 revenue $5 million."]})
-        keywords = TopicKeywords(keywords={"t0": ["revenue", "sales"], "t1": ["profit"]})
+        keywords = {"t0": ["revenue", "sales"], "t1": ["profit"]}
         categorized = categorize_questions(master, keywords)
         assert "t0" in categorized[0].topics
 
     def test_multi_topic_membership(self, make_summary):
         master = _master(make_summary, {"a": ["revenue and profit both grew 5%."]})
-        keywords = TopicKeywords(keywords={"t0": ["revenue"], "t1": ["profit"]})
+        keywords = {"t0": ["revenue"], "t1": ["profit"]}
         categorized = categorize_questions(master, keywords)
         assert categorized[0].topics == {"t0", "t1"}
 
     def test_no_match_gets_uncategorized(self, make_summary):
         master = _master(make_summary, {"a": ["dividend raised 5%."]})
-        keywords = TopicKeywords(keywords={"t0": ["revenue"]})
+        keywords = {"t0": ["revenue"]}
         categorized = categorize_questions(master, keywords)
         assert categorized[0].topics == {UNCATEGORIZED}
 
@@ -148,8 +150,8 @@ class TestCategorize:
             make_summary,
             {"a": ["revenue grew 5%.", "profit fell 3%.", "margin held 2%."]},
         )
-        base = TopicKeywords(keywords={"t0": ["revenue"], "t1": ["profit"]})
-        grown = TopicKeywords(keywords={"t0": ["revenue", "margin"], "t1": ["profit"]})
+        base = {"t0": ["revenue"], "t1": ["profit"]}
+        grown = {"t0": ["revenue", "margin"], "t1": ["profit"]}
         before = categorize_questions(master, base)
         after = categorize_questions(master, grown)
         for q_before, q_after in zip(before, after):
@@ -157,7 +159,7 @@ class TestCategorize:
 
     def test_every_question_has_a_topic(self, make_summary):
         master = _master(make_summary, {"a": ["alpha 1%.", "beta 2%.", "gamma 3%."]})
-        keywords = TopicKeywords(keywords={"t0": ["alpha"]})
+        keywords = {"t0": ["alpha"]}
         categorized = categorize_questions(master, keywords)
         for question in categorized:
             assert question.topics
@@ -180,7 +182,7 @@ class TestDistribution:
             make_summary,
             {"a": ["revenue 1%.", "profit 2%.", "revenue and profit 3%.", "misc 4%."]},
         )
-        keywords = TopicKeywords(keywords={"t0": ["revenue"], "t1": ["profit"]})
+        keywords = {"t0": ["revenue"], "t1": ["profit"]}
         distribution = question_distribution(categorize_questions(master, keywords))
         assert sum(distribution.values()) == pytest.approx(100.0, abs=0.01)
 
@@ -196,17 +198,15 @@ class TestDistribution:
 class TestModelSerialization:
     def test_round_trip(self):
         model = fit_lda(SEPARABLE, K=2, iters=50, seed=4)
-        keywords = topic_keywords(model, w=3)
-        data = model_to_dict(model, keywords)
-        clone, clone_keywords = model_from_dict(data)
-        assert clone.num_topics == model.num_topics
-        assert clone.vocab == model.vocab
-        assert np.array_equal(clone.phi, model.phi)
-        assert clone_keywords.keywords == keywords.keywords
+        model.keywords = topic_keywords(model, w=3)
+        clone = reader(TopicModel)(json.loads(pipeline._dumps(model)))
+        assert clone == model
+        assert clone.K == 2 and len(clone.phi) == 2
 
     def test_schema_keys(self):
         model = fit_lda(SEPARABLE, K=2, iters=5, seed=0)
-        data = model_to_dict(model, topic_keywords(model, w=2))
+        model.keywords = topic_keywords(model, w=2)
+        data = json.loads(pipeline._dumps(model))
         assert {"K", "alpha", "beta", "seed", "vocab", "phi", "keywords"} <= set(data)
 
 
@@ -323,7 +323,8 @@ class TestKernelBuild:
         else:
             fresh_cache.write_text("a file where the cache directory should be")
         with caplog.at_level(logging.WARNING, logger="bulletsum.topics"):
-            phis = [fit_lda(self.QUESTIONS, 2, iters=50, seed=3).phi.tobytes() for _ in range(2)]
+            models = [fit_lda(self.QUESTIONS, 2, iters=50, seed=3) for _ in range(2)]
+        phis = [np.array(model.phi).tobytes() for model in models]
         assert phis == [expected, expected]
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
