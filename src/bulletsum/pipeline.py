@@ -21,6 +21,7 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import is_dataclass
+from itertools import repeat
 from pathlib import Path
 
 from . import generator as gen
@@ -38,7 +39,7 @@ from .corpus import (
 from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTopicsDetected
 from .qbank import Question, QuestionBank, build_question_bank
 from .records import reader
-from .retrieval import Embedder, ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
+from .retrieval import ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords, read_text_file
@@ -287,21 +288,30 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
     template = _prompt_template(config)
     client = _embedding_client(config)
 
+    documents = []
+    for doc_id in sorted(split.train):
+        questions = [q.text for q in bank.per_doc.get(doc_id, [])]
+        if questions:
+            documents.append((corpus.transcripts[doc_id], questions))
+        else:
+            logger.warning("train document %s has no questions; skipped", doc_id)
+    # One batch per document; a row depends only on its own text.
+    batches = ([*doc.sentences, *questions] for doc, questions in documents)
+    if client:
+        embedded = client.embed_many(batches)
+    else:
+        embedded = (
+            TfidfEmbedder(doc.sentences).embed(batch)
+            for (doc, _), batch in zip(documents, batches)
+        )
+
     contexts = []
     pairs = []
-    for doc_id in sorted(split.train):
-        doc = corpus.transcripts[doc_id]
-        questions = [q.text for q in bank.per_doc.get(doc_id, [])]
-        if not questions:
-            logger.warning("train document %s has no questions; skipped", doc_id)
-            continue
-        embedder: Embedder = client if client else TfidfEmbedder(doc.sentences)
-        # One call; a row depends only on its own text.
-        vectors = embedder.embed([*doc.sentences, *questions])
+    for (doc, questions), vectors in zip(documents, embedded):
         n = len(doc.sentences)
         context = build_context(doc, questions, vectors[n:], vectors[:n], config.k)
         contexts.append(context)
-        pairs.append((context, corpus.summaries[doc_id]))
+        pairs.append((context, corpus.summaries[doc.id]))
 
     _write_jsonl(out / "contexts.jsonl", contexts)
     gen.export_finetune_dataset(pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl")
@@ -315,18 +325,22 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     index = TokenIndex(master_texts)
     buckets = topic_buckets(master)
     client = _embedding_client(config)
+    docs = [corpus.transcripts[doc_id] for doc_id in sorted(split.test)]
     # A service's vectors do not depend on the document, so the master list is
-    # embedded once. TF-IDF vectors do; the master list's term counts over its
-    # own tokens (the index's first ids) are built once and weighed per document.
+    # embedded once, ahead of the documents' sentences. TF-IDF vectors do; the
+    # master list's term counts over its own tokens (the index's first ids) are
+    # built once and weighed per document.
     if client:
-        service_master_vectors = client.embed(master_texts)
+        embedded = client.embed_many([master_texts, *(doc.sentences for doc in docs)])
+        service_master_vectors = next(embedded)
     else:
+        embedded = repeat(None)
         master_counts = index.counts(master_texts)
 
-    def route(doc: Transcript):
+    def route(doc: Transcript, sentence_vectors):
+        """``sentence_vectors`` are the service's, or None to embed with TF-IDF."""
         if client:
             sentence_ids = [index.encode(text) for text in doc.sentences]
-            sentence_vectors = client.embed(doc.sentences)
             ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
         else:
             embedder = TfidfEmbedder(doc.sentences, index)
@@ -358,10 +372,10 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     detections = []
     selected_questions = []
     contexts = []
-    for doc_id in sorted(split.test):
-        detection, questions, context = route(corpus.transcripts[doc_id])
+    for doc, sentence_vectors in zip(docs, embedded):
+        detection, questions, context = route(doc, sentence_vectors)
         detections.append(detection)
-        selected_questions.append({"doc_id": doc_id, "questions": questions})
+        selected_questions.append({"doc_id": doc.id, "questions": questions})
         contexts.append(context)
 
     _write_jsonl(out / "detections.jsonl", detections)

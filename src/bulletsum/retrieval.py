@@ -5,7 +5,7 @@ on one transcript's sentences, which sharpens discrimination inside that
 document. Fit and embed share a ``TokenIndex``, so a text is tokenized once
 per stage and a count vector is a scatter of token ids into the document's
 columns. A sentence-transformer service can be substituted through the
-embedding client; both sides expose ``embed``. Ranking takes vectors, which
+embedding client (``services.EmbeddingClient``). Ranking takes vectors, which
 a caller embeds once per document. ``embed_counts`` weighs a text list counted
 once per stage (``TokenIndex.counts``) on the columns of its tokens only.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -25,10 +24,6 @@ from .text import tokenize
 
 # Decimals kept in every similarity score before ranking.
 SCORE_DECIMALS = 12
-
-
-class Embedder(Protocol):
-    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class TokenIndex:

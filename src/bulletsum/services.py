@@ -9,17 +9,24 @@ Wire formats:
 Any non-200 status or transport failure raises ServiceUnavailable; a 200
 response that does not match the schema raises MalformedResponse.
 
-Requests go through the standard library's ``urllib``, loaded on a client's
-first request, so a run without a service URL never imports it. Each request
-opens its own connection (``urllib`` sends ``Connection: close``). Only http
-and https URLs are opened; proxies come from ``http_proxy``, ``https_proxy``
-and ``no_proxy``, read once per client.
+Requests go through the standard library's ``http.client``, loaded on a
+client's first request, so a run without a service URL never imports it (nor
+``ssl``). Each request opens its own connection and sends ``Connection:
+close``. A run of requests goes out one ahead: response n is read to its end
+and its connection closed, request n+1 is sent, and only then is response n
+decoded, so the service works on n+1 while this process decodes n. The
+service still sees one connection and one request at a time, in order. Only
+http and https URLs are opened. Proxies come from ``http_proxy``,
+``https_proxy`` and ``no_proxy``, read once per client; an https request
+reaches its proxy through a CONNECT tunnel. HTTPS certificates are verified
+against the system CA store.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import closing
 from itertools import chain
 
 import numpy as np
@@ -29,48 +36,132 @@ from .errors import MalformedResponse, ServiceUnavailable
 DEFAULT_TIMEOUT = 30.0
 
 
+def _route_for(base_url: str, timeout: float):
+    """How to reach ``base_url``: a connection maker, the target prefix and the headers.
+
+    The maker returns a connection not yet opened. Reads the proxy settings
+    from the environment.
+    """
+    import http.client
+    import urllib.parse
+    import urllib.request
+
+    url = urllib.parse.urlsplit(base_url)
+    if not url.hostname:
+        raise ValueError(f"{base_url!r} names no host")
+    https = url.scheme == "https"
+    host, port = url.hostname, url.port or (443 if https else 80)
+    headers = {"Content-Type": "application/json", "Connection": "close"}
+    address, proxy_headers, prefix = (host, port), {}, url.path
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if proxy and urllib.request.proxy_bypass(host):
+        proxy = None
+    if proxy:
+        proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        address = (proxy_url.hostname, proxy_url.port or (443 if https else 80))
+        if proxy_url.username:
+            import base64
+
+            user = urllib.parse.unquote(proxy_url.username)
+            password = urllib.parse.unquote(proxy_url.password or "")
+            token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+            proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+        if not https:
+            prefix = base_url  # an http request names its whole URL to the proxy
+
+    if not https:
+        headers.update(proxy_headers)
+        return lambda: http.client.HTTPConnection(*address, timeout=timeout), prefix, headers
+
+    import ssl
+
+    context = ssl.create_default_context()
+
+    def connect():
+        connection = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+        if proxy:
+            connection.set_tunnel(host, port, proxy_headers)
+        return connection
+
+    return connect, prefix, headers
+
+
 class _JsonServiceClient:
     def __init__(self, base_url: str, timeout: float = DEFAULT_TIMEOUT):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._opener = None
+        self._route = None  # ``_route_for(base_url)``, worked out on the first request
 
     def _post(self, endpoint: str, payload: dict) -> dict:
+        (body,) = self._post_many(endpoint, [payload])
+        return body
+
+    def _post_many(self, endpoint: str, payloads: Iterable[dict]) -> Iterator[dict]:
+        """The JSON object each payload's POST returns, in order, one request ahead.
+
+        Response n is read to its end and its connection closed, request n+1
+        is sent, and only then is response n decoded and checked. A failure to
+        send request n+1 is raised when its response is asked for, after
+        response n. Closing the generator closes the connection of a request
+        in flight.
+        """
         # Imported here: a run without a service URL never loads them (nor ssl).
         import http.client
-        import urllib.error
-        import urllib.request
 
         url = f"{self.base_url}{endpoint}"
         if url.partition("://")[0].lower() not in ("http", "https"):
             raise ServiceUnavailable(f"POST {url} refused: only http and https URLs are served")
-        if self._opener is None:
-            # One per client, not urllib's process-wide one, so proxy settings
-            # are read from the environment of the client's first request.
-            self._opener = urllib.request.build_opener()
+
+        def send(payload: dict) -> http.client.HTTPConnection:
+            connection = None
+            try:
+                if self._route is None:
+                    self._route = _route_for(self.base_url, self.timeout)
+                connect, prefix, headers = self._route
+                connection = connect()
+                data = json.dumps(payload).encode("utf-8")
+                connection.request("POST", prefix + endpoint, body=data, headers=headers)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                if connection is not None:
+                    connection.close()
+                raise ServiceUnavailable(f"POST {url} failed: {exc}") from exc
+            return connection
+
+        def receive(connection: http.client.HTTPConnection) -> bytes:
+            try:
+                with connection.getresponse() as response:
+                    status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                raise ServiceUnavailable(f"POST {url} failed: {exc}") from exc
+            finally:
+                connection.close()
+            if status != 200:
+                raise ServiceUnavailable(f"POST {url} returned {status}")
+            return data
+
+        connection = None  # the request in flight
         try:
-            request = urllib.request.Request(
-                url,
-                data=json.dumps(payload).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with self._opener.open(request, timeout=self.timeout) as response:
-                status, data = response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            raise ServiceUnavailable(f"POST {url} returned {exc.code}") from exc
-        except (OSError, http.client.HTTPException, ValueError) as exc:
-            raise ServiceUnavailable(f"POST {url} failed: {exc}") from exc
-        if status != 200:
-            raise ServiceUnavailable(f"POST {url} returned {status}")
-        try:
-            body = json.loads(data)
-        except ValueError as exc:
-            raise MalformedResponse(f"POST {url} returned non-JSON body") from exc
-        if not isinstance(body, dict):
-            raise MalformedResponse(f"POST {url} returned non-object JSON")
-        return body
+            for payload in chain(payloads, [None]):
+                data = None if connection is None else receive(connection)
+                connection = failure = None
+                if payload is not None:
+                    try:
+                        connection = send(payload)
+                    except ServiceUnavailable as exc:
+                        failure = exc
+                if data is not None:
+                    try:
+                        body = json.loads(data)
+                    except ValueError as exc:
+                        raise MalformedResponse(f"POST {url} returned non-JSON body") from exc
+                    if not isinstance(body, dict):
+                        raise MalformedResponse(f"POST {url} returned non-object JSON")
+                    yield body
+                if failure is not None:
+                    raise failure
+        finally:
+            if connection is not None:
+                connection.close()
 
 
 class QGClient(_JsonServiceClient):
@@ -85,7 +176,7 @@ class QGClient(_JsonServiceClient):
 
 
 class EmbeddingClient(_JsonServiceClient):
-    """Sentence-embedding service client; batches all texts in one call.
+    """Sentence-embedding service client; one request embeds a batch of texts.
 
     Vectors from different calls are compared with each other, so every
     response must have the width of the first one.
@@ -96,9 +187,25 @@ class EmbeddingClient(_JsonServiceClient):
         self._width: int | None = None
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, 0))
-        body = self._post("/v1/embed", {"texts": list(texts)})
+        (matrix,) = self.embed_many([texts])
+        return matrix
+
+    def embed_many(self, batches: Iterable[Sequence[str]]) -> Iterator[np.ndarray]:
+        """The matrix of each batch of texts, in order, from one request per batch.
+
+        The requests go out one ahead (``_post_many``), so the service embeds
+        batch n+1 while this process decodes and checks batch n. Every matrix
+        is checked before it is yielded, so errors arrive in batch order. An
+        empty batch is a 0 x 0 matrix and sends nothing. Closing the generator
+        closes the connection of a request in flight.
+        """
+        batches = list(batches)
+        payloads = ({"texts": list(texts)} for texts in batches if texts)
+        with closing(self._post_many("/v1/embed", payloads)) as bodies:
+            for texts in batches:
+                yield self._matrix(texts, next(bodies)) if texts else np.zeros((0, 0))
+
+    def _matrix(self, texts: Sequence[str], body: dict) -> np.ndarray:
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise MalformedResponse("embed response missing one vector per text")

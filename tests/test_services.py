@@ -1,20 +1,23 @@
+import http.client
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
 import time
-import urllib.request
 import zlib
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bulletsum
-from bulletsum import pipeline
+from bulletsum import pipeline, services
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import generate_questions_external
@@ -32,6 +35,8 @@ BAD_VECTORS = {
     "objects": '{"vectors": [{"a": 1}, {"b": 2}]}',
     "hugeint": '{"vectors": [[1%s, 1], [2, 3]]}' % ("0" * 400),
 }
+# Bodies of the /mixed/v1/embed route for a batch that starts with the key.
+BAD_BODIES = {"garbage": "this is not json", "nonfinite": BAD_VECTORS["nonfinite"]}
 
 
 def bow_vector(text: str) -> list[float]:
@@ -43,7 +48,7 @@ def bow_vector(text: str) -> list[float]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Implements the three wire protocols plus failure routes."""
+    """Implements the three wire protocols plus failure routes, and refuses to proxy."""
 
     def log_message(self, fmt, *args):
         pass
@@ -59,10 +64,19 @@ class _Handler(BaseHTTPRequestHandler):
         data = body if raw else json.dumps(body)
         self.wfile.write(data.encode("utf-8"))
 
+    def _proxy_refused(self):
+        line = f"{self.command} {self.path}"
+        self.server.proxy_log.append((line, self.headers.get("Proxy-Authorization")))
+        self._reply(502, {"detail": "no proxying"})
+
+    do_CONNECT = _proxy_refused
+
     def do_POST(self):
         self.server.connection_log.append(self.headers.get("Connection"))
         payload = self._read_payload()
-        if self.path == "/v1/question":
+        if self.path.startswith("http://"):
+            self._proxy_refused()
+        elif self.path == "/v1/question":
             sentence = payload["sentence"]
             self._reply(200, {"question": f"what is {sentence.rstrip('.?!')}?"})
         elif self.path == "/v1/embed":
@@ -82,9 +96,13 @@ class _Handler(BaseHTTPRequestHandler):
             # every vector of a response is one wider than the batch is long
             width = len(payload["texts"]) + 1
             self._reply(200, {"vectors": [[1.0] * width for _ in payload["texts"]]})
-        elif self.path == "/bow/v1/embed":
-            self.server.embed_log.append(payload["texts"])
-            self._reply(200, {"vectors": [bow_vector(t) for t in payload["texts"]]})
+        elif self.path in ("/bow/v1/embed", "/mixed/v1/embed"):
+            texts = payload["texts"]
+            self.server.embed_log.append(texts)
+            if self.path == "/mixed/v1/embed" and texts[0] in BAD_BODIES:
+                self._reply(200, BAD_BODIES[texts[0]], raw=True)
+            else:
+                self._reply(200, {"vectors": [bow_vector(t) for t in texts]})
         elif self.path.startswith("/badschema"):
             self._reply(200, {"unexpected": "keys"})
         elif self.path == "/created/v1/question":
@@ -104,11 +122,19 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"detail": "not found"})
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        # A client that stops early closes a connection before reading its reply.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 @pytest.fixture(scope="module")
 def server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server = _Server(("127.0.0.1", 0), _Handler)
     server.embed_log = []  # the texts of each /bow embed request, in arrival order
     server.connection_log = []  # the Connection header of each request
+    server.proxy_log = []  # (request line, Proxy-Authorization) of each proxied request
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -119,6 +145,34 @@ def server():
 @pytest.fixture(scope="module")
 def server_url(server):
     return f"http://127.0.0.1:{server.server_port}"
+
+
+@pytest.fixture
+def sockets(monkeypatch):
+    """The client sockets: where each connects, how many are open, the most ever open at once.
+
+    A socket counts as open until its descriptor is closed, which waits for a
+    response reading from it to be closed too.
+    """
+    state = SimpleNamespace(addresses=[], made=[], peak=0)
+    state.open = lambda: sum(sock.fileno() != -1 for sock in state.made)
+    create = socket.create_connection
+
+    def tracked(address, *args, **kwargs):
+        state.addresses.append(address)
+        sock = create(address, *args, **kwargs)
+        state.made.append(sock)
+        state.peak = max(state.peak, state.open())
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", tracked)
+    return state
+
+
+def dead_port() -> int:
+    """A local port that nothing listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        return listener.getsockname()[1]
 
 
 class TestQGClient:
@@ -172,9 +226,11 @@ class TestTransport:
         def no_open(*args, **kwargs):
             raise AssertionError("a file URL was opened")
 
-        monkeypatch.setattr(urllib.request.OpenerDirector, "open", no_open)
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", no_open)
+        # With a host, the transport would otherwise connect to it.
+        url = tmp_path.as_uri().replace("file://", "file://localhost", 1)
         with pytest.raises(ServiceUnavailable, match="only http and https"):
-            QGClient(tmp_path.as_uri()).question("x")
+            QGClient(url).question("x")
 
     def test_every_request_closes_its_connection(self, server, server_url):
         server.connection_log.clear()
@@ -183,15 +239,32 @@ class TestTransport:
             client.question(sentence)
         assert server.connection_log == ["close"] * 3
 
-    def test_proxy_from_environment(self, server_url, monkeypatch):
-        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
-        monkeypatch.delenv("HTTP_PROXY", raising=False)
-        monkeypatch.delenv("NO_PROXY", raising=False)
-        monkeypatch.delenv("no_proxy", raising=False)
-        with pytest.raises(ServiceUnavailable):
-            QGClient(server_url, timeout=0.5).question("x")  # sent to the dead proxy
-        monkeypatch.setenv("no_proxy", "127.0.0.1")
+    def test_proxy_from_environment(self, server, server_url, monkeypatch, sockets):
+        for name in ("http_proxy", "https_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        port = dead_port()
+        for scheme, proxied in (
+            ("http", f"POST http://127.0.0.1:{port}/v1/question"),
+            ("https", f"CONNECT 127.0.0.1:{port}"),  # a tunnel
+        ):
+            url = f"{scheme}://127.0.0.1:{port}"
+            monkeypatch.delenv("no_proxy", raising=False)
+            monkeypatch.setenv(f"{scheme}_proxy", "http://127.0.0.1:9")
+            with pytest.raises(ServiceUnavailable):
+                QGClient(url, timeout=0.5).question("x")  # sent to the dead proxy
+            assert sockets.addresses[-1] == ("127.0.0.1", 9)
+            monkeypatch.setenv(f"{scheme}_proxy", f"http://user:pw@127.0.0.1:{server.server_port}")
+            server.proxy_log.clear()
+            with pytest.raises(ServiceUnavailable, match="502"):
+                QGClient(url, timeout=0.5).question("x")
+            assert server.proxy_log == [(proxied, "Basic dXNlcjpwdw==")]
+            monkeypatch.setenv("no_proxy", "127.0.0.1")
+            with pytest.raises(ServiceUnavailable):
+                QGClient(url, timeout=0.5).question("x")  # sent directly
+            assert sockets.addresses[-1] == ("127.0.0.1", port)
         assert QGClient(server_url).question("x.") == "what is x?"
+        assert sockets.open() == 0
 
     def test_offline_run_loads_no_http_modules(self, tmp_path):
         code = (
@@ -245,6 +318,93 @@ class TestEmbeddingClient:
         with pytest.raises(MalformedResponse, match="width 3"):
             client.embed(["a", "b"])
         assert client.embed(["c"]).shape == (1, 2)
+
+
+class TestEmbedMany:
+    """Requests go out one ahead; errors and cleanup keep batch order."""
+
+    def test_next_request_is_sent_before_this_response_is_decoded(
+        self, server, server_url, monkeypatch, sockets
+    ):
+        batches = [["one"], ["one two"], ["one two three"]]  # batch i has i + 1 words
+        events = []
+        sent = {}
+        request, getresponse = http.client.HTTPConnection.request, http.client.HTTPConnection.getresponse
+
+        def recorded_request(connection, method, url, body, *args, **kwargs):
+            sent[connection] = len(json.loads(body)["texts"][0].split()) - 1
+            events.append(("send", sent[connection]))
+            return request(connection, method, url, body, *args, **kwargs)
+
+        def recorded_getresponse(connection):
+            events.append(("read", sent[connection]))
+            return getresponse(connection)
+
+        def recorded_loads(data):
+            body = json.loads(data)
+            events.append(("decode", int(sum(body["vectors"][0])) - 1))
+            return body
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", recorded_request)
+        monkeypatch.setattr(http.client.HTTPConnection, "getresponse", recorded_getresponse)
+        monkeypatch.setattr(services, "json", SimpleNamespace(dumps=json.dumps, loads=recorded_loads))
+        server.embed_log.clear()
+
+        matrices = list(EmbeddingClient(f"{server_url}/bow").embed_many(batches))
+
+        assert events == [
+            ("send", 0), ("read", 0), ("send", 1), ("decode", 0),
+            ("read", 1), ("send", 2), ("decode", 1), ("read", 2), ("decode", 2),
+        ]
+        for matrix, texts in zip(matrices, batches, strict=True):
+            assert matrix.tolist() == [bow_vector(t) for t in texts]
+        assert server.embed_log == batches
+        assert (len(sockets.made), sockets.peak, sockets.open()) == (3, 1, 0)
+
+    def test_empty_batches_yield_in_place_and_send_nothing(self, server, server_url):
+        server.embed_log.clear()
+        client = EmbeddingClient(f"{server_url}/bow")
+        shapes = [m.shape for m in client.embed_many([[], ["a"], [], ["b c"], []])]
+        assert shapes == [(0, 0), (1, BOW_WIDTH), (0, 0), (1, BOW_WIDTH), (0, 0)]
+        assert server.embed_log == [["a"], ["b c"]]
+
+    @pytest.mark.parametrize(
+        ("bad", "message"), [("garbage", "non-JSON"), ("nonfinite", "not finite numbers")]
+    )
+    def test_malformed_response_raises_for_its_own_batch(self, server_url, sockets, bad, message):
+        matrices = EmbeddingClient(f"{server_url}/mixed").embed_many([["a"], [bad, "x"], ["c"]])
+        assert next(matrices).shape == (1, BOW_WIDTH)
+        with pytest.raises(MalformedResponse, match=message):
+            next(matrices)
+        # Request 2 was in flight; its connection is closed.
+        assert (len(sockets.made), sockets.open()) == (3, 0)
+
+    def test_failure_to_send_is_raised_when_its_batch_is_due(self, server_url, monkeypatch):
+        create = socket.create_connection
+        attempts = []
+
+        def second_refused(address, *args, **kwargs):
+            attempts.append(address)
+            if len(attempts) == 2:
+                raise ConnectionRefusedError("refused")
+            return create(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", second_refused)
+        matrices = EmbeddingClient(f"{server_url}/bow").embed_many([["a"], ["b"], ["c"]])
+        assert next(matrices).tolist() == [bow_vector("a")]
+        assert len(attempts) == 2  # the second request already failed
+        with pytest.raises(ServiceUnavailable, match="refused"):
+            next(matrices)
+        assert len(attempts) == 2
+
+    def test_closing_early_closes_the_request_in_flight(self, server_url, sockets):
+        client = EmbeddingClient(f"{server_url}/bow")
+        with pytest.raises(RuntimeError, match="consumer"):
+            with closing(client.embed_many([["a"], ["b"], ["c"]])) as matrices:
+                for _ in matrices:
+                    assert sockets.open() == 1  # the request for ["b"]
+                    raise RuntimeError("consumer failed")
+        assert (len(sockets.made), sockets.open()) == (2, 0)
 
 
 class TestRouteWithEmbeddingService:
