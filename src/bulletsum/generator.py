@@ -62,12 +62,18 @@ def build_prompt(
 
     The context is truncated so the whole prompt stays within
     ``max_input_tokens`` whitespace tokens; truncation is logged, not fatal.
+    A ``max_input_tokens`` that leaves no room for context raises ValueError.
     """
+    instruction_tokens = len(template.instruction.split())
+    if max_input_tokens <= instruction_tokens:
+        raise ValueError(
+            f"max_input_tokens must be more than the instruction's {instruction_tokens} "
+            f"whitespace tokens, got {max_input_tokens}"
+        )
     if not context.context_sentences:
         raise EmptyContext(f"document {context.doc_id!r} has an empty context")
-    instruction_tokens = len(template.instruction.split())
     context_tokens = context.context_text.split()
-    budget = max(0, max_input_tokens - instruction_tokens)
+    budget = max_input_tokens - instruction_tokens
     if len(context_tokens) > budget:
         logger.warning(
             "context for %s truncated from %d to %d whitespace tokens",

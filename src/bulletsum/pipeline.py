@@ -1,7 +1,8 @@
 """Stage orchestration and workspace artifact handling.
 
-Every stage reads its upstream artifacts from the workspace and writes its
-own into a fresh directory that ``run_stage`` publishes as
+Each stage in ``STAGES`` declares the workspace artifacts it reads, as keys of
+``ARTIFACTS``. ``run_stage`` reads them and hands them to the stage in that order;
+the stage writes its own into a fresh directory that ``run_stage`` publishes as
 ``workspace/<stage>/`` (see ``_publish``), with the resolved config
 snapshotted next to them so reruns are auditable. Artifact objects are
 written as their dataclass fields. With the built-in embedder and the mock
@@ -23,6 +24,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import is_dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import generator as gen
 from . import metrics as met
@@ -196,27 +198,31 @@ def _corpus_from_dict(data: dict) -> Corpus:
     )
 
 
-def _load_ingest(workspace: Path) -> tuple[Corpus, CorpusSplit]:
-    corpus = _read_json(workspace / "ingest" / "corpus.json", _corpus_from_dict)
-    split_path = workspace / "ingest" / "split.json"
-    split = _read_json(split_path, reader(CorpusSplit))
+def _check_split(corpus: Corpus, split: CorpusSplit, path: Path) -> None:
     counts = Counter(split.train + split.val + split.test)
     repeated = sorted(i for i, n in counts.items() if n > 1)
     if repeated:
-        raise IoError(f"artifact {split_path} names ids more than once: {repeated}")
+        raise IoError(f"artifact {path} names ids more than once: {repeated}")
     unknown = sorted(counts.keys() - (corpus.transcripts.keys() & corpus.summaries.keys()))
     if unknown:
-        raise IoError(f"artifact {split_path} names ids missing from the corpus: {unknown}")
-    return corpus, split
+        raise IoError(f"artifact {path} names ids missing from the corpus: {unknown}")
 
 
-def _load_bank(workspace: Path) -> QuestionBank:
-    return _read_json(workspace / "qgen" / "question_bank.json", reader(QuestionBank))
+# Every artifact a stage reads, by its path in the workspace, and its reader.
+ARTIFACTS = {
+    "ingest/corpus.json": _corpus_from_dict,
+    "ingest/split.json": reader(CorpusSplit),
+    "qgen/question_bank.json": reader(QuestionBank),
+    "topics/question_bank.json": lambda data: reader(list[Question])(data["master"]),
+    "topics/topic_model.json": reader(TopicModel),
+    "route/contexts.jsonl": ExtractiveContext.from_dict,
+    "generate/predictions.json": reader(dict[str, list[str]]),
+}
 
 
-def _load_master(workspace: Path) -> list[Question]:
-    path = workspace / "topics" / "question_bank.json"
-    return _read_json(path, lambda data: reader(list[Question])(data["master"]))
+def read_artifact(workspace, path: str):
+    """The artifact at ``path`` in ``workspace``, one of ``ARTIFACTS``, read with its reader."""
+    return _read_json(Path(workspace) / path, ARTIFACTS[path])
 
 
 def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
@@ -232,17 +238,14 @@ def _embedding_client(config: PipelineConfig) -> EmbeddingClient | None:
     return EmbeddingClient(config.embed_url) if config.embed_url else None
 
 
-def stage_ingest(
-    config: PipelineConfig, workspace: Path, out: Path, transcripts_dir, summaries_dir
-) -> None:
+def stage_ingest(config: PipelineConfig, out: Path, transcripts_dir, summaries_dir) -> None:
     corpus = load_corpus(transcripts_dir, summaries_dir)
     _write_json(out / "corpus.json", _corpus_to_dict(corpus))
     _write_json(out / "split.json", split_corpus(corpus, config.split_seed))
     _write_json(out / "stats.json", corpus_stats(corpus))
 
 
-def stage_qgen(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    corpus, split = _load_ingest(workspace)
+def stage_qgen(config: PipelineConfig, out: Path, corpus, split) -> None:
     train_summaries = [corpus.summaries[doc_id] for doc_id in sorted(split.train)]
     client = QGClient(config.qg_url) if config.qg_url else None
     bank = build_question_bank(train_summaries, client=client, fallback=config.qg_fallback)
@@ -256,8 +259,7 @@ def stage_qgen(config: PipelineConfig, workspace: Path, out: Path) -> None:
     _write_json(out / "report.json", report)
 
 
-def stage_topics(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    bank = _load_bank(workspace)
+def stage_topics(config: PipelineConfig, out: Path, bank) -> None:
     stopwords = (
         load_stopwords(config.stopword_file)
         if config.stopword_file
@@ -282,9 +284,7 @@ def stage_topics(config: PipelineConfig, workspace: Path, out: Path) -> None:
     _write_json(out / "distribution.json", question_distribution(categorized))
 
 
-def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    corpus, split = _load_ingest(workspace)
-    bank = _load_bank(workspace)
+def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> None:
     template = _prompt_template(config)
     client = _embedding_client(config)
 
@@ -317,10 +317,7 @@ def stage_extract(config: PipelineConfig, workspace: Path, out: Path) -> None:
     gen.export_finetune_dataset(pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl")
 
 
-def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    corpus, split = _load_ingest(workspace)
-    master = _load_master(workspace)
-    keywords = _read_json(workspace / "topics" / "topic_model.json", reader(TopicModel)).keywords
+def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model) -> None:
     master_texts = [q.text for q in master]
     index = TokenIndex(master_texts)
     buckets = topic_buckets(master)
@@ -351,7 +348,7 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
             # centroid: each topic ranks its bucket the same.
             columns, ranked_master = embedder.embed_counts(master_counts)
             ranked_sentences = sentence_vectors[:, columns]
-        detection = detect_topics(doc.id, keywords, sentence_ids, index)
+        detection = detect_topics(doc.id, model.keywords, sentence_ids, index)
         try:
             chosen = select_questions(
                 detection, ranked_sentences, ranked_master, buckets, config.q_per_topic
@@ -383,8 +380,7 @@ def stage_route(config: PipelineConfig, workspace: Path, out: Path) -> None:
     _write_jsonl(out / "contexts.jsonl", contexts)
 
 
-def stage_generate(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    contexts = _read_json(workspace / "route" / "contexts.jsonl", ExtractiveContext.from_dict)
+def stage_generate(config: PipelineConfig, out: Path, contexts) -> None:
     template = _prompt_template(config)
     if config.generate_url:
         client = GenerationClient(config.generate_url)
@@ -393,15 +389,15 @@ def stage_generate(config: PipelineConfig, workspace: Path, out: Path) -> None:
 
     predictions = {}
     for context in contexts:
-        prompt = gen.build_prompt(template, context, config.max_input_tokens)
+        try:
+            prompt = gen.build_prompt(template, context, config.max_input_tokens)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
         predictions[context.doc_id] = gen.generate(client, prompt, config.max_new_tokens)
     _write_json(out / "predictions.json", predictions)
 
 
-def stage_eval(config: PipelineConfig, workspace: Path, out: Path) -> None:
-    corpus, split = _load_ingest(workspace)
-    path = workspace / "generate" / "predictions.json"
-    predictions = _read_json(path, reader(dict[str, list[str]]))
+def stage_eval(config: PipelineConfig, out: Path, corpus, split, predictions) -> None:
     references = {doc_id: corpus.summaries[doc_id] for doc_id in split.test}
     sources = {doc_id: corpus.transcripts[doc_id] for doc_id in split.test}
     report = met.evaluate_corpus(predictions, references, sources)
@@ -410,15 +406,24 @@ def stage_eval(config: PipelineConfig, workspace: Path, out: Path) -> None:
     met.write_per_document_csv(report, out / "per_document.csv")
 
 
-# Every stage in pipeline order; each writes its artifacts into ``out``.
+class Stage(NamedTuple):
+    run: Callable[..., None]  # run(config, out, *inputs) writes the stage's artifacts into out
+    reads: tuple[str, ...] = ()  # the ARTIFACTS read, in order, as its inputs
+
+
+_CORPUS_AND_SPLIT = ("ingest/corpus.json", "ingest/split.json")
+
+# Every stage in pipeline order.
 STAGES = {
-    "ingest": stage_ingest,
-    "qgen": stage_qgen,
-    "topics": stage_topics,
-    "extract": stage_extract,
-    "route": stage_route,
-    "generate": stage_generate,
-    "eval": stage_eval,
+    "ingest": Stage(stage_ingest),
+    "qgen": Stage(stage_qgen, _CORPUS_AND_SPLIT),
+    "topics": Stage(stage_topics, ("qgen/question_bank.json",)),
+    "extract": Stage(stage_extract, (*_CORPUS_AND_SPLIT, "qgen/question_bank.json")),
+    "route": Stage(
+        stage_route, (*_CORPUS_AND_SPLIT, "topics/question_bank.json", "topics/topic_model.json")
+    ),
+    "generate": Stage(stage_generate, ("route/contexts.jsonl",)),
+    "eval": Stage(stage_eval, (*_CORPUS_AND_SPLIT, "generate/predictions.json")),
 }
 
 
@@ -429,7 +434,7 @@ def run_stage(
     transcripts_dir=None,
     summaries_dir=None,
 ) -> None:
-    """Run one stage and publish its artifacts, or every stage in order for ``run``."""
+    """Run one stage on its declared reads and publish its artifacts, or every stage for ``run``."""
     workspace = Path(workspace)
     if stage == "run":
         for name in STAGES:
@@ -437,10 +442,15 @@ def run_stage(
         return
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    inputs = ()
+    directories = ()
     if stage == "ingest":
         if transcripts_dir is None or summaries_dir is None:
             raise MissingArtifact("ingest requires --transcripts and --summaries")
-        inputs = (transcripts_dir, summaries_dir)
+        directories = (transcripts_dir, summaries_dir)
     with _publish(workspace, stage, config) as out:
-        STAGES[stage](config, workspace, out, *inputs)
+        inputs = {}
+        for path in STAGES[stage].reads:
+            inputs[path] = read_artifact(workspace, path)
+            if path == "ingest/split.json":
+                _check_split(inputs["ingest/corpus.json"], inputs[path], workspace / path)
+        STAGES[stage].run(config, out, *inputs.values(), *directories)

@@ -11,9 +11,12 @@ from bulletsum.cli import build_parser, main, resolve_config
 from bulletsum.config import PipelineConfig
 from bulletsum.corpus import Transcript
 from bulletsum.errors import ConfigInvalid
+from bulletsum.generator import DEFAULT_INSTRUCTION
 from bulletsum.pipeline import STAGES
 from bulletsum.retrieval import ExtractiveContext, TfidfEmbedder, build_context
 from bulletsum.text import tokenize
+
+from test_services import dead_port
 
 FAST_FLAGS = ["--num-topics", "6", "--lda-iters", "60", "--keywords-per-topic", "4"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -535,6 +538,19 @@ class TestStages:
         assert "keywords_per_topic" in error["message"]
         assert f"vocabulary size {len(vocab)}" in error["message"]
         assert _tree_digest(workspace) == published
+
+    @pytest.mark.parametrize("service", [False, True], ids=["mock", "dead-service"])
+    def test_budget_without_room_for_context(self, tmp_path, synthetic_dirs, capsys, service):
+        """A max_input_tokens within the instruction fails before any generation request."""
+        transcripts, summaries = synthetic_dirs
+        flags = ["--generate-url", f"http://127.0.0.1:{dead_port()}"] if service else []
+        code = _run(["run", "--workspace", tmp_path / "ws", "--transcripts", transcripts,
+                     "--summaries", summaries, *FAST_FLAGS, "--max-input-tokens", "1", *flags])
+        error = self._error(code, capsys)
+        assert (error["error"], error["stage"]) == ("ConfigInvalid", "run")
+        assert "max_input_tokens" in error["message"]
+        assert f"instruction's {len(DEFAULT_INSTRUCTION.split())} whitespace" in error["message"]
+        assert not (tmp_path / "ws" / "generate").exists()
 
     @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
     def test_workspace_that_is_not_a_directory(self, tmp_path, synthetic_dirs, capsys, nested):

@@ -46,6 +46,12 @@ class TestBuildPrompt:
         assert "short text." in prompt
         assert not caplog.records
 
+    def test_budget_must_leave_room_for_context(self):
+        template = PromptTemplate(instruction="summarize this")
+        with pytest.raises(ValueError, match="instruction's 2 whitespace tokens, got 2"):
+            build_prompt(template, _context("d", ["a b."]), max_input_tokens=2)
+        assert build_prompt(template, _context("d", ["a b."]), max_input_tokens=3).endswith("\n\na")
+
     def test_empty_context(self):
         with pytest.raises(EmptyContext):
             build_prompt(PromptTemplate(), _context("d", []))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +12,20 @@ from bulletsum import pipeline, retrieval
 from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
-from bulletsum.qbank import QuestionBank, build_question_bank
-from bulletsum.records import reader
+from bulletsum.qbank import build_question_bank
 from bulletsum.retrieval import TfidfEmbedder, TokenIndex
 from bulletsum.router import detect_topics, select_questions, topic_buckets
-from bulletsum.topics import TopicModel
 
-from test_cli import _tree_digest
+from test_cli import README, _tree_digest
 from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUND = ROOT / "bench" / "round.py"
 BUNDLED = ROOT / "src" / "bulletsum" / "data" / "synthetic"
+
+
+def _jsonl(path: Path) -> list:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 @pytest.fixture
@@ -35,7 +38,8 @@ def ingested(tmp_path, synthetic_dirs):
 
 def test_ingest_reads_back_as_loaded(ingested, synthetic_dirs):
     workspace, _ = ingested
-    corpus, split = pipeline._load_ingest(workspace)
+    corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
+    split = pipeline.read_artifact(workspace, "ingest/split.json")
     loaded = load_corpus(*synthetic_dirs)
     assert corpus == loaded
     assert split == split_corpus(loaded, PipelineConfig().split_seed)
@@ -43,15 +47,50 @@ def test_ingest_reads_back_as_loaded(ingested, synthetic_dirs):
     assert corpus_stats(corpus) == stats
 
 
+def test_each_stage_reads_what_it_declares(tmp_path, synthetic_dirs, monkeypatch):
+    """A run opens each stage's declared reads, in order, all written by earlier stages."""
+    workspace = tmp_path / "ws"
+    reads = {}
+    publish, read_json = pipeline._publish, pipeline._read_json
+
+    def recording_publish(workspace, stage, config):
+        reads[stage] = []
+        return publish(workspace, stage, config)
+
+    def recording_read_json(path, parse):
+        reads[next(reversed(reads))].append(path.relative_to(workspace).as_posix())
+        return read_json(path, parse)
+
+    monkeypatch.setattr(pipeline, "_publish", recording_publish)
+    monkeypatch.setattr(pipeline, "_read_json", recording_read_json)
+    pipeline.run_stage("run", PipelineConfig(lda_iters=20), workspace, *synthetic_dirs)
+    assert reads == {name: list(stage.reads) for name, stage in pipeline.STAGES.items()}
+    order = list(pipeline.STAGES)
+    for stage, paths in reads.items():
+        assert all(order.index(path.split("/")[0]) < order.index(stage) for path in paths)
+    assert {path for paths in reads.values() for path in paths} == set(pipeline.ARTIFACTS)
+
+
+def test_readme_table_lists_every_stage_and_its_reads():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| stage | reads |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+    listed = {
+        stage.strip().strip("`"): tuple(re.findall(r"`(\w+/[\w.]+)`", reads))
+        for stage, reads in rows
+    }
+    assert list(listed.items()) == [(name, stage.reads) for name, stage in pipeline.STAGES.items()]
+
+
 class TestPublish:
     def test_failed_stage_keeps_previous_output(self, ingested, synthetic_dirs, monkeypatch):
         workspace, before = ingested
 
-        def crash(config, workspace, out, *inputs):
+        def crash(config, out, *inputs):
             (out / "corpus.json").write_text("partial")
             raise RuntimeError("crash after writing")
 
-        monkeypatch.setitem(pipeline.STAGES, "ingest", crash)
+        monkeypatch.setitem(pipeline.STAGES, "ingest", pipeline.Stage(crash))
         with pytest.raises(RuntimeError):
             pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
         assert _tree_digest(workspace / "ingest") == before
@@ -134,7 +173,8 @@ class TestPublish:
 def test_artifact_is_its_dataclass_fields(tmp_path, make_summary):
     bank = build_question_bank([make_summary("a", ["q1 sales $4 million.", "q1 margin 10%."])])
     bank.master[0] = bank.master[0].with_topics({"t2", "t10"})
-    path = tmp_path / "question_bank.json"
+    path = tmp_path / "qgen" / "question_bank.json"
+    path.parent.mkdir()
     pipeline._write_json(path, bank)
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data["master"][0] == {
@@ -143,7 +183,7 @@ def test_artifact_is_its_dataclass_fields(tmp_path, make_summary):
         "source_bullet_index": 0,
         "topics": ["t10", "t2"],
     }
-    assert pipeline._read_json(path, reader(QuestionBank)) == bank
+    assert pipeline.read_artifact(tmp_path, "qgen/question_bank.json") == bank
     with pytest.raises(TypeError):
         pipeline._write_json(path, object())
 
@@ -230,13 +270,13 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     pipeline.run_stage("route", config, workspace)
     routed = {
         record["doc_id"]: record["questions"]
-        for record in pipeline._read_json(workspace / "route" / "questions.jsonl", dict)
+        for record in _jsonl(workspace / "route" / "questions.jsonl")
     }
 
-    corpus, split = pipeline._load_ingest(workspace)
-    master = pipeline._load_master(workspace)
-    model = pipeline._read_json(workspace / "topics" / "topic_model.json", reader(TopicModel))
-    keywords = model.keywords
+    corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
+    split = pipeline.read_artifact(workspace, "ingest/split.json")
+    master = pipeline.read_artifact(workspace, "topics/question_bank.json")
+    keywords = pipeline.read_artifact(workspace, "topics/topic_model.json").keywords
     texts = [q.text for q in master]
     index = TokenIndex(texts)
     counts = index.counts(texts)
@@ -261,7 +301,7 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
 def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeypatch):
     """No per-document embed of the whole master list."""
     config, workspace = topics_workspace
-    master = {q.text for q in pipeline._load_master(workspace)}
+    master = {q.text for q in pipeline.read_artifact(workspace, "topics/question_bank.json")}
     embed = TfidfEmbedder.embed
     embedded = []
 
@@ -271,5 +311,5 @@ def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeyp
 
     monkeypatch.setattr(TfidfEmbedder, "embed", counting_embed)
     pipeline.run_stage("route", config, workspace)
-    records = pipeline._read_json(workspace / "route" / "questions.jsonl", dict)
+    records = _jsonl(workspace / "route" / "questions.jsonl")
     assert 0 < len(embedded) <= sum(len(record["questions"]) for record in records)

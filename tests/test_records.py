@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bulletsum.cli import main
+from bulletsum.pipeline import STAGES
 from bulletsum.records import reader
 
 from test_cli import FAST_FLAGS
@@ -119,17 +120,7 @@ class TestReader:
             reader(int | str)
 
 
-# The workspace artifacts each stage reads.
-READS = {
-    "qgen": ["ingest/corpus.json", "ingest/split.json"],
-    "topics": ["qgen/question_bank.json"],
-    "extract": ["ingest/corpus.json", "ingest/split.json", "qgen/question_bank.json"],
-    "route": ["ingest/corpus.json", "ingest/split.json", "topics/question_bank.json",
-              "topics/topic_model.json"],
-    "generate": ["route/contexts.jsonl"],
-    "eval": ["ingest/corpus.json", "ingest/split.json", "generate/predictions.json"],
-}
-READ_PAIRS = [(stage, artifact) for stage, artifacts in READS.items() for artifact in artifacts]
+READ_PAIRS = [(name, artifact) for name, stage in STAGES.items() for artifact in stage.reads]
 # What a mutated node becomes; DELETE removes it from its parent.
 DELETE = object()
 MUTANTS = [None, 0, -1, 1.5, True, "", "x", [], [1], {}, {"a": 1}, math.nan, 1e30, DELETE]

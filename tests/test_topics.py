@@ -263,7 +263,7 @@ def bundled_master(tmp_path_factory, synthetic_dirs):
     workspace = tmp_path_factory.mktemp("bundled")
     pipeline.run_stage("ingest", PipelineConfig(), workspace, *synthetic_dirs)
     pipeline.run_stage("qgen", PipelineConfig(), workspace)
-    return [q.text for q in pipeline._load_bank(workspace).master]
+    return [q.text for q in pipeline.read_artifact(workspace, "qgen/question_bank.json").master]
 
 
 @pytest.fixture
