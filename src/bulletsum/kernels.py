@@ -1,0 +1,79 @@
+"""The one loader of the package's C kernels.
+
+A kernel is a C file next to this module (``lda_sweep.c``, ``tokenize.c``)
+that a Python reference in its caller's module computes too, with the same
+result. ``load`` compiles the file with ``cc`` on first use into
+``${XDG_CACHE_HOME:-~/.cache}/bulletsum/<name>-<sha256>.so``, keyed by source
+and flags, loads it with ``ctypes`` and declares the argument types of the
+function the caller asked for. If that fails, one WARNING per kernel and
+process ("compiled kernel <name> unavailable, running its Python reference:
+<reason>") is logged, ``load`` returns None, and the caller runs its Python
+reference. Deleting the cache directory is always safe: the next run rebuilds
+it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+# -ffp-contract=off: a fused multiply-add would round differently from Python.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+logger = logging.getLogger(__name__)
+
+
+@functools.cache
+def load(name: str, function: str, argtypes: tuple):
+    """The C function ``function`` of kernel ``name`` taking ``argtypes``, or None.
+
+    Built on first use and kept in the cache directory, then loaded once per
+    process. Any failure (no compiler, a compile error, an unwritable cache, a
+    library that does not load) logs one WARNING naming it and returns None.
+    """
+    try:
+        library = ctypes.CDLL(str(_build(name)))
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        logger.warning(
+            "compiled kernel %s unavailable, running its Python reference: %s", name, exc
+        )
+        return None
+    kernel = getattr(library, function)
+    kernel.argtypes = list(argtypes)
+    kernel.restype = None
+    return kernel
+
+
+def _build(name: str) -> Path:
+    """Path of the compiled kernel ``name``, compiling it if the cache lacks it.
+
+    The compiler writes a temp file in the cache directory that
+    ``os.replace`` then renames into place, so a concurrent process never
+    loads a half-written library.
+    """
+    source = Path(__file__).with_name(f"{name}.c")
+    digest = hashlib.sha256(source.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bulletsum"
+    library = cache / f"{name}-{digest}.so"
+    if library.is_file():
+        return library
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}-", suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            ["cc", *_CFLAGS, "-o", tmp, str(source)],
+            capture_output=True, text=True, errors="replace", timeout=120, check=False,
+        )
+        if done.returncode != 0:
+            raise OSError(f"cc exited with {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, library)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return library

@@ -295,21 +295,24 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
             documents.append((corpus.transcripts[doc_id], questions))
         else:
             logger.warning("train document %s has no questions; skipped", doc_id)
-    # One batch per document; a row depends only on its own text.
-    batches = ([*doc.sentences, *questions] for doc, questions in documents)
     if client:
-        embedded = client.embed_many(batches)
-    else:
+        # One batch per document; a row depends only on its own text.
+        batches = ([*doc.sentences, *questions] for doc, questions in documents)
         embedded = (
-            TfidfEmbedder(doc.sentences).embed(batch)
-            for (doc, _), batch in zip(documents, batches)
+            (vectors[: len(doc.sentences)], vectors[len(doc.sentences) :])
+            for (doc, _), vectors in zip(documents, client.embed_many(batches))
+        )
+    else:
+        embedders = (TfidfEmbedder(doc.sentences) for doc, _ in documents)
+        embedded = (
+            (embedder.fit_vectors, embedder.embed(questions))
+            for embedder, (_, questions) in zip(embedders, documents)
         )
 
     contexts = []
     pairs = []
-    for (doc, questions), vectors in zip(documents, embedded):
-        n = len(doc.sentences)
-        context = build_context(doc, questions, vectors[n:], vectors[:n], config.k)
+    for (doc, questions), (sentence_vectors, question_vectors) in zip(documents, embedded):
+        context = build_context(doc, questions, question_vectors, sentence_vectors, config.k)
         contexts.append(context)
         pairs.append((context, corpus.summaries[doc.id]))
 
@@ -319,7 +322,7 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
 
 def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model) -> None:
     master_texts = [q.text for q in master]
-    index = TokenIndex(master_texts)
+    index = TokenIndex()
     buckets = topic_buckets(master)
     client = _embedding_client(config)
     docs = [corpus.transcripts[doc_id] for doc_id in sorted(split.test)]
@@ -337,12 +340,12 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model)
     def route(doc: Transcript, sentence_vectors):
         """``sentence_vectors`` are the service's, or None to embed with TF-IDF."""
         if client:
-            sentence_ids = [index.encode(text) for text in doc.sentences]
+            sentence_ids = index.encode_many(doc.sentences)
             ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
         else:
             embedder = TfidfEmbedder(doc.sentences, index)
-            sentence_ids = embedder.fit_ids
-            sentence_vectors = embedder.embed(doc.sentences)
+            sentence_ids = embedder.fit
+            sentence_vectors = embedder.fit_vectors
             # A master row is zero outside the master tokens' columns, so a
             # cosine on them is the full one times a positive factor per topic
             # centroid: each topic ranks its bucket the same.

@@ -2,21 +2,26 @@
 
 The built-in embedder is per-document TF-IDF: the vocabulary and IDF are fit
 on one transcript's sentences, which sharpens discrimination inside that
-document. Fit and embed share a ``TokenIndex``, so a text is tokenized once
-per stage and a count vector is a scatter of token ids into the document's
-columns. A sentence-transformer service can be substituted through the
-embedding client (``services.EmbeddingClient``). Ranking takes vectors, which
-a caller embeds once per document. ``embed_counts`` weighs a text list counted
-once per stage (``TokenIndex.counts``) on the columns of its tokens only.
+document. Fit and embed share a ``TokenIndex``, which encodes a document's
+texts as token ids in one call of a small C kernel (``tokenize.c``, built and
+loaded by ``kernels.load``), so a count vector is a scatter of token ids into
+the document's columns. A sentence-transformer service can be substituted
+through the embedding client (``services.EmbeddingClient``). Ranking takes
+vectors, which a caller embeds once per document. ``embed_counts`` weighs a
+text list counted once per stage (``TokenIndex.counts``) on the columns of its
+tokens only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import ctypes
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .corpus import Transcript
 from .errors import NoQuestions
 from .records import reader
@@ -26,19 +31,34 @@ from .text import tokenize
 SCORE_DECIMALS = 12
 
 
+class Encoded(NamedTuple):
+    """Texts as token ids, flat and in order: ``ids[i]`` came from text ``rows[i]``."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    n_texts: int
+
+
+# ``kernels.load``'s arguments for the compiled tokenizer of ``tokenize.c``.
+_INTP = np.ctypeslib.ndpointer(np.intp, flags="C_CONTIGUOUS")
+_TOKENIZE = ("tokenize", "tokenize_texts", (
+    ctypes.c_char_p, _INTP, ctypes.c_ssize_t, _INTP, ctypes.c_ssize_t,
+    _INTP, _INTP, _INTP, _INTP, _INTP,
+))
+
+
 class TokenIndex:
     """Tokens interned as ints, shared by the embedders of one stage.
 
-    Ids are handed out in first-seen order. ``encode`` tokenizes a text with
-    ``tokenize`` and interns its tokens, except for the texts the index was
-    made with: their ids are computed once and kept for the index's lifetime.
+    Ids are handed out in first-seen order. ``encode_many`` gives a
+    document's texts their ids in one call of the compiled tokenizer
+    (``tokenize.c``, loaded by ``kernels.load``), which finds ``tokenize``'s
+    tokens on ASCII text.
     """
 
-    def __init__(self, kept: Iterable[str] = ()):
+    def __init__(self):
         self.tokens: list[str] = []
         self._ids: dict[str, int] = {}
-        self._kept: dict[str, np.ndarray] = {}  # empty while ``kept`` is encoded
-        self._kept = {text: self.encode(text) for text in kept}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -46,31 +66,59 @@ class TokenIndex:
     def id_of(self, token: str) -> int | None:
         return self._ids.get(token)
 
-    def encode(self, text: str) -> np.ndarray:
-        kept = self._kept.get(text)
-        if kept is not None:
-            return kept
+    def _intern(self, tokens: list[str]) -> np.ndarray:
+        """The id of each token, handing new tokens the next ids in first-seen order."""
         ids = self._ids
-        encoded = []
-        for token in tokenize(text):
-            token_id = ids.get(token)
-            if token_id is None:
-                token_id = ids[token] = len(self.tokens)
-                self.tokens.append(token)
-            encoded.append(token_id)
-        return np.array(encoded, dtype=np.intp)
+        new = list(dict.fromkeys(token for token in tokens if token not in ids))
+        ids.update(zip(new, range(len(self.tokens), len(self.tokens) + len(new))))
+        self.tokens.extend(new)
+        return np.fromiter(map(ids.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+
+    def encode_many(self, texts: Sequence[str]) -> Encoded:
+        """The ids of ``tokenize``'s tokens of every text, interning new ones.
+
+        The texts are lowercased and passed to the kernel as one ASCII buffer
+        with the offset of each text. Where the kernel is unavailable, the
+        Python reference (``_python_encode``) runs, with the same result.
+        """
+        lowered = [text.lower() for text in texts]
+        joined = "".join(lowered)
+        # ``tokenize`` keeps a Unicode digit run with a decimal point ("٣.٤")
+        # but drops a lone one ("٣"), and "é" splits a word. The kernel knows
+        # ASCII only, so a document with any text that is not ASCII takes the
+        # Python path as a whole, and such text keeps these tokens.
+        kernel = kernels.load(*_TOKENIZE) if joined.isascii() else None
+        if kernel is None:
+            return self._python_encode(texts)
+        starts = np.cumsum([0, *map(len, lowered)], dtype=np.intp)
+        # A decimal token spans three bytes or more, and any other token but a
+        # text's last is followed by a byte that no token holds, so a text of
+        # n bytes holds at most (n + 1) // 2 tokens. The table keeps at least
+        # half its slots free.
+        room = (len(joined) + len(texts)) // 2
+        table = np.full(1 << (2 * room).bit_length(), -1, dtype=np.intp)
+        local, rows, first, length = np.empty((4, room), dtype=np.intp)
+        found = np.zeros(2, dtype=np.intp)
+        kernel(
+            joined.encode("ascii"), starts, len(texts), table, len(table),
+            local, rows, first, length, found,
+        )
+        n_tokens, n_distinct = found.tolist()
+        ends = (first[:n_distinct] + length[:n_distinct]).tolist()
+        ids = self._intern([joined[a:b] for a, b in zip(first[:n_distinct].tolist(), ends)])
+        return Encoded(ids[local[:n_tokens]], rows[:n_tokens].copy(), len(texts))
+
+    def _python_encode(self, texts: Sequence[str]) -> Encoded:
+        """The reference for ``encode_many``: ``tokenize`` per text, interned in order."""
+        tokens = [tokenize(text) for text in texts]
+        ids = self._intern([token for toks in tokens for token in toks])
+        rows = np.repeat(np.arange(len(texts)), [len(toks) for toks in tokens])
+        return Encoded(ids, rows, len(texts))
 
     def counts(self, texts: Sequence[str]) -> np.ndarray:
         """Raw term counts: a row per text, a column per id handed out so far."""
-        ids, rows = _flatten([self.encode(text) for text in texts])
-        return _scatter_counts(len(texts), len(self), rows, ids)
-
-
-def _flatten(id_arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """All ids in one array, and the row each came from."""
-    rows = np.repeat(np.arange(len(id_arrays)), [len(ids) for ids in id_arrays])
-    ids = np.concatenate(id_arrays) if id_arrays else np.zeros(0, dtype=np.intp)
-    return ids, rows
+        ids, rows, n_texts = self.encode_many(texts)
+        return _scatter_counts(n_texts, len(self), rows, ids)
 
 
 def _scatter_counts(n_rows: int, width: int, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -85,28 +133,29 @@ class TfidfEmbedder:
 
     IDF = ln((1+N)/(1+df)) + 1, TF = raw count, vectors L2-normalized. The
     columns are the fit corpus's tokens sorted as strings. Text sharing no
-    terms with the fit corpus embeds to the zero vector. The fit texts are
-    tokenized once, into ``index`` (a fresh one by default); embedding them
-    again reuses those ids.
+    terms with the fit corpus embeds to the zero vector. Fit and embedded
+    texts are encoded into ``index``, a fresh one by default. ``fit`` holds
+    the fit texts' encoding and ``fit_vectors`` their vectors, the rows
+    ``embed(fit_corpus)`` gives, counted once for the fit's document
+    frequencies.
     """
 
     def __init__(self, fit_corpus: Sequence[str], index: TokenIndex | None = None):
         if not fit_corpus:
             raise ValueError("fit_corpus must be non-empty")
         self.index = TokenIndex() if index is None else index
-        self.fit_ids = [self.index.encode(text) for text in fit_corpus]
-        self._fit = dict(zip(fit_corpus, self.fit_ids))
-        ids, rows = _flatten(self.fit_ids)
+        self.fit = self.index.encode_many(fit_corpus)
+        ids, rows, _ = self.fit
         present = np.zeros(len(self.index), dtype=bool)
         present[ids] = True
         self._vocab_ids = np.array(
             sorted(np.flatnonzero(present).tolist(), key=self.index.tokens.__getitem__),
             dtype=np.intp,
         )
-        in_text = np.zeros((len(fit_corpus), len(self._vocab_ids)), dtype=bool)
-        in_text[rows, self._columns(ids)] = True
-        df = in_text.sum(axis=0)
+        counts = _scatter_counts(len(fit_corpus), len(self._vocab_ids), rows, self._columns(ids))
+        df = np.count_nonzero(counts, axis=0)
         self.idf = np.log((1.0 + len(fit_corpus)) / (1.0 + df)) + 1.0
+        self.fit_vectors = _weigh(counts, self.idf)
 
     def _columns(self, ids: np.ndarray) -> np.ndarray:
         """The column of each token id; -1 for a token outside the vocabulary."""
@@ -115,9 +164,7 @@ class TfidfEmbedder:
         return columns[ids]
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        ids, rows = _flatten(
-            [self._fit[text] if text in self._fit else self.index.encode(text) for text in texts]
-        )
+        ids, rows, _ = self.index.encode_many(texts)
         columns = self._columns(ids)
         known = columns >= 0
         counts = _scatter_counts(len(texts), len(self._vocab_ids), rows[known], columns[known])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import SCORE_DECIMALS, TokenIndex, _flatten, cosine_matrix
+from .retrieval import SCORE_DECIMALS, Encoded, TokenIndex, cosine_matrix
 from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
@@ -38,16 +38,16 @@ class TopicDetection:
 def detect_topics(
     doc_id: str,
     keywords: dict[str, list[str]],
-    sentence_ids: list[np.ndarray],
+    sentence_ids: Encoded,
     index: TokenIndex,
 ) -> TopicDetection:
     """Topics whose keywords occur as tokens anywhere in the document.
 
-    ``sentence_ids[i]`` holds the token ids of the document's sentence ``i``
-    in ``index``. Each detected topic lists the keywords that matched and the
-    positions of the sentences they matched in. One scatter of the ids marks
-    which keywords each sentence holds, and one product with the topic x
-    keyword membership gives the topics each sentence matches.
+    ``sentence_ids`` encodes the document's sentences in ``index``. Each
+    detected topic lists the keywords that matched and the positions of the
+    sentences they matched in. One scatter of the ids marks which keywords
+    each sentence holds, and one product with the topic x keyword membership
+    gives the topics each sentence matches.
     """
     topic_ids = [topic_id for topic_id in sorted(keywords) if topic_id != UNCATEGORIZED]
     # Each keyword's row in the keyword x sentence incidence, one per distinct
@@ -63,10 +63,10 @@ def detect_topics(
     ]
     rows_by_id = np.full(len(index), -1, dtype=np.intp)
     rows_by_id[list(row_of)] = list(row_of.values())
-    ids, sentences = _flatten(sentence_ids)
+    ids, sentences, n_sentences = sentence_ids
     rows = rows_by_id[ids]
     hit = rows >= 0
-    incidence = np.zeros((len(row_of), len(sentence_ids)))
+    incidence = np.zeros((len(row_of), n_sentences))
     incidence[rows[hit], sentences[hit]] = 1.0
     pairs = np.array(
         [(t, row) for t, topic_rows in enumerate(keyword_rows) for row in topic_rows if row is not None],
@@ -88,6 +88,13 @@ def detect_topics(
         if matched:
             detected.append(DetectedTopic(topic_id, matched, np.flatnonzero(matches).tolist()))
     return TopicDetection(doc_id=doc_id, detected=detected)
+
+
+def _flatten(id_arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """All ids in one array, and the row each came from."""
+    rows = np.repeat(np.arange(len(id_arrays)), [len(ids) for ids in id_arrays])
+    ids = np.concatenate(id_arrays) if id_arrays else np.zeros(0, dtype=np.intp)
+    return ids, rows
 
 
 def topic_buckets(master: list[Question]) -> dict[str, np.ndarray]:

@@ -13,30 +13,22 @@ fills every field but ``keywords`` (``topic_keywords`` gives those), the
 The sweeps run in a small C kernel (``lda_sweep.c``) that draws exactly the
 chain of the Python loop kept here as the reference: the same float
 expression in the same order, and uniforms that continue ``random``'s
-MT19937 stream, so ``phi`` is byte-identical either way. The first
-``fit_lda`` call in a process compiles it with ``cc`` into
-``${XDG_CACHE_HOME:-~/.cache}/bulletsum/lda_sweep-<sha256>.so``, keyed by
-source and flags, and loads it. If that fails, one WARNING
-("LDA sweep kernel unavailable, running the Python sampler: <reason>") is
-logged and the Python loop runs, with the same result, more slowly.
-Deleting the cache directory is always safe: the next run rebuilds it.
+MT19937 stream, so ``phi`` is byte-identical either way. ``kernels.load``
+builds and loads it on the first ``fit_lda`` call in a process; where it
+cannot, it logs one WARNING and the Python loop runs, with the same result,
+more slowly.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import hashlib
 import logging
-import os
 import random
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
 from .qbank import Question
 from .text import QUESTION_STOPWORDS, tokenize
@@ -46,9 +38,14 @@ UNCATEGORIZED = "uncategorized"
 DEFAULT_BETA = 0.01
 DEFAULT_ITERS = 1000
 
-_KERNEL_SOURCE = Path(__file__).with_name("lda_sweep.c")
-# -ffp-contract=off: a fused multiply-add would round differently from Python.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_INTS = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
+# ``kernels.load``'s arguments for the compiled sweeps of ``lda_sweep.c``.
+_SWEEPS = ("lda_sweep", "lda_sweeps", (
+    ctypes.c_int, _INTS, _INTS, _INTS, _INTS, _INTS, _INTS, ctypes.c_int,
+    ctypes.c_double, ctypes.c_double, ctypes.c_double,
+    np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int,
+    np.ctypeslib.ndpointer(np.uint32, shape=(625,), flags="C_CONTIGUOUS"),
+))
 
 logger = logging.getLogger(__name__)
 
@@ -69,60 +66,6 @@ class TopicModel:
     def topic_ids(self) -> list[str]:
         width = len(str(self.K - 1))
         return [f"t{i:0{width}d}" for i in range(self.K)]
-
-
-@functools.cache
-def _compiled_sweeps():
-    """The ``lda_sweeps`` function of the compiled kernel, or None.
-
-    Built on first use and kept in the cache directory under the digest of
-    its source and flags, then loaded once per process. Any failure (no
-    compiler, a compile error, an unwritable cache, a library that does not
-    load) logs one WARNING naming it, and ``fit_lda`` runs the Python loop.
-    """
-    try:
-        library = ctypes.CDLL(str(_build_kernel()))
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        logger.warning("LDA sweep kernel unavailable, running the Python sampler: %s", exc)
-        return None
-    ints = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
-    sweeps = library.lda_sweeps
-    sweeps.argtypes = [
-        ctypes.c_int, ints, ints, ints, ints, ints, ints, ctypes.c_int,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"), ctypes.c_int,
-        np.ctypeslib.ndpointer(np.uint32, shape=(625,), flags="C_CONTIGUOUS"),
-    ]
-    sweeps.restype = None
-    return sweeps
-
-
-def _build_kernel() -> Path:
-    """Path of the compiled kernel, compiling it if the cache lacks it.
-
-    The compiler writes a temp file in the cache directory that
-    ``os.replace`` then renames into place, so a concurrent process never
-    loads a half-written library.
-    """
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bulletsum"
-    library = cache / f"lda_sweep-{digest}.so"
-    if library.is_file():
-        return library
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".lda_sweep-", suffix=".so", dir=cache)
-    os.close(fd)
-    try:
-        done = subprocess.run(
-            ["cc", *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
-            capture_output=True, text=True, errors="replace", timeout=120, check=False,
-        )
-        if done.returncode != 0:
-            raise OSError(f"cc exited with {done.returncode}: {done.stderr.strip()}")
-        os.replace(tmp, library)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-    return library
 
 
 def _question_tokens(text: str, stopwords) -> list[str]:
@@ -227,7 +170,7 @@ def fit_lda(
         n_k[k] += 1
 
     chain = (doc_of, word_of, z, n_dk, n_wk, n_k, alpha, beta, beta_v, iters, rng)
-    sweeps = _compiled_sweeps()
+    sweeps = kernels.load(*_SWEEPS)
     if sweeps is None:
         logger.info("LDA sampler: Python loop, %d sweeps", iters)
         n_wk = _python_sweeps(*chain)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bulletsum import pipeline, retrieval
+from bulletsum import kernels, pipeline, retrieval
 from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
@@ -215,29 +216,48 @@ def test_traced_round_matches_untraced(tmp_path):
     assert _tree_digest(traced) == _tree_digest(plain)
 
 
-def test_route_tokenizes_each_text_once(tmp_path, synthetic_dirs, monkeypatch):
-    """The master list is tokenized once per stage, each test sentence once."""
-    from bulletsum import retrieval
-    from bulletsum.text import tokenize
+def test_non_ascii_documents_give_the_python_tokenizer_workspace(tmp_path, monkeypatch):
+    """Documents with text that is not ASCII, among ASCII ones, leave the
+    workspace that a run with every kernel unavailable leaves."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(BUNDLED, corpus)
+    for path in sorted((corpus / "transcripts").glob("*.txt"))[::2]:
+        text = path.read_text(encoding="utf-8").rstrip("\n")
+        text += "\nrevenue at the café rose ٣.٤ points, ٣ ahead of plan.\n"
+        path.write_text(text, encoding="utf-8")
+    dirs = (corpus / "transcripts", corpus / "summaries")
+    config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+    pipeline.run_stage("run", config, tmp_path / "kernel", *dirs)
+    monkeypatch.setattr(kernels, "load", lambda *kernel: None)
+    pipeline.run_stage("run", config, tmp_path / "python", *dirs)
+    assert "café" in (tmp_path / "kernel" / "ingest" / "corpus.json").read_text(encoding="utf-8")
+    assert _tree_digest(tmp_path / "kernel") == _tree_digest(tmp_path / "python")
 
+
+def test_route_tokenizes_each_sentence_once(tmp_path, synthetic_dirs, monkeypatch):
+    """Route encodes the master list once, each test sentence once, and the
+    questions chosen for a document once more each, to embed them."""
     config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
     workspace = tmp_path / "ws"
     for stage in ("ingest", "qgen", "topics"):
         pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
     calls = []
+    encode_many = retrieval.TokenIndex.encode_many
 
-    def counting_tokenize(text):
-        calls.append(text)
-        return tokenize(text)
+    def counting_encode_many(index, texts):
+        calls.extend(texts)
+        return encode_many(index, texts)
 
-    monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
+    monkeypatch.setattr(retrieval.TokenIndex, "encode_many", counting_encode_many)
     pipeline.run_stage("route", config, workspace)
 
     master = json.loads((workspace / "topics" / "question_bank.json").read_text())["master"]
     transcripts = json.loads((workspace / "ingest" / "corpus.json").read_text())["transcripts"]
     test_ids = json.loads((workspace / "ingest" / "split.json").read_text())["test"]
     sentences = [text for doc_id in test_ids for text in transcripts[doc_id]]
-    assert sorted(calls) == sorted([q["text"] for q in master] + sentences)
+    routed = _jsonl(workspace / "route" / "questions.jsonl")
+    chosen = [question for record in routed for question in record["questions"]]
+    assert sorted(calls) == sorted([q["text"] for q in master] + sentences + chosen)
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -278,7 +298,7 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     master = pipeline.read_artifact(workspace, "topics/question_bank.json")
     keywords = pipeline.read_artifact(workspace, "topics/topic_model.json").keywords
     texts = [q.text for q in master]
-    index = TokenIndex(texts)
+    index = TokenIndex()
     counts = index.counts(texts)
     buckets = topic_buckets(master)
     assert sorted(routed) == sorted(split.test)
@@ -288,7 +308,7 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
         sentences = embedder.embed(doc.sentences)
         dense = embedder.embed(texts)
         columns, narrow = embedder.embed_counts(counts)
-        detection = detect_topics(doc.id, keywords, embedder.fit_ids, index)
+        detection = detect_topics(doc.id, keywords, embedder.fit, index)
         chosen = select_questions(detection, sentences, dense, buckets, config.q_per_topic)
         narrow_chosen = select_questions(
             detection, sentences[:, columns], narrow, buckets, config.q_per_topic

@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import random
+import string
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bulletsum import kernels, retrieval
 from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
     ExtractiveContext,
@@ -18,6 +21,7 @@ from bulletsum.retrieval import (
     top_k,
 )
 from bulletsum.text import tokenize
+from conftest import needs_cc
 
 
 def cosine(u, v):
@@ -71,6 +75,97 @@ embed_texts = st.one_of(
 )
 
 
+def _preloaded(texts):
+    """An index that has already encoded ``texts``."""
+    index = TokenIndex()
+    index.encode_many(texts)
+    return index
+
+
+def loop_encode(preloaded, texts):
+    """Flat ids, rows and tokens of ``texts`` by ``tokenize`` per text and a dict.
+
+    The reference for ``TokenIndex.encode_many`` on an index that already
+    holds the tokens ``preloaded``, in id order.
+    """
+    ids = {token: i for i, token in enumerate(preloaded)}
+    flat, rows = [], []
+    for row, text in enumerate(texts):
+        for token in tokenize(text):
+            flat.append(ids.setdefault(token, len(ids)))
+            rows.append(row)
+    return flat, rows, list(ids)
+
+
+# Decimals, dotted abbreviations, stray dots and letter-digit runs, whole.
+TOKEN_FRAGMENTS = [
+    "3.5", "1.2.3", "0.97", "12.", ".5", "1..2", "u.s.", "a1.5", "Q3", "$4.2bn", "7%",
+]
+ascii_texts = st.one_of(
+    st.text(alphabet=string.ascii_letters + string.digits + ".,-%$ \t\n\0", max_size=40),
+    st.lists(st.sampled_from(TOKEN_FRAGMENTS) | st.sampled_from([" ", "\n", ",", ""])).map("".join),
+)
+
+
+class TestTokenIndex:
+    @needs_cc
+    @given(texts=st.lists(ascii_texts, max_size=8), preload=st.lists(ascii_texts, max_size=8))
+    def test_kernel_matches_tokenize(self, texts, preload):
+        # A fresh index, and one already holding other tokens, as route's
+        # shared master index does.
+        assert kernels.load(*retrieval._TOKENIZE) is not None
+        for index in (TokenIndex(), _preloaded(preload)):
+            preloaded = list(index.tokens)
+            ids, rows, n_texts = index.encode_many(texts)
+            expected_ids, expected_rows, tokens = loop_encode(preloaded, texts)
+            assert ids.tolist() == expected_ids
+            assert rows.tolist() == expected_rows
+            assert n_texts == len(texts)
+            assert index.tokens == tokens
+        assert preloaded == loop_encode([], preload)[2]
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [("up ٣.٤ points", ["up", "٣.٤", "points"]), ("café", ["caf"]), ("٣", [])],
+    )
+    def test_non_ascii_text_keeps_tokenize_tokens(self, text, tokens):
+        # tokenize's \d matches a Unicode digit, so "٣.٤" is a token while a
+        # lone "٣" is dropped, and "é" splits a word. Pinned as found.
+        assert tokenize(text) == tokens
+        for texts in ([text], ["revenue rose 3.5%", text, "cash 0.97 fell"]):
+            index = _preloaded(["what is revenue?"])
+            ids, rows, _ = index.encode_many(texts)
+            expected = loop_encode(["what", "is", "revenue"], texts)
+            assert (ids.tolist(), rows.tolist(), index.tokens) == expected
+
+    @pytest.mark.parametrize(
+        "failure, reason",
+        [
+            ("no-compiler", "No such file"),
+            ("compile-error", "simulated compile error"),
+            ("unloadable-library", "tokenize-"),
+            ("unwritable-cache", "cache"),
+        ],
+    )
+    def test_failure_falls_back_with_one_warning(
+        self, failure, reason, fresh_cache, break_kernel_build, caplog
+    ):
+        texts = ["Revenue rose 3.5% in Q3.", "", "cash\nflow 1.2.3 u.s.", "revenue"]
+        expected = loop_encode([], texts)
+        break_kernel_build(failure)
+        with caplog.at_level(logging.WARNING, logger="bulletsum.kernels"):
+            for _ in range(2):
+                index = TokenIndex()
+                ids, rows, _ = index.encode_many(texts)
+                assert (ids.tolist(), rows.tolist(), index.tokens) == expected
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert reason in warnings[0].getMessage()
+        if failure != "unwritable-cache":
+            leftovers = [p for p in (fresh_cache / "bulletsum").iterdir() if p.name.startswith(".")]
+            assert leftovers == []
+
+
 class TestTfidfEmbedder:
     @given(
         fit_corpus=st.lists(embed_texts, min_size=1, max_size=6),
@@ -78,35 +173,35 @@ class TestTfidfEmbedder:
         data=st.data(),
     )
     def test_bytes_match_the_per_token_loop(self, fit_corpus, others, data):
-        # Queries mix fit texts (embedded from the fit's ids), texts kept by
-        # the shared index, and new ones with out-of-vocabulary tokens. The
-        # shared index has already served another document's embedder, as a
-        # route stage's index has.
+        # Queries mix fit texts, texts the shared index already holds, and new
+        # ones with out-of-vocabulary tokens. The shared index has already
+        # served another document's embedder, as a route stage's index has.
         queries = data.draw(st.lists(st.sampled_from(fit_corpus) | embed_texts, max_size=6))
         expected = loop_embed(fit_corpus, queries)
-        shared = TokenIndex(others + queries)
+        fit_expected = loop_embed(fit_corpus, fit_corpus)
+        shared = _preloaded(others + queries)
         TfidfEmbedder(others or ["unrelated text"], shared).embed(queries + others)
         for embedder in (TfidfEmbedder(fit_corpus), TfidfEmbedder(fit_corpus, shared)):
             vectors = embedder.embed(queries)
             assert vectors.shape == expected.shape
             assert vectors.tobytes() == expected.tobytes()
+            assert embedder.fit_vectors.tobytes() == fit_expected.tobytes()
 
     def test_fit_texts_are_tokenized_once(self, monkeypatch):
-        import bulletsum.retrieval as retrieval
-
+        # ``fit_vectors`` are ``embed``'s rows of the fit texts, from the
+        # encoding the fit made.
         calls = []
+        encode_many = TokenIndex.encode_many
 
-        def counting_tokenize(text):
-            calls.append(text)
-            return tokenize(text)
+        def counting_encode_many(index, texts):
+            calls.extend(texts)
+            return encode_many(index, texts)
 
-        monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
-        index = TokenIndex(["what is revenue?"])
-        embedder = TfidfEmbedder(["revenue rose", "cash fell"], index)
-        embedder.embed(["revenue rose", "cash fell"])
-        embedder.embed(["what is revenue?"])
-        assert sorted(calls) == ["cash fell", "revenue rose", "what is revenue?"]
-
+        monkeypatch.setattr(TokenIndex, "encode_many", counting_encode_many)
+        embedder = TfidfEmbedder(["revenue rose", "cash fell"])
+        vectors = embedder.fit_vectors
+        assert sorted(calls) == ["cash fell", "revenue rose"]
+        assert vectors.tobytes() == embedder.embed(["revenue rose", "cash fell"]).tobytes()
 
     def test_self_similarity_is_one(self):
         corpus = ["revenue rose sharply", "profit fell slightly"]

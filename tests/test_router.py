@@ -42,9 +42,10 @@ def _embedder(doc):
 
 
 def _detect(doc, keywords, kept=()):
-    """``detect_topics`` on the document's sentences tokenized into an index keeping ``kept``."""
-    index = TokenIndex(kept)
-    return detect_topics(doc.id, keywords, [index.encode(text) for text in doc.sentences], index)
+    """``detect_topics`` on the document's sentences encoded into an index holding ``kept``."""
+    index = TokenIndex()
+    index.encode_many(kept)
+    return detect_topics(doc.id, keywords, index.encode_many(doc.sentences), index)
 
 
 def _select(doc, detection, master, q_per_topic, embedder):
@@ -303,11 +304,12 @@ class TestSelectQuestions:
         c is a centroid of sentence vectors and c_K its part on those columns.
         The examples share no master token with the document, and exactly one.
         """
-        index = TokenIndex(master)
+        index = TokenIndex()
+        master_counts = index.counts(master)
         embedder = TfidfEmbedder(sentences, index)
         sentence_vectors = embedder.embed(sentences)
         dense = embedder.embed(master)
-        columns, narrow = embedder.embed_counts(index.counts(master))
+        columns, narrow = embedder.embed_counts(master_counts)
         outside = np.ones(dense.shape[1], dtype=bool)
         outside[columns] = False
         assert not dense[:, outside].any()

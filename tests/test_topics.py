@@ -1,7 +1,6 @@
 import json
 import logging
 import random
-import shutil
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bulletsum import pipeline, topics
+from bulletsum import kernels, pipeline, topics
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
 from bulletsum.qbank import build_question_bank
@@ -22,20 +21,24 @@ from bulletsum.topics import (
     question_distribution,
     topic_keywords,
 )
+from conftest import needs_cc
 
 SEPARABLE = ["what is revenue growth?"] * 20 + ["what is net profit?"] * 20
 REVENUE_GROUP = {"revenue", "growth"}
 PROFIT_GROUP = {"net", "profit"}
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+def _compiled_sweeps():
+    return kernels.load(*topics._SWEEPS)
 
 
 def _python_phi(questions, K, **kwargs) -> bytes:
-    with mock.patch.object(topics, "_compiled_sweeps", lambda: None):
+    with mock.patch.object(kernels, "load", lambda *kernel: None):
         return np.array(fit_lda(questions, K, **kwargs).phi).tobytes()
 
 
 def _compiled_phi(questions, K, **kwargs) -> bytes:
-    assert topics._compiled_sweeps() is not None
+    assert _compiled_sweeps() is not None
     return np.array(fit_lda(questions, K, **kwargs).phi).tobytes()
 
 
@@ -217,7 +220,7 @@ class TestCompiledSampler:
 
     @needs_cc
     def test_kernel_loads_with_a_compiler(self):
-        assert topics._compiled_sweeps() is not None
+        assert _compiled_sweeps() is not None
 
     @needs_cc
     @settings(max_examples=60, deadline=None)
@@ -251,7 +254,7 @@ class TestCompiledSampler:
         mt = np.array(rng.getstate()[1], dtype=np.uint32)
         one = np.array([0], dtype=np.intc)
         counts = [np.array([1], dtype=np.intc) for _ in range(3)]
-        sweeps = topics._compiled_sweeps()
+        sweeps = _compiled_sweeps()
         sweeps(1, one, one, one.copy(), *counts, 1, 1.0, 0.01, 0.01, np.empty(1), 1000, mt)
         for _ in range(1000):
             reference.random()
@@ -266,35 +269,17 @@ def bundled_master(tmp_path_factory, synthetic_dirs):
     return [q.text for q in pipeline.read_artifact(workspace, "qgen/question_bank.json").master]
 
 
-@pytest.fixture
-def fresh_cache(tmp_path, monkeypatch):
-    """An empty kernel cache directory and no kernel loaded in this process."""
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    topics._compiled_sweeps.cache_clear()
-    yield cache
-    topics._compiled_sweeps.cache_clear()
-
-
-def _fake_cc(directory, script):
-    directory.mkdir()
-    cc = directory / "cc"
-    cc.write_text("#!/bin/sh\n" + script)
-    cc.chmod(0o755)
-    return directory
-
-
 class TestKernelBuild:
     QUESTIONS = SEPARABLE[:4] + SEPARABLE[-4:]
 
     @needs_cc
     def test_builds_into_cache_once(self, fresh_cache):
-        assert topics._compiled_sweeps() is not None
+        assert _compiled_sweeps() is not None
         (library,) = (fresh_cache / "bulletsum").iterdir()
         assert library.name.startswith("lda_sweep-") and library.suffix == ".so"
         built = library.stat().st_mtime_ns
-        topics._compiled_sweeps.cache_clear()
-        assert topics._compiled_sweeps() is not None
+        kernels.load.cache_clear()
+        assert _compiled_sweeps() is not None
         assert library.stat().st_mtime_ns == built
 
     @pytest.mark.parametrize(
@@ -307,22 +292,11 @@ class TestKernelBuild:
         ],
     )
     def test_failure_falls_back_with_one_warning(
-        self, failure, reason, fresh_cache, tmp_path, monkeypatch, caplog
+        self, failure, reason, fresh_cache, break_kernel_build, caplog
     ):
         expected = _python_phi(self.QUESTIONS, 2, iters=50, seed=3)
-        if failure == "no-compiler":
-            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-        elif failure == "compile-error":
-            fake = _fake_cc(tmp_path / "bin", "echo simulated compile error >&2\nexit 1\n")
-            monkeypatch.setenv("PATH", str(fake))
-        elif failure == "unloadable-library":
-            # A "compiler" that leaves garbage where the library belongs.
-            script = 'while [ "$1" != -o ]; do shift; done\necho garbage > "$2"\n'
-            fake = _fake_cc(tmp_path / "bin", script)
-            monkeypatch.setenv("PATH", str(fake))
-        else:
-            fresh_cache.write_text("a file where the cache directory should be")
-        with caplog.at_level(logging.WARNING, logger="bulletsum.topics"):
+        break_kernel_build(failure)
+        with caplog.at_level(logging.WARNING, logger="bulletsum.kernels"):
             models = [fit_lda(self.QUESTIONS, 2, iters=50, seed=3) for _ in range(2)]
         phis = [np.array(model.phi).tobytes() for model in models]
         assert phis == [expected, expected]
