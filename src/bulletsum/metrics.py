@@ -1,9 +1,9 @@
 """Summary evaluation: ROUGE-1/2/L F1, number extraction, and Num-Prec.
 
 All metrics are computed from scratch so results depend only on one
-tokenization, ``text.tokenize``: lowercase; split on anything that is not a
-letter, digit, or a decimal point inside a number; no stemming, no stop-word
-removal. ROUGE-L is summary-level LCS over the full token sequence.
+tokenization, ``text.tokenize``: lowercase; split on anything that is not an
+ASCII letter, ASCII digit, or a decimal point inside a number; no stemming, no
+stop-word removal. ROUGE-L is summary-level LCS over the full token sequence.
 """
 
 from __future__ import annotations
@@ -187,11 +187,11 @@ def evaluate_corpus(
     )
 
 
-def format_report_table(report: MetricsReport, system_name: str = "this-run") -> str:
+def format_report_table(report: MetricsReport) -> str:
     """Aligned one-row table with the standard benchmark column names."""
     headers = ["Model", "ROUGE-1", "ROUGE-2", "ROUGE-L", "Num-Prec."]
     row = [
-        system_name,
+        "this-run",
         f"{report.rouge1.f1:.3f}",
         f"{report.rouge2.f1:.3f}",
         f"{report.rougeL.f1:.3f}",

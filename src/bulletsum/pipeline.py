@@ -22,7 +22,6 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import is_dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -334,18 +333,19 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model)
         embedded = client.embed_many([master_texts, *(doc.sentences for doc in docs)])
         service_master_vectors = next(embedded)
     else:
-        embedded = repeat(None)
         master_counts = index.counts(master_texts)
 
-    def route(doc: Transcript, sentence_vectors):
-        """``sentence_vectors`` are the service's, or None to embed with TF-IDF."""
+    detections = []
+    selected_questions = []
+    contexts = []
+    for doc in docs:
         if client:
+            sentence_vectors = next(embedded)
             sentence_ids = index.encode_many(doc.sentences)
             ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
         else:
             embedder = TfidfEmbedder(doc.sentences, index)
-            sentence_ids = embedder.fit
-            sentence_vectors = embedder.fit_vectors
+            sentence_ids, sentence_vectors = embedder.fit, embedder.fit_vectors
             # A master row is zero outside the master tokens' columns, so a
             # cosine on them is the full one times a positive factor per topic
             # centroid: each topic ranks its bucket the same.
@@ -366,17 +366,9 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model)
         questions = [master_texts[i] for i in chosen]
         # A row depends only on its own text: these are the full master rows.
         question_vectors = service_master_vectors[chosen] if client else embedder.embed(questions)
-        context = build_context(doc, questions, question_vectors, sentence_vectors, config.k)
-        return detection, questions, context
-
-    detections = []
-    selected_questions = []
-    contexts = []
-    for doc, sentence_vectors in zip(docs, embedded):
-        detection, questions, context = route(doc, sentence_vectors)
         detections.append(detection)
         selected_questions.append({"doc_id": doc.id, "questions": questions})
-        contexts.append(context)
+        contexts.append(build_context(doc, questions, question_vectors, sentence_vectors, config.k))
 
     _write_jsonl(out / "detections.jsonl", detections)
     _write_jsonl(out / "questions.jsonl", selected_questions)

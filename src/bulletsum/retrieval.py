@@ -53,7 +53,7 @@ class TokenIndex:
     Ids are handed out in first-seen order. ``encode_many`` gives a
     document's texts their ids in one call of the compiled tokenizer
     (``tokenize.c``, loaded by ``kernels.load``), which finds ``tokenize``'s
-    tokens on ASCII text.
+    tokens.
     """
 
     def __init__(self):
@@ -78,16 +78,14 @@ class TokenIndex:
         """The ids of ``tokenize``'s tokens of every text, interning new ones.
 
         The texts are lowercased and passed to the kernel as one ASCII buffer
-        with the offset of each text. Where the kernel is unavailable, the
+        with the offset of each text. Each character that is not ASCII becomes
+        one ``?``, which no token holds, so the tokens are ``tokenize``'s and a
+        byte offset is a character offset. Where the kernel is unavailable, the
         Python reference (``_python_encode``) runs, with the same result.
         """
         lowered = [text.lower() for text in texts]
         joined = "".join(lowered)
-        # ``tokenize`` keeps a Unicode digit run with a decimal point ("٣.٤")
-        # but drops a lone one ("٣"), and "é" splits a word. The kernel knows
-        # ASCII only, so a document with any text that is not ASCII takes the
-        # Python path as a whole, and such text keeps these tokens.
-        kernel = kernels.load(*_TOKENIZE) if joined.isascii() else None
+        kernel = kernels.load(*_TOKENIZE)
         if kernel is None:
             return self._python_encode(texts)
         starts = np.cumsum([0, *map(len, lowered)], dtype=np.intp)
@@ -100,7 +98,7 @@ class TokenIndex:
         local, rows, first, length = np.empty((4, room), dtype=np.intp)
         found = np.zeros(2, dtype=np.intp)
         kernel(
-            joined.encode("ascii"), starts, len(texts), table, len(table),
+            joined.encode("ascii", "replace"), starts, len(texts), table, len(table),
             local, rows, first, length, found,
         )
         n_tokens, n_distinct = found.tolist()

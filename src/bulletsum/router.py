@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import SCORE_DECIMALS, Encoded, TokenIndex, cosine_matrix
+from .retrieval import Encoded, TokenIndex, cosine_matrix
 from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
@@ -138,15 +138,14 @@ def select_questions(
     centroids = incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True)
     scores = cosine_matrix(centroids, master_vectors)
 
-    # Each topic's row holds the rounded scores of its bucket and -inf elsewhere;
-    # a NaN score goes below every number, as in ``top_k``.
+    # Each topic's row holds its bucket's scores, which ``cosine_matrix``
+    # rounded, and -inf elsewhere; a NaN score goes below every number, as in
+    # ``top_k``.
     detected_buckets = [buckets.get(topic.topic_id, _EMPTY_BUCKET) for topic in detected]
     sizes = np.array([len(bucket) for bucket in detected_buckets])
     columns, rows = _flatten(detected_buckets)
     masked = np.full(scores.shape, -np.inf)
-    masked[rows, columns] = np.nan_to_num(
-        np.round(scores[rows, columns], SCORE_DECIMALS), nan=_BELOW_ANY_SCORE
-    )
+    masked[rows, columns] = np.nan_to_num(scores[rows, columns], nan=_BELOW_ANY_SCORE)
     # Rank r of every topic at once: argmax takes the first maximum, so equal
     # scores go to the lower master index; the winner is then masked out.
     rounds = min(q_per_topic, int(sizes.max()))

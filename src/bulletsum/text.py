@@ -8,9 +8,9 @@ from pathlib import Path
 
 from .errors import IoError, MissingArtifact
 
-# Tokens are runs of letters/digits; decimal points survive only inside numbers
-# ("0.97" is one token, "u.s." is ["u", "s"]).
-_TOKEN_RE = re.compile(r"\d+(?:\.\d+)+|[a-z0-9]+")
+# Tokens are runs of ASCII letters/digits; decimal points survive only inside
+# numbers ("0.97" is one token, "u.s." is ["u", "s"]).
+_TOKEN_RE = re.compile(r"[0-9]+(?:\.[0-9]+)+|[a-z0-9]+")
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -34,8 +34,8 @@ QUESTION_STOPWORDS = STANDARD_STOPWORDS | {"q1", "q2", "q3", "q4", "fy", "qtrly"
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into word/number tokens.
 
-    Splits on any character that is not a letter or digit, except that a `.`
-    between digits is kept so decimal values stay intact.
+    Splits on any character that is not an ASCII letter or digit, except that
+    a `.` between digits is kept so decimal values stay intact.
     """
     return _TOKEN_RE.findall(text.lower())
 

@@ -4,7 +4,7 @@ import re
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bulletsum.corpus import Transcript
@@ -55,12 +55,13 @@ class TestTokenize:
     near_tokens = st.text(alphabet=st.sampled_from("aZ09.,-$% \n\u00e9\u0663\u212a"), max_size=40)
 
     @given(near_tokens | st.text(max_size=40))
+    @example("\u0663.\u0663 caf\u00e9")
     def test_tokens_are_stable_and_match_the_documented_pattern(self, text):
-        # Documented: runs of letters/digits, a "." kept only between digits.
+        # Documented: runs of ASCII letters/digits, a "." kept only between digits.
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
         for token in tokens:
-            assert re.fullmatch(r"\d+(?:\.\d+)+|[a-z0-9]+", token), token
+            assert re.fullmatch(r"[0-9]+(?:\.[0-9]+)+|[a-z0-9]+", token), token
 
 
 class TestRougeN:

@@ -234,6 +234,37 @@ def test_non_ascii_documents_give_the_python_tokenizer_workspace(tmp_path, monke
     assert _tree_digest(tmp_path / "kernel") == _tree_digest(tmp_path / "python")
 
 
+def test_non_ascii_run_passes_the_oracle_checks(tmp_path):
+    """A run on transcripts with text that is not ASCII agrees with the
+    benchmark's checks (``bench/checks.py``), which recompute every ranking
+    and score from their definitions on ASCII tokens."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from checks import check_workspace
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    corpus = tmp_path / "corpus"
+    shutil.copytree(BUNDLED, corpus)
+    for path in (corpus / "transcripts").glob("*.txt"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [f"café ٣.٤ {line}" if "revenue" in line.lower() else line for line in lines]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    words = {
+        part: sum(len(p.read_text(encoding="utf-8").split()) for p in (corpus / part).glob("*.txt"))
+        for part in ("transcripts", "summaries")
+    }
+    n_docs = len(list((corpus / "transcripts").glob("*.txt")))
+    shape = {
+        "mean_doc_words": words["transcripts"] / n_docs,
+        "compression_ratio": words["transcripts"] / words["summaries"],
+    }
+    workspace = tmp_path / "ws"
+    config = PipelineConfig(lda_iters=20, num_topics=5)
+    pipeline.run_stage("run", config, workspace, corpus / "transcripts", corpus / "summaries")
+    assert "café" in (workspace / "ingest" / "corpus.json").read_text(encoding="utf-8")
+    assert check_workspace(workspace, corpus, shape, remote=False) == []
+
+
 def test_route_tokenizes_each_sentence_once(tmp_path, synthetic_dirs, monkeypatch):
     """Route encodes the master list once, each test sentence once, and the
     questions chosen for a document once more each, to embed them."""

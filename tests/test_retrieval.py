@@ -97,19 +97,27 @@ def loop_encode(preloaded, texts):
     return flat, rows, list(ids)
 
 
-# Decimals, dotted abbreviations, stray dots and letter-digit runs, whole.
+# Decimals, dotted abbreviations, stray dots and letter-digit runs, whole, and
+# the same around characters that are not ASCII.
 TOKEN_FRAGMENTS = [
     "3.5", "1.2.3", "0.97", "12.", ".5", "1..2", "u.s.", "a1.5", "Q3", "$4.2bn", "7%",
+    "\u0663.\u0664", "3.\u0664", "caf\u00e9", "\u212aPI",
 ]
-ascii_texts = st.one_of(
-    st.text(alphabet=string.ascii_letters + string.digits + ".,-%$ \t\n\0", max_size=40),
+# Beside ASCII: a Latin letter, an Arabic-Indic digit, the Kelvin sign (which
+# lowercases to "k"), a capital I with a dot (which lowercases to two
+# characters) and a character of four UTF-8 bytes.
+NOT_ASCII = "\u00e9\u0663\u212a\u0130\U0001F4C8"
+token_texts = st.one_of(
+    st.text(
+        alphabet=string.ascii_letters + string.digits + ".,-%$ \t\n\0" + NOT_ASCII, max_size=40
+    ),
     st.lists(st.sampled_from(TOKEN_FRAGMENTS) | st.sampled_from([" ", "\n", ",", ""])).map("".join),
 )
 
 
 class TestTokenIndex:
     @needs_cc
-    @given(texts=st.lists(ascii_texts, max_size=8), preload=st.lists(ascii_texts, max_size=8))
+    @given(texts=st.lists(token_texts, max_size=8), preload=st.lists(token_texts, max_size=8))
     def test_kernel_matches_tokenize(self, texts, preload):
         # A fresh index, and one already holding other tokens, as route's
         # shared master index does.
@@ -126,17 +134,27 @@ class TestTokenIndex:
 
     @pytest.mark.parametrize(
         "text, tokens",
-        [("up ٣.٤ points", ["up", "٣.٤", "points"]), ("café", ["caf"]), ("٣", [])],
+        [("up ٣.٤ points", ["up", "points"]), ("café", ["caf"]), ("٣", [])],
     )
     def test_non_ascii_text_keeps_tokenize_tokens(self, text, tokens):
-        # tokenize's \d matches a Unicode digit, so "٣.٤" is a token while a
-        # lone "٣" is dropped, and "é" splits a word. Pinned as found.
+        # A token is a run of ASCII letters and digits: a digit or letter that
+        # is not ASCII splits tokens like any other character.
         assert tokenize(text) == tokens
         for texts in ([text], ["revenue rose 3.5%", text, "cash 0.97 fell"]):
             index = _preloaded(["what is revenue?"])
             ids, rows, _ = index.encode_many(texts)
             expected = loop_encode(["what", "is", "revenue"], texts)
             assert (ids.tolist(), rows.tolist(), index.tokens) == expected
+
+    @needs_cc
+    def test_non_ascii_document_runs_the_kernel(self, monkeypatch):
+        def python_encode(index, texts):
+            raise AssertionError("the Python tokenizer ran")
+
+        monkeypatch.setattr(TokenIndex, "_python_encode", python_encode)
+        texts = ["revenue at the café rose ٣.٤ points", "İ \u212a 0.97 \U0001F4C8 cash"]
+        ids, rows, _ = TokenIndex().encode_many(texts)
+        assert (ids.tolist(), rows.tolist()) == loop_encode([], texts)[:2]
 
     @pytest.mark.parametrize(
         "failure, reason",

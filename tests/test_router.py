@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bulletsum import router
 from bulletsum.corpus import Transcript
 from bulletsum.errors import NoTopicsDetected
-from bulletsum.retrieval import TfidfEmbedder, TokenIndex, cosine_matrix, top_k
+from bulletsum.retrieval import SCORE_DECIMALS, TfidfEmbedder, TokenIndex, cosine_matrix, top_k
 from bulletsum.router import (
     DetectedTopic,
     TopicDetection,
@@ -360,7 +360,9 @@ class TestSelectQuestions:
             winners.extend(bucket[top_k(row[bucket], q_per_topic)].tolist())
         expected = list(dict.fromkeys(winners))
 
-        with mock.patch.object(router, "cosine_matrix", return_value=scores):
+        # The stand-in for ``cosine_matrix`` rounds its scores as it does.
+        rounded = np.round(scores, SCORE_DECIMALS)
+        with mock.patch.object(router, "cosine_matrix", return_value=rounded):
             chosen = select_questions(
                 detection, np.zeros((1, 1)), np.zeros((n_master, 1)), buckets, q_per_topic
             )
