@@ -12,7 +12,7 @@ from pathlib import Path
 
 
 def synthetic_data_dirs() -> tuple[Path, Path]:
-    """Transcript/summary directories of the bundled five-document demo corpus."""
+    """The transcript and summary directories of the bundled five-document demo corpus."""
     root = Path(__file__).parent / "data" / "synthetic"
     return root / "transcripts", root / "summaries"
 

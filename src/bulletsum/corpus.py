@@ -1,4 +1,9 @@
-"""Transcript/summary ingestion, sentence segmentation, splits, and stats."""
+"""Ingestion of transcript/summary pairs, sentence segmentation, splits, and stats.
+
+A corpus is the ``ingest/corpus.json`` record: each transcript as the tuple of
+its sentence texts and each summary as the tuple of its bullets, by document
+id. A sentence's position is its index in that tuple.
+"""
 
 from __future__ import annotations
 
@@ -25,31 +30,6 @@ _BOUNDARY_RE = re.compile(r"[.?!](?=\s+[A-Z0-9])")
 
 
 @dataclass(frozen=True)
-class Transcript:
-    """A transcript's sentence texts; a sentence's position is its index."""
-
-    id: str
-    sentences: tuple[str, ...]
-
-    @classmethod
-    def from_text(cls, doc_id: str, raw_text: str) -> "Transcript":
-        return cls(id=doc_id, sentences=tuple(segment_sentences(raw_text)))
-
-
-@dataclass(frozen=True)
-class BulletSummary:
-    id: str
-    bullets: tuple[str, ...]
-
-    @classmethod
-    def from_text(cls, doc_id: str, raw_text: str) -> "BulletSummary":
-        bullets = tuple(line.strip() for line in raw_text.splitlines() if line.strip())
-        if not bullets:
-            raise EmptyDocument(f"summary {doc_id!r} has no bullets")
-        return cls(id=doc_id, bullets=bullets)
-
-
-@dataclass(frozen=True)
 class CorpusSplit:
     train: tuple[str, ...]
     val: tuple[str, ...]
@@ -57,17 +37,16 @@ class CorpusSplit:
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    transcripts: dict[str, Transcript]
-    summaries: dict[str, BulletSummary]
+    transcripts: dict[str, tuple[str, ...]]
+    summaries: dict[str, tuple[str, ...]]
 
-    @property
-    def ids(self) -> list[str]:
-        return sorted(self.transcripts)
-
-    def __len__(self) -> int:
-        return len(self.transcripts)
+    def __post_init__(self):
+        for name, texts_by_id in vars(self).items():
+            empty = sorted(doc_id for doc_id, texts in texts_by_id.items() if not texts)
+            if empty:
+                raise ValueError(f"{name} {empty} are empty")
 
 
 def segment_sentences(raw_text: str) -> list[str]:
@@ -98,6 +77,14 @@ def segment_sentences(raw_text: str) -> list[str]:
     if tail:
         pieces.append(tail)
     return pieces
+
+
+def summary_bullets(raw_text: str) -> tuple[str, ...]:
+    """A summary's bullets: its non-blank lines, stripped."""
+    bullets = tuple(line.strip() for line in raw_text.splitlines() if line.strip())
+    if not bullets:
+        raise EmptyDocument("summary has no bullets")
+    return bullets
 
 
 def _txt_stems(directory: Path) -> dict[str, Path]:
@@ -133,11 +120,11 @@ def load_corpus(transcripts_dir, summaries_dir) -> Corpus:
     summaries = {}
     for stem in paired:
         for parse, files, parsed in (
-            (Transcript.from_text, transcript_files, transcripts),
-            (BulletSummary.from_text, summary_files, summaries),
+            (segment_sentences, transcript_files, transcripts),
+            (summary_bullets, summary_files, summaries),
         ):
             try:
-                parsed[stem] = parse(stem, read_text_file(files[stem], "input file"))
+                parsed[stem] = tuple(parse(read_text_file(files[stem], "input file")))
             except EmptyDocument as exc:
                 raise EmptyDocument(f"{files[stem]}: {exc}") from exc
     return Corpus(transcripts=transcripts, summaries=summaries)
@@ -145,9 +132,9 @@ def load_corpus(transcripts_dir, summaries_dir) -> Corpus:
 
 def split_corpus(corpus: Corpus, seed: int) -> CorpusSplit:
     """Deterministic 7:1:2 split: floor(0.7n) / floor(0.1n) / remainder."""
-    if len(corpus) == 0:
+    if not corpus.transcripts:
         raise EmptyCorpus("cannot split an empty corpus")
-    ids = corpus.ids
+    ids = sorted(corpus.transcripts)
     random.Random(seed).shuffle(ids)
     n = len(ids)
     n_train = 7 * n // 10
@@ -165,17 +152,17 @@ def corpus_stats(corpus: Corpus) -> dict[str, float]:
 
     Word counts are whitespace tokens throughout.
     """
-    if len(corpus) == 0:
+    if not corpus.transcripts:
         raise EmptyCorpus("cannot compute stats on an empty corpus")
     total_doc_words = sum(
-        word_count(sentence) for t in corpus.transcripts.values() for sentence in t.sentences
+        word_count(sentence) for sentences in corpus.transcripts.values() for sentence in sentences
     )
     total_summary_words = sum(
-        word_count(bullet) for s in corpus.summaries.values() for bullet in s.bullets
+        word_count(bullet) for bullets in corpus.summaries.values() for bullet in bullets
     )
     if total_summary_words == 0:
         raise DivisionDegenerate("summaries contain zero words")
     return {
-        "mean_doc_words": total_doc_words / len(corpus),
+        "mean_doc_words": total_doc_words / len(corpus.transcripts),
         "compression_ratio": total_doc_words / total_summary_words,
     }

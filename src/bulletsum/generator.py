@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import BulletSummary
 from .errors import EmptyContext, EmptyGeneration, MalformedPrompt
 from .retrieval import ExtractiveContext
 
@@ -133,25 +133,25 @@ class MockGenClient:
 
 
 def export_finetune_dataset(
-    pairs: list[tuple[ExtractiveContext, BulletSummary]],
+    pairs: list[tuple[ExtractiveContext, Sequence[str]]],
     template: PromptTemplate,
     spec: FineTuneSpec,
     out,
 ) -> Path:
     """Write the instruction-tuning JSONL plus the training-config sidecar.
 
-    One record per (context, summary) pair: instruction, context text as
-    input, bullets joined by line breaks as output. The sidecar
+    One record per (context, bullets) pair: instruction, context text as
+    input, the reference bullets joined by line breaks as output. The sidecar
     ``finetune_spec.json`` sits next to the dataset file.
     """
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
-        for context, summary in pairs:
+        for context, bullets in pairs:
             record = {
                 "instruction": template.instruction,
                 "input": context.context_text,
-                "output": "\n".join(summary.bullets),
+                "output": "\n".join(bullets),
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     sidecar = out.parent / "finetune_spec.json"

@@ -14,7 +14,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .corpus import BulletSummary, Transcript
 from .errors import AlignmentError
 from .text import tokenize
 
@@ -123,8 +122,8 @@ def normalized_numbers(texts: Sequence[str]) -> set[str]:
     return {_normalize_number(raw) for raw in _NUMBER_RE.findall("\n".join(texts))}
 
 
-def num_prec(candidate: str, source: Transcript) -> float:
-    """Fraction of candidate numbers that appear somewhere in the source.
+def num_prec(candidate: str, sentences: Sequence[str]) -> float:
+    """Fraction of candidate numbers that appear somewhere in the source ``sentences``.
 
     A candidate with no numbers scores 1.0 (vacuous precision); verbatim
     extracts of the source always score 1.0.
@@ -132,7 +131,7 @@ def num_prec(candidate: str, source: Transcript) -> float:
     cand_numbers = normalized_numbers([candidate])
     if not cand_numbers:
         return 1.0
-    return len(cand_numbers & normalized_numbers(source.sentences)) / len(cand_numbers)
+    return len(cand_numbers & normalized_numbers(sentences)) / len(cand_numbers)
 
 
 def _mean_rouge(scores: list[RougeScore]) -> RougeScore:
@@ -146,13 +145,14 @@ def _mean_rouge(scores: list[RougeScore]) -> RougeScore:
 
 def evaluate_corpus(
     predictions: dict[str, list[str]],
-    references: dict[str, BulletSummary],
-    sources: dict[str, Transcript],
+    references: dict[str, Sequence[str]],
+    sources: dict[str, Sequence[str]],
 ) -> MetricsReport:
     """Score every document and average.
 
-    Bullets are joined by line breaks before scoring. Key sets of all three
-    maps must be equal and non-empty.
+    Each map takes a document id to texts: predicted bullets, reference
+    bullets and source sentences. Bullets are joined by line breaks before
+    scoring. Key sets of all three maps must be equal and non-empty.
     """
     pred_ids = set(predictions)
     ref_ids = set(references)
@@ -167,7 +167,7 @@ def evaluate_corpus(
     per_doc = []
     for doc_id in sorted(pred_ids):
         cand_text = "\n".join(predictions[doc_id])
-        ref_text = "\n".join(references[doc_id].bullets)
+        ref_text = "\n".join(references[doc_id])
         per_doc.append(
             DocumentScores(
                 doc_id=doc_id,

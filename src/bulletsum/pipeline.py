@@ -4,8 +4,9 @@ Each stage in ``STAGES`` declares the workspace artifacts it reads, as keys of
 ``ARTIFACTS``. ``run_stage`` reads them and hands them to the stage in that order;
 the stage writes its own into a fresh directory that ``run_stage`` publishes as
 ``workspace/<stage>/`` (see ``_publish``), with the resolved config
-snapshotted next to them so reruns are auditable. Artifact objects are
-written as their dataclass fields. With the built-in embedder and the mock
+snapshotted next to them so reruns are auditable. Artifact objects, the
+corpus among them, are written as their dataclass fields and read back with
+``records.reader`` of their dataclass. With the built-in embedder and the mock
 generator, rerunning a stage with identical inputs and seeds produces
 byte-identical artifacts.
 """
@@ -28,17 +29,9 @@ from typing import Callable, NamedTuple
 from . import generator as gen
 from . import metrics as met
 from .config import PipelineConfig
-from .corpus import (
-    BulletSummary,
-    Corpus,
-    CorpusSplit,
-    Transcript,
-    corpus_stats,
-    load_corpus,
-    split_corpus,
-)
+from .corpus import Corpus, CorpusSplit, corpus_stats, load_corpus, split_corpus
 from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTopicsDetected
-from .qbank import Question, QuestionBank, build_question_bank
+from .qbank import MasterList, QuestionBank, build_question_bank
 from .records import reader
 from .retrieval import ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
 from .router import detect_topics, select_questions, topic_buckets
@@ -174,29 +167,6 @@ def _publish(workspace: Path, stage: str, config: PipelineConfig):
     shutil.rmtree(aside, ignore_errors=True)
 
 
-def _corpus_to_dict(corpus: Corpus) -> dict:
-    return {
-        "transcripts": {
-            doc_id: list(t.sentences) for doc_id, t in sorted(corpus.transcripts.items())
-        },
-        "summaries": {
-            doc_id: list(s.bullets) for doc_id, s in sorted(corpus.summaries.items())
-        },
-    }
-
-
-def _corpus_from_dict(data: dict) -> Corpus:
-    parts = reader(dict[str, dict[str, tuple[str, ...]]])(data)
-    for name, texts_by_id in parts.items():
-        empty = sorted(doc_id for doc_id, texts in texts_by_id.items() if not texts)
-        if empty:
-            raise ValueError(f"{name} {empty} are empty")
-    return Corpus(
-        transcripts={i: Transcript(i, texts) for i, texts in parts["transcripts"].items()},
-        summaries={i: BulletSummary(i, texts) for i, texts in parts["summaries"].items()},
-    )
-
-
 def _check_split(corpus: Corpus, split: CorpusSplit, path: Path) -> None:
     counts = Counter(split.train + split.val + split.test)
     repeated = sorted(i for i, n in counts.items() if n > 1)
@@ -209,10 +179,10 @@ def _check_split(corpus: Corpus, split: CorpusSplit, path: Path) -> None:
 
 # Every artifact a stage reads, by its path in the workspace, and its reader.
 ARTIFACTS = {
-    "ingest/corpus.json": _corpus_from_dict,
+    "ingest/corpus.json": reader(Corpus),
     "ingest/split.json": reader(CorpusSplit),
     "qgen/question_bank.json": reader(QuestionBank),
-    "topics/question_bank.json": lambda data: reader(list[Question])(data["master"]),
+    "topics/question_bank.json": reader(MasterList),
     "topics/topic_model.json": reader(TopicModel),
     "route/contexts.jsonl": ExtractiveContext.from_dict,
     "generate/predictions.json": reader(dict[str, list[str]]),
@@ -239,18 +209,18 @@ def _embedding_client(config: PipelineConfig) -> EmbeddingClient | None:
 
 def stage_ingest(config: PipelineConfig, out: Path, transcripts_dir, summaries_dir) -> None:
     corpus = load_corpus(transcripts_dir, summaries_dir)
-    _write_json(out / "corpus.json", _corpus_to_dict(corpus))
+    _write_json(out / "corpus.json", corpus)
     _write_json(out / "split.json", split_corpus(corpus, config.split_seed))
     _write_json(out / "stats.json", corpus_stats(corpus))
 
 
 def stage_qgen(config: PipelineConfig, out: Path, corpus, split) -> None:
-    train_summaries = [corpus.summaries[doc_id] for doc_id in sorted(split.train)]
+    train_summaries = {doc_id: corpus.summaries[doc_id] for doc_id in split.train}
     client = QGClient(config.qg_url) if config.qg_url else None
     bank = build_question_bank(train_summaries, client=client, fallback=config.qg_fallback)
     report = {
         "train_documents": len(train_summaries),
-        "questions_per_doc": {doc_id: bank.n_of(doc_id) for doc_id in sorted(bank.per_doc)},
+        "questions_per_doc": {doc_id: len(questions) for doc_id, questions in bank.per_doc.items()},
         "master_size": len(bank.master),
         "generator": "external" if config.qg_url else "builtin",
     }
@@ -279,7 +249,7 @@ def stage_topics(config: PipelineConfig, out: Path, bank) -> None:
         raise ConfigInvalid(f"keywords_per_topic: {exc}") from None
     categorized = categorize_questions(bank.master, model.keywords)
     _write_json(out / "topic_model.json", model)
-    _write_json(out / "question_bank.json", {"master": categorized})
+    _write_json(out / "question_bank.json", MasterList(categorized))
     _write_json(out / "distribution.json", question_distribution(categorized))
 
 
@@ -291,46 +261,51 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
     for doc_id in sorted(split.train):
         questions = [q.text for q in bank.per_doc.get(doc_id, [])]
         if questions:
-            documents.append((corpus.transcripts[doc_id], questions))
+            documents.append((doc_id, corpus.transcripts[doc_id], questions))
         else:
             logger.warning("train document %s has no questions; skipped", doc_id)
     if client:
         # One batch per document; a row depends only on its own text.
-        batches = ([*doc.sentences, *questions] for doc, questions in documents)
+        batches = ([*sentences, *questions] for _, sentences, questions in documents)
         embedded = (
-            (vectors[: len(doc.sentences)], vectors[len(doc.sentences) :])
-            for (doc, _), vectors in zip(documents, client.embed_many(batches))
+            (vectors[: len(sentences)], vectors[len(sentences) :])
+            for (_, sentences, _), vectors in zip(documents, client.embed_many(batches))
         )
     else:
-        embedders = (TfidfEmbedder(doc.sentences) for doc, _ in documents)
+        embedders = (TfidfEmbedder(sentences) for _, sentences, _ in documents)
         embedded = (
             (embedder.fit_vectors, embedder.embed(questions))
-            for embedder, (_, questions) in zip(embedders, documents)
+            for embedder, (_, _, questions) in zip(embedders, documents)
         )
 
     contexts = []
     pairs = []
-    for (doc, questions), (sentence_vectors, question_vectors) in zip(documents, embedded):
-        context = build_context(doc, questions, question_vectors, sentence_vectors, config.k)
+    for (doc_id, sentences, questions), (sentence_vectors, question_vectors) in zip(
+        documents, embedded
+    ):
+        context = build_context(
+            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k
+        )
         contexts.append(context)
-        pairs.append((context, corpus.summaries[doc.id]))
+        pairs.append((context, corpus.summaries[doc_id]))
 
     _write_jsonl(out / "contexts.jsonl", contexts)
     gen.export_finetune_dataset(pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl")
 
 
-def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model) -> None:
+def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, model) -> None:
+    master = categorized.master
     master_texts = [q.text for q in master]
     index = TokenIndex()
     buckets = topic_buckets(master)
     client = _embedding_client(config)
-    docs = [corpus.transcripts[doc_id] for doc_id in sorted(split.test)]
+    test_ids = sorted(split.test)
     # A service's vectors do not depend on the document, so the master list is
     # embedded once, ahead of the documents' sentences. TF-IDF vectors do; the
     # master list's term counts over its own tokens (the index's first ids) are
     # built once and weighed per document.
     if client:
-        embedded = client.embed_many([master_texts, *(doc.sentences for doc in docs)])
+        embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
         service_master_vectors = next(embedded)
     else:
         master_counts = index.counts(master_texts)
@@ -338,20 +313,21 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model)
     detections = []
     selected_questions = []
     contexts = []
-    for doc in docs:
+    for doc_id in test_ids:
+        sentences = corpus.transcripts[doc_id]
         if client:
             sentence_vectors = next(embedded)
-            sentence_ids = index.encode_many(doc.sentences)
+            sentence_ids = index.encode_many(sentences)
             ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
         else:
-            embedder = TfidfEmbedder(doc.sentences, index)
+            embedder = TfidfEmbedder(sentences, index)
             sentence_ids, sentence_vectors = embedder.fit, embedder.fit_vectors
             # A master row is zero outside the master tokens' columns, so a
             # cosine on them is the full one times a positive factor per topic
             # centroid: each topic ranks its bucket the same.
             columns, ranked_master = embedder.embed_counts(master_counts)
             ranked_sentences = sentence_vectors[:, columns]
-        detection = detect_topics(doc.id, model.keywords, sentence_ids, index)
+        detection = detect_topics(doc_id, model.keywords, sentence_ids, index)
         try:
             chosen = select_questions(
                 detection, ranked_sentences, ranked_master, buckets, config.q_per_topic
@@ -360,15 +336,21 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, master, model)
             if not config.fallback_on_empty_detection:
                 raise
             logger.warning(
-                "no topics detected for %s; falling back to the master list", doc.id
+                "no topics detected for %s; falling back to the master list", doc_id
             )
             chosen = list(range(len(master)))
         questions = [master_texts[i] for i in chosen]
         # A row depends only on its own text: these are the full master rows.
         question_vectors = service_master_vectors[chosen] if client else embedder.embed(questions)
         detections.append(detection)
-        selected_questions.append({"doc_id": doc.id, "questions": questions})
-        contexts.append(build_context(doc, questions, question_vectors, sentence_vectors, config.k))
+        selected_questions.append({"doc_id": doc_id, "questions": questions})
+        context = build_context(
+            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k
+        )
+        contexts.append(context)
+        # Release this document's arrays before the next document's are built.
+        embedder = sentence_ids = sentence_vectors = None
+        ranked_sentences = ranked_master = question_vectors = None
 
     _write_jsonl(out / "detections.jsonl", detections)
     _write_jsonl(out / "questions.jsonl", selected_questions)

@@ -9,10 +9,9 @@ build path is identical either way.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
-from .corpus import BulletSummary
 from .errors import EmptyCorpus, MalformedResponse, ServiceUnavailable
 from .text import normalize_text
 
@@ -43,8 +42,12 @@ class QuestionBank:
     per_doc: dict[str, list[Question]]
     master: list[Question]
 
-    def n_of(self, doc_id: str) -> int:
-        return len(self.per_doc.get(doc_id, []))
+
+@dataclass
+class MasterList:
+    """The ``topics/question_bank.json`` record: the master list, each question with its topics."""
+
+    master: list[Question]
 
 
 def _clean_token(token: str) -> str:
@@ -153,32 +156,31 @@ def unique_questions(questions: Iterable[Question]) -> list[Question]:
 
 
 def build_question_bank(
-    train_summaries: list[BulletSummary],
+    summaries: Mapping[str, Sequence[str]],
     client=None,
     fallback: bool = False,
 ) -> QuestionBank:
     """Generate, deduplicate, and assemble the per-doc and master lists.
 
-    Questions come from the QG service ``client``, or from the built-in
-    template when ``client`` is None. Deduplication (``unique_questions``)
-    runs within each document and globally. Ordering is deterministic: doc
-    id, then bullet index.
+    ``summaries`` maps each document id to its bullets. Questions come from
+    the QG service ``client``, or from the built-in template when ``client``
+    is None. Deduplication (``unique_questions``) runs within each document
+    and globally. Ordering is deterministic: doc id, then bullet index.
     """
-    if not train_summaries:
+    if not summaries:
         raise EmptyCorpus("no summaries to build a question bank from")
 
     per_doc: dict[str, list[Question]] = {}
-    for summary in sorted(train_summaries, key=lambda s: s.id):
+    for doc_id, bullets in sorted(summaries.items()):
         if client is None:
             candidates = [
-                question_from_bullet(bullet, summary.id, index)
-                for index, bullet in enumerate(summary.bullets)
+                question_from_bullet(bullet, doc_id, index) for index, bullet in enumerate(bullets)
             ]
         else:
             candidates = generate_questions_external(
-                list(summary.bullets), client, fallback=fallback, source_doc=summary.id
+                list(bullets), client, fallback=fallback, source_doc=doc_id
             )
-        per_doc[summary.id] = unique_questions(candidates)
+        per_doc[doc_id] = unique_questions(candidates)
 
     master = unique_questions(
         question for doc_id in sorted(per_doc) for question in per_doc[doc_id]

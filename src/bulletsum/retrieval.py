@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .corpus import Transcript
 from .errors import NoQuestions
 from .records import reader
 from .text import tokenize
@@ -260,7 +259,8 @@ class ExtractiveContext:
 
 
 def build_context(
-    doc: Transcript,
+    doc_id: str,
+    sentences: Sequence[str],
     questions: list[str],
     question_vectors: np.ndarray,
     sentence_vectors: np.ndarray,
@@ -269,14 +269,14 @@ def build_context(
     """Union of per-question top-k selections, deduplicated by position.
 
     Row i of ``question_vectors`` embeds ``questions[i]`` and row j of
-    ``sentence_vectors`` embeds ``doc.sentences[j]``. Each question takes the
+    ``sentence_vectors`` embeds ``sentences[j]``. Each question takes the
     min(k, |sentences|) sentences of highest cosine (``top_k``), so ties
     break toward the earlier document position. Context sentences keep
     document order; the per-question selections are retained for audit. At
     most k * len(questions) sentences survive.
     """
     if not questions:
-        raise NoQuestions(f"no questions supplied for document {doc.id!r}")
+        raise NoQuestions(f"no questions supplied for document {doc_id!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = cosine_matrix(question_vectors, sentence_vectors)
@@ -292,7 +292,7 @@ def build_context(
         for rank, p in enumerate(best, start=1)
     ]
     positions = {s.position for s in selections}
-    context_sentences = [Sentence(p, doc.sentences[p]) for p in sorted(positions)]
+    context_sentences = [Sentence(p, sentences[p]) for p in sorted(positions)]
     return ExtractiveContext(
-        doc_id=doc.id, selections=selections, context_sentences=context_sentences
+        doc_id=doc_id, selections=selections, context_sentences=context_sentences
     )

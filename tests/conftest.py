@@ -3,26 +3,9 @@ import shutil
 import pytest
 
 from bulletsum import kernels, synthetic_data_dirs
-from bulletsum.corpus import BulletSummary, Transcript
 from bulletsum.qbank import Question
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
-
-
-@pytest.fixture
-def make_transcript():
-    def _make(doc_id, sentences):
-        return Transcript(id=doc_id, sentences=tuple(sentences))
-
-    return _make
-
-
-@pytest.fixture
-def make_summary():
-    def _make(doc_id, bullets):
-        return BulletSummary(id=doc_id, bullets=tuple(bullets))
-
-    return _make
 
 
 @pytest.fixture

@@ -73,14 +73,11 @@ def test_criterion_rouge_oracle_suite():
     _announce("rouge-oracle-suite")
 
 
-def test_criterion_num_prec_oracle_suite(make_transcript):
-    source = make_transcript(
-        "src",
-        [
-            "quarterly revenue came in at $4.2 billion, up 7%.",
-            "non-gaap earnings per share were $0.97.",
-            "we repurchased 1,500,000 shares during the quarter.",
-        ],
+def test_criterion_num_prec_oracle_suite():
+    source = (
+        "quarterly revenue came in at $4.2 billion, up 7%.",
+        "non-gaap earnings per share were $0.97.",
+        "we repurchased 1,500,000 shares during the quarter.",
     )
     verbatim = (
         "quarterly revenue came in at $4.2 billion, up 7%. "
@@ -88,14 +85,14 @@ def test_criterion_num_prec_oracle_suite(make_transcript):
     )
     assert num_prec(verbatim, source) == 1.0
 
-    half_source = make_transcript("src2", ["eps was $0.97 this quarter."])
+    half_source = ("eps was $0.97 this quarter.",)
     assert num_prec("eps $0.97 and revenue $6.15 billion", half_source) == 0.5
 
     assert num_prec("no numbers in this summary", source) == 1.0
     _announce("num-prec-oracle-suite")
 
 
-def test_criterion_retrieval_property(make_transcript, make_question):
+def test_criterion_retrieval_property(make_question):
     rng = random.Random(20240515)
     target_pool = [f"alpha{i}" for i in range(40)]
     distractor_pool = [f"omega{i}" for i in range(60)]
@@ -111,11 +108,10 @@ def test_criterion_retrieval_property(make_transcript, make_question):
         ]
         target_position = rng.randrange(len(sentences) + 1)
         sentences.insert(target_position, target)
-        doc = make_transcript(f"doc{case}", sentences)
         embedder = TfidfEmbedder(sentences)
 
         k = rng.randint(1, 4)
-        ranked = _context(doc, [question], k, embedder).selections
+        ranked = _context(sentences, [question], k, embedder).selections
         if ranked[0].position == target_position:
             rank_one += 1
 
@@ -124,7 +120,7 @@ def test_criterion_retrieval_property(make_transcript, make_question):
             questions.append(
                 make_question(f"what is {' '.join(rng.sample(distractor_pool, 2))}?", index=1)
             )
-        context = _context(doc, questions, k, embedder)
+        context = _context(sentences, questions, k, embedder)
         assert len(context.context_sentences) <= k * len(questions)
 
     assert rank_one == 100, f"dominant sentence ranked first in {rank_one}/100 cases"
@@ -160,7 +156,7 @@ def test_criterion_lda_determinism_and_separation():
     _announce("lda-determinism-and-separation")
 
 
-def test_criterion_pipeline_constants(tmp_path, make_summary):
+def test_criterion_pipeline_constants(tmp_path):
     config = PipelineConfig()
     assert config.k == 3
     assert config.num_topics == 30
@@ -190,7 +186,7 @@ def test_criterion_pipeline_constants(tmp_path, make_summary):
         context_sentences=[Sentence(0, "revenue rose 5%.")],
     )
     export_finetune_dataset(
-        [(context, make_summary("a", ["revenue rose 5%."]))],
+        [(context, ("revenue rose 5%.",))],
         PromptTemplate(),
         FineTuneSpec(),
         tmp_path / "ft.jsonl",
@@ -257,7 +253,7 @@ def test_criterion_corpus_stats_on_real_data():
     _announce("corpus-stats-real-data")
 
 
-def test_criterion_question_bank_dedup(make_summary):
+def test_criterion_question_bank_dedup():
     rng = random.Random(31337)
     metrics = ["revenue", "net profit", "eps", "same store sales", "margin",
                "cash flow", "ebitda", "billings", "backlog", "dividend"]
@@ -265,7 +261,7 @@ def test_criterion_question_bank_dedup(make_summary):
     tails = ["$1.25 billion.", "16% - 19%.", "64 million usd.", "5.8 percent.", "$0.97."]
     variants = [str.upper, str.title, lambda s: s + "  ", lambda s: s.replace(" ", "  "), lambda s: s]
 
-    summaries = []
+    summaries = {}
     total_bullets = 0
     for doc_index in range(100):
         bullets = []
@@ -273,7 +269,7 @@ def test_criterion_question_bank_dedup(make_summary):
             base = f"{rng.choice(quarters)} {rng.choice(metrics)} {rng.choice(tails)}"
             bullets.append(rng.choice(variants)(base))
             total_bullets += 1
-        summaries.append(make_summary(f"doc{doc_index:03d}", bullets))
+        summaries[f"doc{doc_index:03d}"] = bullets
     assert total_bullets == 1000
 
     bank = build_question_bank(summaries)

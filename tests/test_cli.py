@@ -9,7 +9,6 @@ import pytest
 
 from bulletsum.cli import build_parser, main, resolve_config
 from bulletsum.config import PipelineConfig
-from bulletsum.corpus import Transcript
 from bulletsum.errors import ConfigInvalid
 from bulletsum.generator import DEFAULT_INSTRUCTION
 from bulletsum.pipeline import STAGES
@@ -380,6 +379,10 @@ class TestStages:
              _with_json(lambda model: model["phi"][0].__setitem__(0, None)), "route"),
             ("topics/topic_model.json", _with_json(lambda model: model.__setitem__("extra", 1)),
              "route"),
+            ("ingest/corpus.json", _with_json(lambda corpus: corpus.__setitem__("extra", {})),
+             "qgen"),
+            ("topics/question_bank.json", _with_json(lambda bank: bank.__setitem__("extra", [])),
+             "route"),
         ],
         ids=[
             "truncated-split",
@@ -415,6 +418,8 @@ class TestStages:
             "vocab-entry-int",
             "phi-entry-null",
             "model-extra-key",
+            "corpus-extra-key",
+            "bank-extra-key",
         ],
     )
     def test_corrupt_artifact(self, tmp_path, synthetic_dirs, capsys, artifact, edit, stage):
@@ -463,10 +468,9 @@ class TestStages:
         routed = next(c for c in contexts if c["doc_id"] == doc_id)
         master = [q["text"] for q in json.loads(
             (workspace / "topics" / "question_bank.json").read_text())["master"]]
-        doc = Transcript(id=doc_id, sentences=tuple(sentences))
-        embedder = TfidfEmbedder(doc.sentences)
-        expected = build_context(doc, master, embedder.embed(master),
-                                 embedder.embed(doc.sentences), PipelineConfig().k)
+        embedder = TfidfEmbedder(sentences)
+        expected = build_context(doc_id, sentences, master, embedder.embed(master),
+                                 embedder.embed(sentences), PipelineConfig().k)
         assert ExtractiveContext.from_dict(routed) == expected
 
     def test_empty_transcript_names_file(self, tmp_path, capsys):

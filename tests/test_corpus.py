@@ -111,7 +111,7 @@ class TestLoadCorpus:
         )
         with caplog.at_level("WARNING"):
             corpus = load_corpus(tdir, sdir)
-        assert corpus.ids == ["a"]
+        assert sorted(corpus.transcripts) == ["a"]
         assert any("b.txt" in record.message for record in caplog.records)
 
     def test_missing_directory(self, tmp_path):
@@ -132,24 +132,20 @@ class TestLoadCorpus:
 
     def test_synthetic_bundle_loads(self, synthetic_dirs):
         corpus = load_corpus(*synthetic_dirs)
-        assert len(corpus) == 5
-        for transcript in corpus.transcripts.values():
-            assert len(transcript.sentences) >= 15
-        for summary in corpus.summaries.values():
-            assert len(summary.bullets) == 12
+        assert len(corpus.transcripts) == 5
+        for sentences in corpus.transcripts.values():
+            assert len(sentences) >= 15
+        for bullets in corpus.summaries.values():
+            assert len(bullets) == 12
 
 
 class TestSplitCorpus:
     def _corpus_of(self, n):
-        from bulletsum.corpus import BulletSummary, Transcript
-
-        transcripts = {}
-        summaries = {}
-        for i in range(n):
-            doc_id = f"doc{i:04d}"
-            transcripts[doc_id] = Transcript(id=doc_id, sentences=("text here",))
-            summaries[doc_id] = BulletSummary(id=doc_id, bullets=("a bullet",))
-        return Corpus(transcripts=transcripts, summaries=summaries)
+        ids = [f"doc{i:04d}" for i in range(n)]
+        return Corpus(
+            transcripts=dict.fromkeys(ids, ("text here",)),
+            summaries=dict.fromkeys(ids, ("a bullet",)),
+        )
 
     @pytest.mark.parametrize(
         "n, sizes",
@@ -172,7 +168,7 @@ class TestSplitCorpus:
         corpus = self._corpus_of(23)
         split = split_corpus(corpus, seed=3)
         combined = list(split.train) + list(split.val) + list(split.test)
-        assert sorted(combined) == corpus.ids
+        assert sorted(combined) == sorted(corpus.transcripts)
         assert len(set(combined)) == len(combined)
 
     def test_empty_corpus(self):
@@ -189,20 +185,14 @@ class TestSplitCorpus:
         assert len(split.test) == n - 7 * n // 10 - n // 10
         parts = [set(split.train), set(split.val), set(split.test)]
         assert sum(len(part) for part in parts) == n
-        assert set().union(*parts) == set(corpus.ids)
+        assert set().union(*parts) == set(corpus.transcripts)
 
 
 class TestCorpusStats:
     def _corpus(self, doc_words, summary_words):
-        from bulletsum.corpus import BulletSummary, Transcript
-
         text = " ".join(["word"] * doc_words)
         bullets = (" ".join(["tok"] * summary_words),) if summary_words else ("x",)
-        corpus = Corpus(
-            transcripts={"a": Transcript(id="a", sentences=(text,))},
-            summaries={"a": BulletSummary(id="a", bullets=bullets)},
-        )
-        return corpus
+        return Corpus(transcripts={"a": (text,)}, summaries={"a": bullets})
 
     def test_simple_ratio(self):
         stats = corpus_stats(self._corpus(100, 10))
@@ -226,11 +216,6 @@ class TestCorpusStats:
         assert dup["compression_ratio"] == pytest.approx(base["compression_ratio"])
 
     def test_zero_summary_words(self):
-        from bulletsum.corpus import BulletSummary, Transcript
-
-        corpus = Corpus(
-            transcripts={"a": Transcript(id="a", sentences=("w w",))},
-            summaries={"a": BulletSummary(id="a", bullets=("",))},
-        )
+        corpus = Corpus(transcripts={"a": ("w w",)}, summaries={"a": ("",)})
         with pytest.raises(DivisionDegenerate):
             corpus_stats(corpus)

@@ -128,9 +128,9 @@ class TestGenerate:
 
 
 class TestFineTuneExport:
-    def test_single_pair_schema(self, tmp_path, make_summary):
+    def test_single_pair_schema(self, tmp_path):
         context = _context("a", ["revenue rose 5%."])
-        summary = make_summary("a", ["revenue rose 5%.", "eps $1.10."])
+        summary = ("revenue rose 5%.", "eps $1.10.")
         out = export_finetune_dataset(
             [(context, summary)], PromptTemplate(), FineTuneSpec(), tmp_path / "ft.jsonl"
         )
@@ -141,17 +141,17 @@ class TestFineTuneExport:
         assert record["input"] == "revenue rose 5%."
         assert record["output"] == "revenue rose 5%.\neps $1.10."
 
-    def test_line_count_matches_pairs(self, tmp_path, make_summary):
+    def test_line_count_matches_pairs(self, tmp_path):
         pairs = [
-            (_context(f"d{i}", [f"sentence {i}."]), make_summary(f"d{i}", [f"bullet {i}."]))
+            (_context(f"d{i}", [f"sentence {i}."]), (f"bullet {i}.",))
             for i in range(7)
         ]
         out = export_finetune_dataset(pairs, PromptTemplate(), FineTuneSpec(), tmp_path / "ft.jsonl")
         assert len(out.read_text().strip().splitlines()) == 7
 
-    def test_sidecar_training_constants(self, tmp_path, make_summary):
+    def test_sidecar_training_constants(self, tmp_path):
         export_finetune_dataset(
-            [(_context("a", ["x."]), make_summary("a", ["y."]))],
+            [(_context("a", ["x."]), ("y.",))],
             PromptTemplate(),
             FineTuneSpec(),
             tmp_path / "ft.jsonl",
@@ -164,8 +164,8 @@ class TestFineTuneExport:
         assert sidecar["epochs"] == 10
         assert sidecar["trainable_fraction"] == 0.0008
 
-    def test_round_trip_identity(self, tmp_path, make_summary):
-        pairs = [(_context("a", ["alpha."]), make_summary("a", ["beta."]))]
+    def test_round_trip_identity(self, tmp_path):
+        pairs = [(_context("a", ["alpha."]), ("beta.",))]
         out = export_finetune_dataset(pairs, PromptTemplate(), FineTuneSpec(), tmp_path / "ft.jsonl")
         records = [json.loads(line) for line in out.read_text().splitlines() if line]
         rewritten = "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bulletsum.corpus import Transcript
 from bulletsum.errors import AlignmentError
 from bulletsum.metrics import (
     MetricsReport,
@@ -175,27 +174,25 @@ class TestExtractNumbers:
 
 
 class TestNumPrec:
-    def test_verbatim_extract_is_one(self, make_transcript):
-        doc = make_transcript(
-            "d", ["revenue was $6.15 billion.", "eps came in at $0.97."]
-        )
-        assert num_prec("revenue was $6.15 billion. eps came in at $0.97.", doc) == 1.0
+    def test_verbatim_extract_is_one(self):
+        sentences = ("revenue was $6.15 billion.", "eps came in at $0.97.")
+        assert num_prec("revenue was $6.15 billion. eps came in at $0.97.", sentences) == 1.0
 
-    def test_half_supported(self, make_transcript):
-        doc = make_transcript("d", ["eps was $0.97 this quarter."])
-        assert num_prec("eps $0.97 and revenue $6.15 billion", doc) == 0.5
+    def test_half_supported(self):
+        sentences = ("eps was $0.97 this quarter.",)
+        assert num_prec("eps $0.97 and revenue $6.15 billion", sentences) == 0.5
 
-    def test_vacuous_candidate(self, make_transcript):
-        doc = make_transcript("d", ["revenue was $6.15 billion."])
-        assert num_prec("revenue grew nicely", doc) == 1.0
+    def test_vacuous_candidate(self):
+        sentences = ("revenue was $6.15 billion.",)
+        assert num_prec("revenue grew nicely", sentences) == 1.0
 
-    def test_monotone_in_unsupported_numbers(self, make_transcript):
-        doc = make_transcript("d", ["values 1 and 2 and 3 appear here."])
+    def test_monotone_in_unsupported_numbers(self):
+        sentences = ("values 1 and 2 and 3 appear here.",)
         candidate = "we saw 1 and 2"
-        previous = num_prec(candidate, doc)
+        previous = num_prec(candidate, sentences)
         for bogus in ("77", "88", "99"):
             candidate += f" and {bogus}"
-            current = num_prec(candidate, doc)
+            current = num_prec(candidate, sentences)
             assert current <= previous
             previous = current
 
@@ -208,32 +205,31 @@ class TestNumPrec:
         assert normalized_numbers(sentences) == union
         wanted = normalized_numbers([candidate])
         expected = len(wanted & union) / len(wanted) if wanted else 1.0
-        doc = Transcript(id="d", sentences=tuple(sentences))
-        assert num_prec(candidate, doc) == expected
+        assert num_prec(candidate, sentences) == expected
 
 
 class TestEvaluateCorpus:
-    def _fixture(self, make_transcript, make_summary):
+    def _fixture(self):
         sources = {
-            "a": make_transcript("a", ["revenue rose 5% to $10 million.", "eps was $0.50."]),
-            "b": make_transcript("b", ["sales fell 3%.", "margin was 20%."]),
+            "a": ("revenue rose 5% to $10 million.", "eps was $0.50."),
+            "b": ("sales fell 3%.", "margin was 20%."),
         }
         references = {
-            "a": make_summary("a", ["revenue rose 5% to $10 million.", "eps $0.50."]),
-            "b": make_summary("b", ["sales fell 3%.", "margin 20%."]),
+            "a": ("revenue rose 5% to $10 million.", "eps $0.50."),
+            "b": ("sales fell 3%.", "margin 20%."),
         }
         return sources, references
 
-    def test_perfect_predictions(self, make_transcript, make_summary):
-        sources, references = self._fixture(make_transcript, make_summary)
-        predictions = {doc_id: list(ref.bullets) for doc_id, ref in references.items()}
+    def test_perfect_predictions(self):
+        sources, references = self._fixture()
+        predictions = {doc_id: list(ref) for doc_id, ref in references.items()}
         report = evaluate_corpus(predictions, references, sources)
         assert report.rouge1.f1 == report.rouge2.f1 == report.rougeL.f1 == 1.0
         assert report.num_prec == 1.0
         assert set(asdict(report)) == {"rouge1", "rouge2", "rougeL", "num_prec", "per_document"}
 
-    def test_single_document_mean(self, make_transcript, make_summary):
-        sources, references = self._fixture(make_transcript, make_summary)
+    def test_single_document_mean(self):
+        sources, references = self._fixture()
         predictions = {"a": ["revenue rose 5%."]}
         report = evaluate_corpus(
             predictions, {"a": references["a"]}, {"a": sources["a"]}
@@ -242,8 +238,8 @@ class TestEvaluateCorpus:
         assert report.rouge1 == doc.rouge1
         assert report.num_prec == doc.num_prec
 
-    def test_alignment_error_lists_ids(self, make_transcript, make_summary):
-        sources, references = self._fixture(make_transcript, make_summary)
+    def test_alignment_error_lists_ids(self):
+        sources, references = self._fixture()
         predictions = {"a": ["x"], "zz": ["y"]}
         with pytest.raises(AlignmentError) as excinfo:
             evaluate_corpus(predictions, references, sources)
@@ -256,27 +252,27 @@ class TestEvaluateCorpus:
 
 
 class TestReportOutputs:
-    def _report(self, make_transcript, make_summary):
-        doc = make_transcript("a", ["revenue was $5 million."])
-        ref = make_summary("a", ["revenue $5 million."])
-        return evaluate_corpus({"a": ["revenue was $5 million."]}, {"a": ref}, {"a": doc})
+    def _report(self):
+        source = ("revenue was $5 million.",)
+        ref = ("revenue $5 million.",)
+        return evaluate_corpus({"a": ["revenue was $5 million."]}, {"a": ref}, {"a": source})
 
-    def test_json_round_trip_values_bounded(self, make_transcript, make_summary):
-        report = self._report(make_transcript, make_summary)
+    def test_json_round_trip_values_bounded(self):
+        report = self._report()
         data = asdict(report)
         for key in ("rouge1", "rouge2", "rougeL"):
             for stat in data[key].values():
                 assert 0.0 <= stat <= 1.0
         assert 0.0 <= data["num_prec"] <= 1.0
 
-    def test_table_has_benchmark_columns(self, make_transcript, make_summary):
-        table = format_report_table(self._report(make_transcript, make_summary))
+    def test_table_has_benchmark_columns(self):
+        table = format_report_table(self._report())
         for column in ("ROUGE-1", "ROUGE-2", "ROUGE-L", "Num-Prec."):
             assert column in table
         assert "-" not in table.split()
 
-    def test_csv_breakdown(self, tmp_path, make_transcript, make_summary):
-        report = self._report(make_transcript, make_summary)
+    def test_csv_breakdown(self, tmp_path):
+        report = self._report()
         out = tmp_path / "per_doc.csv"
         write_per_document_csv(report, out)
         lines = out.read_text().strip().splitlines()

@@ -171,8 +171,8 @@ class TestPublish:
         assert not aside.exists()
 
 
-def test_artifact_is_its_dataclass_fields(tmp_path, make_summary):
-    bank = build_question_bank([make_summary("a", ["q1 sales $4 million.", "q1 margin 10%."])])
+def test_artifact_is_its_dataclass_fields(tmp_path):
+    bank = build_question_bank({"a": ("q1 sales $4 million.", "q1 margin 10%.")})
     bank.master[0] = bank.master[0].with_topics({"t2", "t10"})
     path = tmp_path / "qgen" / "question_bank.json"
     path.parent.mkdir()
@@ -313,9 +313,9 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     config, workspace = topics_workspace
     handed = {}
 
-    def recording_build_context(doc, questions, question_vectors, sentence_vectors, k):
-        handed[doc.id] = question_vectors
-        return retrieval.build_context(doc, questions, question_vectors, sentence_vectors, k)
+    def recording_build_context(doc_id, sentences, questions, question_vectors, *rest):
+        handed[doc_id] = question_vectors
+        return retrieval.build_context(doc_id, sentences, questions, question_vectors, *rest)
 
     monkeypatch.setattr(pipeline, "build_context", recording_build_context)
     pipeline.run_stage("route", config, workspace)
@@ -326,7 +326,7 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
 
     corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
     split = pipeline.read_artifact(workspace, "ingest/split.json")
-    master = pipeline.read_artifact(workspace, "topics/question_bank.json")
+    master = pipeline.read_artifact(workspace, "topics/question_bank.json").master
     keywords = pipeline.read_artifact(workspace, "topics/topic_model.json").keywords
     texts = [q.text for q in master]
     index = TokenIndex()
@@ -335,11 +335,11 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     assert sorted(routed) == sorted(split.test)
     for doc_id in sorted(split.test):
         doc = corpus.transcripts[doc_id]
-        embedder = TfidfEmbedder(doc.sentences, index)
-        sentences = embedder.embed(doc.sentences)
+        embedder = TfidfEmbedder(doc, index)
+        sentences = embedder.embed(doc)
         dense = embedder.embed(texts)
         columns, narrow = embedder.embed_counts(counts)
-        detection = detect_topics(doc.id, keywords, embedder.fit, index)
+        detection = detect_topics(doc_id, keywords, embedder.fit, index)
         chosen = select_questions(detection, sentences, dense, buckets, config.q_per_topic)
         narrow_chosen = select_questions(
             detection, sentences[:, columns], narrow, buckets, config.q_per_topic
@@ -352,7 +352,7 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
 def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeypatch):
     """No per-document embed of the whole master list."""
     config, workspace = topics_workspace
-    master = {q.text for q in pipeline.read_artifact(workspace, "topics/question_bank.json")}
+    master = {q.text for q in pipeline.read_artifact(workspace, "topics/question_bank.json").master}
     embed = TfidfEmbedder.embed
     embedded = []
 

@@ -100,47 +100,44 @@ class TestExternalGeneration:
 
 
 class TestBuildQuestionBank:
-    def test_cross_doc_dedup(self, make_summary):
-        summaries = [
-            make_summary("a", ["q2 revenue $5 million."]),
-            make_summary("b", ["q2 revenue $9 million."]),
-        ]
+    def test_cross_doc_dedup(self):
+        summaries = {
+            "a": ("q2 revenue $5 million.",),
+            "b": ("q2 revenue $9 million.",),
+        }
         bank = build_question_bank(summaries)
         assert len(bank.master) == 1
-        assert bank.n_of("a") == 1 and bank.n_of("b") == 1
+        assert len(bank.per_doc["a"]) == 1 and len(bank.per_doc["b"]) == 1
 
-    def test_within_doc_dedup_and_count(self, make_summary):
+    def test_within_doc_dedup_and_count(self):
         bank = build_question_bank(
-            [make_summary("a", ["growth 5%.", "growth 7%.", "margin 3%.", "volume 2%."])]
+            {"a": ("growth 5%.", "growth 7%.", "margin 3%.", "volume 2%.")}
         )
-        assert bank.n_of("a") == 3  # growth questions collapse
+        assert len(bank.per_doc["a"]) == 3  # growth questions collapse
 
     def test_empty_input(self):
         with pytest.raises(EmptyCorpus):
-            build_question_bank([])
+            build_question_bank({})
 
-    def test_idempotent(self, make_summary):
-        summaries = [
-            make_summary("a", ["q1 sales $4 million.", "q1 margin 10%."]),
-            make_summary("b", ["q1 sales $4 million.", "fy outlook strong."]),
-        ]
+    def test_idempotent(self):
+        summaries = {
+            "a": ("q1 sales $4 million.", "q1 margin 10%."),
+            "b": ("q1 sales $4 million.", "fy outlook strong."),
+        }
         first = build_question_bank(summaries)
         second = build_question_bank(summaries)
         assert first == second
 
-    def test_master_bounded_by_per_doc_totals(self, make_summary):
-        summaries = [
-            make_summary(f"d{i}", [f"metric {i} value {j}%." for j in range(4)])
-            for i in range(5)
-        ]
+    def test_master_bounded_by_per_doc_totals(self):
+        summaries = {f"d{i}": [f"metric {i} value {j}%." for j in range(4)] for i in range(5)}
         bank = build_question_bank(summaries)
-        assert len(bank.master) <= sum(bank.n_of(d) for d in bank.per_doc)
+        assert len(bank.master) <= sum(len(bank.per_doc[d]) for d in bank.per_doc)
 
-    def test_every_master_entry_in_some_per_doc(self, make_summary):
-        summaries = [
-            make_summary("a", ["alpha revenue $1 million.", "beta costs 5%."]),
-            make_summary("b", ["gamma sales 7%."]),
-        ]
+    def test_every_master_entry_in_some_per_doc(self):
+        summaries = {
+            "a": ("alpha revenue $1 million.", "beta costs 5%."),
+            "b": ("gamma sales 7%.",),
+        }
         bank = build_question_bank(summaries)
         per_doc_keys = {
             normalize_text(q.text) for qs in bank.per_doc.values() for q in qs
@@ -148,16 +145,16 @@ class TestBuildQuestionBank:
         for question in bank.master:
             assert normalize_text(question.text) in per_doc_keys
 
-    def test_deterministic_order(self, make_summary):
-        summaries = [
-            make_summary("zz", ["zulu metric 5%."]),
-            make_summary("aa", ["alpha metric 7%."]),
-        ]
+    def test_deterministic_order(self):
+        summaries = {
+            "zz": ("zulu metric 5%.",),
+            "aa": ("alpha metric 7%.",),
+        }
         bank = build_question_bank(summaries)
         assert [q.source_doc for q in bank.master] == ["aa", "zz"]
 
-    def test_serialization_round_trip(self, make_summary):
-        bank = build_question_bank([make_summary("a", ["q1 sales $4 million."])])
+    def test_serialization_round_trip(self):
+        bank = build_question_bank({"a": ("q1 sales $4 million.",)})
         bank.master[0] = bank.master[0].with_topics({"t1"})
         clone = reader(QuestionBank)(json.loads(pipeline._dumps(bank)))
         assert clone == bank
@@ -183,9 +180,9 @@ class TestBuildQuestionBank:
         with pytest.raises(TypeError):
             reader(Question)({**data, key: value})
 
-    def test_external_generator_path(self, make_summary):
+    def test_external_generator_path(self):
         bank = build_question_bank(
-            [make_summary("a", ["q2 revenue $5 million."])],
+            {"a": ("q2 revenue $5 million.",)},
             client=_EchoClient(),
         )
         assert bank.master[0].text.startswith("what is the gist of")

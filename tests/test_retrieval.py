@@ -33,16 +33,16 @@ def cosine(u, v):
     return float(np.dot(u, v)) / (nu * nv)
 
 
-def _context(doc, questions, k, embedder):
+def _context(sentences, questions, k, embedder):
     """``build_context`` on the questions and sentences embedded as the extract stage does."""
     texts = [q.text for q in questions]
-    sentence_vectors = embedder.embed(doc.sentences)
-    return build_context(doc, texts, embedder.embed(texts), sentence_vectors, k)
+    sentence_vectors = embedder.embed(sentences)
+    return build_context("d", sentences, texts, embedder.embed(texts), sentence_vectors, k)
 
 
-def _selections(doc, question, k, embedder):
+def _selections(sentences, question, k, embedder):
     """The selections ``build_context`` makes for one question."""
-    return _context(doc, [question], k, embedder).selections
+    return _context(sentences, [question], k, embedder).selections
 
 
 def loop_embed(fit_corpus, texts):
@@ -316,102 +316,89 @@ class TestRankingRoutine:
 
 
 class TestTopK:
-    def test_dominant_sentence_ranks_first(self, make_transcript, make_question):
-        doc = make_transcript(
-            "d",
-            [
-                "weather was mild today",
-                "quarterly revenue grew twenty percent",
-                "the cafeteria menu changed",
-            ],
+    def test_dominant_sentence_ranks_first(self, make_question):
+        sentences = (
+            "weather was mild today",
+            "quarterly revenue grew twenty percent",
+            "the cafeteria menu changed",
         )
-        emb = TfidfEmbedder(doc.sentences)
+        emb = TfidfEmbedder(sentences)
         question = make_question("what is quarterly revenue?")
-        ranked = _selections(doc, question, k=2, embedder=emb)
+        ranked = _selections(sentences, question, k=2, embedder=emb)
         assert ranked[0].position == 1
         assert ranked[0].rank == 1
         assert ranked[0].score > ranked[1].score
 
-    def test_k_clamped_to_doc_size(self, make_transcript, make_question):
-        doc = make_transcript("d", ["first one", "second one"])
-        emb = TfidfEmbedder(doc.sentences)
-        ranked = _selections(doc, make_question("what is first?"), 3, emb)
+    def test_k_clamped_to_doc_size(self, make_question):
+        sentences = ("first one", "second one")
+        emb = TfidfEmbedder(sentences)
+        ranked = _selections(sentences, make_question("what is first?"), 3, emb)
         assert len(ranked) == 2
         assert [s.rank for s in ranked] == [1, 2]
 
-    def test_tie_broken_by_earlier_position(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose", "unrelated text", "revenue rose"])
-        emb = TfidfEmbedder(doc.sentences)
-        ranked = _selections(doc, make_question("what is revenue?"), 2, emb)
+    def test_tie_broken_by_earlier_position(self, make_question):
+        sentences = ("revenue rose", "unrelated text", "revenue rose")
+        emb = TfidfEmbedder(sentences)
+        ranked = _selections(sentences, make_question("what is revenue?"), 2, emb)
         assert [s.position for s in ranked] == [0, 2]
 
-    def test_exact_tie_with_float_noise_goes_to_earlier_position(
-        self, make_transcript, make_question
-    ):
+    def test_exact_tie_with_float_noise_goes_to_earlier_position(self, make_question):
         # The first two sentences differ only in a number that occurs once,
         # so their vectors are permutations of each other and their cosines
         # are equal; summed in another column order they differ in the last bit.
-        doc = make_transcript(
-            "d",
-            [
-                "quarter flow income guidance dividend operating cash 681",
-                "quarter flow income guidance dividend operating cash 473",
-                "operating billings sales income revenue",
-                "quarter net margin operating profit",
-                "backlog net income dividend",
-            ],
+        sentences = (
+            "quarter flow income guidance dividend operating cash 681",
+            "quarter flow income guidance dividend operating cash 473",
+            "operating billings sales income revenue",
+            "quarter net margin operating profit",
+            "backlog net income dividend",
         )
-        emb = TfidfEmbedder(doc.sentences)
-        ranked = _selections(doc, make_question("what is flow dividend cash?"), 1, emb)
+        emb = TfidfEmbedder(sentences)
+        ranked = _selections(sentences, make_question("what is flow dividend cash?"), 1, emb)
         assert [s.position for s in ranked] == [0]
 
-    def test_scores_non_increasing_by_rank(self, make_transcript, make_question):
-        doc = make_transcript(
-            "d", ["revenue rose fast", "revenue stayed flat", "profit and margin", "misc"]
-        )
-        emb = TfidfEmbedder(doc.sentences)
-        ranked = _selections(doc, make_question("what is revenue margin?"), 4, emb)
+    def test_scores_non_increasing_by_rank(self, make_question):
+        sentences = ("revenue rose fast", "revenue stayed flat", "profit and margin", "misc")
+        emb = TfidfEmbedder(sentences)
+        ranked = _selections(sentences, make_question("what is revenue margin?"), 4, emb)
         scores = [s.score for s in ranked]
         assert scores == sorted(scores, reverse=True)
         assert all(0.0 <= s <= 1.0 for s in scores)
 
-    def test_k_must_be_positive(self, make_transcript, make_question):
-        doc = make_transcript("d", ["text"])
+    def test_k_must_be_positive(self, make_question):
+        sentences = ("text",)
         emb = TfidfEmbedder(["text"])
         with pytest.raises(ValueError):
-            _selections(doc, make_question("what is it?"), 0, emb)
+            _selections(sentences, make_question("what is it?"), 0, emb)
 
 
 class TestBuildContext:
-    def test_single_question_small_doc_selects_all(self, make_transcript, make_question):
-        doc = make_transcript("d", ["alpha one", "beta two", "gamma three"])
-        emb = TfidfEmbedder(doc.sentences)
-        ctx = _context(doc, [make_question("what is alpha?")], 3, emb)
+    def test_single_question_small_doc_selects_all(self, make_question):
+        sentences = ("alpha one", "beta two", "gamma three")
+        emb = TfidfEmbedder(sentences)
+        ctx = _context(sentences, [make_question("what is alpha?")], 3, emb)
         assert [s.position for s in ctx.context_sentences] == [0, 1, 2]
-        assert [s.text for s in ctx.context_sentences] == list(doc.sentences)
+        assert [s.text for s in ctx.context_sentences] == list(sentences)
 
-    def test_disjoint_selections_meet_kn_bound(self, make_transcript, make_question):
+    def test_disjoint_selections_meet_kn_bound(self, make_question):
         sentences = [
             "alpha apple axle", "arrow alto atlas",
             "bravo berry basil", "bison blend badge",
             "cedar coral -", "dune drift -",
         ]
-        doc = make_transcript("d", sentences)
         emb = TfidfEmbedder(sentences)
         questions = [
             make_question("what is alpha apple axle arrow alto atlas?"),
             make_question("what is bravo berry basil bison blend badge?"),
         ]
-        ctx = _context(doc, questions, 2, emb)
+        ctx = _context(sentences, questions, 2, emb)
         assert len(ctx.context_sentences) == 4  # k*n with disjoint picks
 
-    def test_overlapping_selections_deduplicate(self, make_transcript, make_question):
-        doc = make_transcript(
-            "d", ["revenue and profit", "only revenue here", "only profit here", "noise"]
-        )
-        emb = TfidfEmbedder(doc.sentences)
+    def test_overlapping_selections_deduplicate(self, make_question):
+        sentences = ("revenue and profit", "only revenue here", "only profit here", "noise")
+        emb = TfidfEmbedder(sentences)
         questions = [make_question("what is revenue?"), make_question("what is profit?")]
-        ctx = _context(doc, questions, 2, emb)
+        ctx = _context(sentences, questions, 2, emb)
         positions = [s.position for s in ctx.context_sentences]
         assert len(positions) == len(set(positions))
         assert len(ctx.context_sentences) < 4
@@ -419,53 +406,50 @@ class TestBuildContext:
         expected = set()
         for q in questions:
             expected.update(
-                s.position for s in _selections(doc, q, 2, emb)
+                s.position for s in _selections(sentences, q, 2, emb)
             )
         assert set(positions) == expected
 
-    def test_question_order_irrelevant(self, make_transcript, make_question):
-        doc = make_transcript(
-            "d", ["revenue rose", "profit fell", "margin grew", "costs dropped"]
-        )
-        emb = TfidfEmbedder(doc.sentences)
+    def test_question_order_irrelevant(self, make_question):
+        sentences = ("revenue rose", "profit fell", "margin grew", "costs dropped")
+        emb = TfidfEmbedder(sentences)
         questions = [
             make_question("what is revenue?"),
             make_question("what is profit?"),
             make_question("what is margin?"),
         ]
-        forward = _context(doc, questions, 1, emb)
-        backward = _context(doc, list(reversed(questions)), 1, emb)
+        forward = _context(sentences, questions, 1, emb)
+        backward = _context(sentences, list(reversed(questions)), 1, emb)
         assert [s.position for s in forward.context_sentences] == [
             s.position for s in backward.context_sentences
         ]
 
-    def test_document_order_preserved(self, make_transcript, make_question):
-        doc = make_transcript("d", ["zeta last word", "alpha first word", "mid word"])
-        emb = TfidfEmbedder(doc.sentences)
-        ctx = _context(doc, [make_question("what is zeta alpha?")], 2, emb)
+    def test_document_order_preserved(self, make_question):
+        sentences = ("zeta last word", "alpha first word", "mid word")
+        emb = TfidfEmbedder(sentences)
+        ctx = _context(sentences, [make_question("what is zeta alpha?")], 2, emb)
         positions = [s.position for s in ctx.context_sentences]
         assert positions == sorted(positions)
 
-    def test_no_questions(self, make_transcript):
-        doc = make_transcript("d", ["text"])
+    def test_no_questions(self):
+        sentences = ("text",)
         with pytest.raises(NoQuestions):
-            _context(doc, [], 3, TfidfEmbedder(["text"]))
+            _context(sentences, [], 3, TfidfEmbedder(["text"]))
 
-    def test_kn_bound_fuzz(self, make_transcript, make_question):
+    def test_kn_bound_fuzz(self, make_question):
         rng = random.Random(99)
         vocab = [f"w{i}" for i in range(30)]
         for _ in range(25):
             sentences = [
                 " ".join(rng.sample(vocab, 4)) for _ in range(rng.randint(3, 10))
             ]
-            doc = make_transcript("d", sentences)
             emb = TfidfEmbedder(sentences)
             questions = [
                 make_question(f"what is {' '.join(rng.sample(vocab, 2))}?", index=i)
                 for i in range(rng.randint(1, 4))
             ]
             k = rng.randint(1, 4)
-            ctx = _context(doc, questions, k, emb)
+            ctx = _context(sentences, questions, k, emb)
             assert len(ctx.context_sentences) <= k * len(questions)
             assert len(ctx.selections) <= k * len(questions)
 
@@ -474,10 +458,10 @@ class TestBuildContext:
         u, v = emb.embed(["alpha beta", "gamma delta"])
         assert cosine_matrix(u[None], v[None]) == pytest.approx(cosine_matrix(v[None], u[None]))
 
-    def test_serialization_round_trip(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose", "profit fell"])
-        emb = TfidfEmbedder(doc.sentences)
-        ctx = _context(doc, [make_question("what is revenue?")], 1, emb)
+    def test_serialization_round_trip(self, make_question):
+        sentences = ("revenue rose", "profit fell")
+        emb = TfidfEmbedder(sentences)
+        ctx = _context(sentences, [make_question("what is revenue?")], 1, emb)
         clone = ExtractiveContext.from_dict(json.loads(json.dumps(asdict(ctx))))
         assert clone == ctx
         assert clone.doc_id == ctx.doc_id

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bulletsum import router
-from bulletsum.corpus import Transcript
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.retrieval import SCORE_DECIMALS, TfidfEmbedder, TokenIndex, cosine_matrix, top_k
 from bulletsum.router import (
@@ -37,18 +36,14 @@ def cosine(u, v):
     return float(np.dot(u, v)) / (nu * nv)
 
 
-def _embedder(doc):
-    return TfidfEmbedder(doc.sentences)
-
-
-def _detect(doc, keywords, kept=()):
+def _detect(sentences, keywords, kept=()):
     """``detect_topics`` on the document's sentences encoded into an index holding ``kept``."""
     index = TokenIndex()
     index.encode_many(kept)
-    return detect_topics(doc.id, keywords, index.encode_many(doc.sentences), index)
+    return detect_topics("d", keywords, index.encode_many(sentences), index)
 
 
-def _select(doc, detection, master, q_per_topic, embedder):
+def _select(sentences, detection, master, q_per_topic, embedder):
     """The master questions ``select_questions`` picks on dense vectors.
 
     This is the dense reference: the whole master list is embedded on the
@@ -57,7 +52,7 @@ def _select(doc, detection, master, q_per_topic, embedder):
     """
     chosen = select_questions(
         detection,
-        embedder.embed(doc.sentences),
+        embedder.embed(sentences),
         embedder.embed([q.text for q in master]),
         topic_buckets(master),
         q_per_topic,
@@ -66,57 +61,54 @@ def _select(doc, detection, master, q_per_topic, embedder):
 
 
 class TestDetectTopics:
-    def test_keyword_presence_detects_topic(self, make_transcript):
-        doc = make_transcript("d", ["revenue rose this quarter", "we hired staff"])
-        detection = _detect(doc, KEYWORDS)
+    def test_keyword_presence_detects_topic(self):
+        sentences = ("revenue rose this quarter", "we hired staff")
+        detection = _detect(sentences, KEYWORDS)
         assert [t.topic_id for t in detection.detected] == ["t0"]
         topic = detection.detected[0]
         assert topic.keywords == ["revenue"]
         assert topic.positions == [0]
 
-    def test_no_shared_keywords(self, make_transcript):
-        doc = make_transcript("d", ["the weather was pleasant"])
-        assert _detect(doc, KEYWORDS).detected == []
+    def test_no_shared_keywords(self):
+        sentences = ("the weather was pleasant",)
+        assert _detect(sentences, KEYWORDS).detected == []
 
-    def test_one_evidence_entry_per_sentence_hit(self, make_transcript):
-        doc = make_transcript(
-            "d", ["dividend news", "dividend again", "more dividend talk"]
-        )
-        detection = _detect(doc, KEYWORDS)
+    def test_one_evidence_entry_per_sentence_hit(self):
+        sentences = ("dividend news", "dividend again", "more dividend talk")
+        detection = _detect(sentences, KEYWORDS)
         topic = detection.detected[0]
         assert len(topic.positions) == 3
         assert topic.positions == [0, 1, 2]
         assert topic.keywords == ["dividend"]
 
-    def test_keywords_in_topic_order(self, make_transcript):
-        doc = make_transcript("d", ["sales held", "revenue and sales rose"])
-        topic = _detect(doc, KEYWORDS).detected[0]
+    def test_keywords_in_topic_order(self):
+        sentences = ("sales held", "revenue and sales rose")
+        topic = _detect(sentences, KEYWORDS).detected[0]
         assert topic.keywords == ["revenue", "sales"]
         assert topic.positions == [0, 1]
 
-    def test_substring_does_not_match(self, make_transcript):
+    def test_substring_does_not_match(self):
         # token-exact: "revenues" is not the keyword "revenue"
-        doc = make_transcript("d", ["revenues grew nicely"])
-        assert _detect(doc, KEYWORDS).detected == []
+        sentences = ("revenues grew nicely",)
+        assert _detect(sentences, KEYWORDS).detected == []
 
-    def test_monotone_under_added_sentences(self, make_transcript):
+    def test_monotone_under_added_sentences(self):
         base = ["revenue rose", "profit fell"]
-        doc_small = make_transcript("d", base)
-        doc_big = make_transcript("d", base + ["dividend declared", "misc line"])
-        small_ids = {t.topic_id for t in _detect(doc_small, KEYWORDS).detected}
-        big_ids = {t.topic_id for t in _detect(doc_big, KEYWORDS).detected}
+        grown = base + ["dividend declared", "misc line"]
+        small_ids = {t.topic_id for t in _detect(base, KEYWORDS).detected}
+        big_ids = {t.topic_id for t in _detect(grown, KEYWORDS).detected}
         assert small_ids <= big_ids
 
-    def test_serializable(self, make_transcript):
-        doc = make_transcript("d", ["revenue rose"])
-        data = asdict(_detect(doc, KEYWORDS))
+    def test_serializable(self):
+        sentences = ("revenue rose",)
+        data = asdict(_detect(sentences, KEYWORDS))
         assert data["doc_id"] == "d"
         assert data["detected"][0]["topic_id"] == "t0"
 
-    def test_uncategorized_never_detected(self, make_transcript):
+    def test_uncategorized_never_detected(self):
         keywords = {"t0": ["revenue"], "uncategorized": ["revenue"]}
-        doc = make_transcript("d", ["revenue rose"])
-        assert [t.topic_id for t in _detect(doc, keywords).detected] == ["t0"]
+        sentences = ("revenue rose",)
+        assert [t.topic_id for t in _detect(sentences, keywords).detected] == ["t0"]
 
 
     WORDS = ["revenue", "sales", "profit", "margin", "dividend", "cash", "the", "rose", "q3"]
@@ -135,8 +127,7 @@ class TestDetectTopics:
     )
     def test_matches_brute_force_scan(self, sentences, keywords, kept):
         # ``kept`` stands for the master list a stage's index holds first.
-        doc = Transcript(id="d", sentences=tuple(sentences))
-        detection = _detect(doc, keywords, kept)
+        detection = _detect(sentences, keywords, kept)
         expected = []
         for topic_id in sorted(keywords):
             if topic_id == UNCATEGORIZED:
@@ -185,37 +176,34 @@ class TestSelectQuestions:
             make_question("what is revenue and profit mix?", index=3, topics={"t0", "t1"}),
         ]
 
-    def test_single_question_topic_selected(self, make_transcript, make_question):
-        doc = make_transcript("d", ["profit improved again this year"])
+    def test_single_question_topic_selected(self, make_question):
+        sentences = ("profit improved again this year",)
         master = [make_question("what is net profit?", topics={"t1"})]
-        detection = _detect(doc, KEYWORDS)
-        selected = _select(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(sentences, KEYWORDS)
+        selected = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
         assert [q.text for q in selected] == ["what is net profit?"]
 
-    def test_question_under_two_topics_appears_once(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose", "profit rose"])
+    def test_question_under_two_topics_appears_once(self, make_question):
+        sentences = ("revenue rose", "profit rose")
         master = [make_question("what is revenue and profit mix?", topics={"t0", "t1"})]
-        detection = _detect(doc, KEYWORDS)
-        selected = _select(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(sentences, KEYWORDS)
+        selected = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
         assert len(selected) == 1
 
-    def test_content_word_match_ranks_first(self, make_transcript, make_question):
-        doc = make_transcript(
-            "d",
-            [
-                "quarterly revenue grew substantially",
-                "weather stayed calm",
-                "the office moved",
-            ],
+    def test_content_word_match_ranks_first(self, make_question):
+        sentences = (
+            "quarterly revenue grew substantially",
+            "weather stayed calm",
+            "the office moved",
         )
         master = [
             make_question("what is annual sales outlook?", index=0, topics={"t0"}),
             make_question("what is quarterly revenue grew?", index=1, topics={"t0"}),
             make_question("what is miscellaneous trivia?", index=2, topics={"t0"}),
         ]
-        detection = _detect(doc, KEYWORDS)
-        embedder = _embedder(doc)
-        selected = _select(doc, detection, master, 1, embedder)
+        detection = _detect(sentences, KEYWORDS)
+        embedder = TfidfEmbedder(sentences)
+        selected = _select(sentences, detection, master, 1, embedder)
         assert selected[0].text == "what is quarterly revenue grew?"
         # brute-force oracle: cosine of each bucket question vs evidence centroid
         evidence_vec = embedder.embed(["quarterly revenue grew substantially"])[0]
@@ -230,39 +218,39 @@ class TestSelectQuestions:
         for q, score in zip(master, routine):
             assert abs(score - sims[q.text]) <= 1e-12
 
-    def test_tie_goes_to_earlier_master_index(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue growth was strong", "sales held"])
-        detection = _detect(doc, KEYWORDS)
+    def test_tie_goes_to_earlier_master_index(self, make_question):
+        sentences = ("revenue growth was strong", "sales held")
+        detection = _detect(sentences, KEYWORDS)
         texts = ["what is revenue growth?", "what is growth revenue?"]
         for order in (texts, texts[::-1]):
             master = [make_question(t, index=i, topics={"t0"}) for i, t in enumerate(order)]
-            selected = _select(doc, detection, master, 1, _embedder(doc))
+            selected = _select(sentences, detection, master, 1, TfidfEmbedder(sentences))
             assert [q.text for q in selected] == [order[0]]
 
-    def test_output_subset_of_master_and_bounded(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose", "profit fell", "dividend paid"])
+    def test_output_subset_of_master_and_bounded(self, make_question):
+        sentences = ("revenue rose", "profit fell", "dividend paid")
         master = self._master(make_question)
-        detection = _detect(doc, KEYWORDS)
-        selected = _select(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(sentences, KEYWORDS)
+        selected = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
         master_texts = {q.text for q in master}
         assert all(q.text in master_texts for q in selected)
         assert len(selected) <= 2 * len(detection.detected)
 
-    def test_deterministic(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose", "profit fell"])
+    def test_deterministic(self, make_question):
+        sentences = ("revenue rose", "profit fell")
         master = self._master(make_question)
-        detection = _detect(doc, KEYWORDS)
-        first = _select(doc, detection, master, 2, _embedder(doc))
-        second = _select(doc, detection, master, 2, _embedder(doc))
+        detection = _detect(sentences, KEYWORDS)
+        first = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
+        second = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
         assert [q.text for q in first] == [q.text for q in second]
 
-    def test_returns_master_indices_each_once(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose", "profit fell"])
+    def test_returns_master_indices_each_once(self, make_question):
+        sentences = ("revenue rose", "profit fell")
         master = self._master(make_question)
-        embedder = _embedder(doc)
+        embedder = TfidfEmbedder(sentences)
         chosen = select_questions(
-            _detect(doc, KEYWORDS),
-            embedder.embed(doc.sentences),
+            _detect(sentences, KEYWORDS),
+            embedder.embed(sentences),
             embedder.embed([q.text for q in master]),
             topic_buckets(master),
             3,
@@ -271,12 +259,12 @@ class TestSelectQuestions:
         assert sorted(chosen) == [0, 1, 2, 3]
         assert len(chosen) == len(set(chosen))
 
-    def test_empty_detection_raises(self, make_transcript, make_question):
-        doc = make_transcript("d", ["nothing relevant here"])
+    def test_empty_detection_raises(self, make_question):
+        sentences = ("nothing relevant here",)
         master = self._master(make_question)
-        detection = _detect(doc, KEYWORDS)
+        detection = _detect(sentences, KEYWORDS)
         with pytest.raises(NoTopicsDetected):
-            _select(doc, detection, master, 2, _embedder(doc))
+            _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
 
     MASTER_WORDS = ["revenue", "sales", "profit", "margin", "what", "is"]
     DOC_WORDS = ["revenue", "profit", "cash", "the", "rose", "q3"]
@@ -383,9 +371,9 @@ class TestSelectQuestions:
             centroids, [sentence_vectors[group].mean(axis=0) for group in groups], rtol=0, atol=1e-12
         )
 
-    def test_q_per_topic_validated(self, make_transcript, make_question):
-        doc = make_transcript("d", ["revenue rose"])
+    def test_q_per_topic_validated(self, make_question):
+        sentences = ("revenue rose",)
         master = self._master(make_question)
-        detection = _detect(doc, KEYWORDS)
+        detection = _detect(sentences, KEYWORDS)
         with pytest.raises(ValueError):
-            _select(doc, detection, master, 0, _embedder(doc))
+            _select(sentences, detection, master, 0, TfidfEmbedder(sentences))

@@ -123,34 +123,31 @@ class TestTopicKeywords:
             assert len(set(words)) == len(words)
 
 
-def _master(make_summary, bullets_by_doc):
-    return build_question_bank(
-        [make_summary(doc, bullets) for doc, bullets in bullets_by_doc.items()]
-    ).master
+def _master(bullets_by_doc):
+    return build_question_bank(bullets_by_doc).master
 
 
 class TestCategorize:
-    def test_keyword_match_assigns_topic(self, make_summary):
-        master = _master(make_summary, {"a": ["q2 revenue $5 million."]})
+    def test_keyword_match_assigns_topic(self):
+        master = _master({"a": ["q2 revenue $5 million."]})
         keywords = {"t0": ["revenue", "sales"], "t1": ["profit"]}
         categorized = categorize_questions(master, keywords)
         assert "t0" in categorized[0].topics
 
-    def test_multi_topic_membership(self, make_summary):
-        master = _master(make_summary, {"a": ["revenue and profit both grew 5%."]})
+    def test_multi_topic_membership(self):
+        master = _master({"a": ["revenue and profit both grew 5%."]})
         keywords = {"t0": ["revenue"], "t1": ["profit"]}
         categorized = categorize_questions(master, keywords)
         assert categorized[0].topics == {"t0", "t1"}
 
-    def test_no_match_gets_uncategorized(self, make_summary):
-        master = _master(make_summary, {"a": ["dividend raised 5%."]})
+    def test_no_match_gets_uncategorized(self):
+        master = _master({"a": ["dividend raised 5%."]})
         keywords = {"t0": ["revenue"]}
         categorized = categorize_questions(master, keywords)
         assert categorized[0].topics == {UNCATEGORIZED}
 
-    def test_adding_keyword_never_removes_membership(self, make_summary):
+    def test_adding_keyword_never_removes_membership(self):
         master = _master(
-            make_summary,
             {"a": ["revenue grew 5%.", "profit fell 3%.", "margin held 2%."]},
         )
         base = {"t0": ["revenue"], "t1": ["profit"]}
@@ -160,8 +157,8 @@ class TestCategorize:
         for q_before, q_after in zip(before, after):
             assert q_before.topics - {UNCATEGORIZED} <= q_after.topics
 
-    def test_every_question_has_a_topic(self, make_summary):
-        master = _master(make_summary, {"a": ["alpha 1%.", "beta 2%.", "gamma 3%."]})
+    def test_every_question_has_a_topic(self):
+        master = _master({"a": ["alpha 1%.", "beta 2%.", "gamma 3%."]})
         keywords = {"t0": ["alpha"]}
         categorized = categorize_questions(master, keywords)
         for question in categorized:
@@ -180,9 +177,8 @@ class TestDistribution:
         categorized = [make_question("what is revenue profit?", topics={"t0", "t1"})]
         assert question_distribution(categorized) == {"t0": 50.0, "t1": 50.0}
 
-    def test_percentages_sum_to_100(self, make_summary):
+    def test_percentages_sum_to_100(self):
         master = _master(
-            make_summary,
             {"a": ["revenue 1%.", "profit 2%.", "revenue and profit 3%.", "misc 4%."]},
         )
         keywords = {"t0": ["revenue"], "t1": ["profit"]}
