@@ -7,7 +7,13 @@ Wire formats:
                             "max_new_tokens": int}  -> {"text": str}
 
 Any non-200 status or transport failure raises ServiceUnavailable; a 200
-response that does not match the schema raises MalformedResponse.
+response that does not match the schema raises MalformedResponse, as does an
+embed response whose vectors have width 0 or another width than the client's
+first response. A canonical embed response body (strict JSON, the one key
+"vectors" holding equal-length rows of numbers) is decoded by a small C kernel
+(``vectors_json.c``, loaded by ``kernels.load``) straight into its float64
+matrix. Any other body goes through ``json.loads``, which gives the same
+matrix bit for bit, or the error.
 
 Requests go through the standard library's ``http.client``, loaded on a
 client's first request, so a run without a service URL never imports it (nor
@@ -24,6 +30,7 @@ against the system CA store.
 
 from __future__ import annotations
 
+import ctypes
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import closing
@@ -31,9 +38,16 @@ from itertools import chain
 
 import numpy as np
 
+from . import kernels
 from .errors import MalformedResponse, ServiceUnavailable
 
 DEFAULT_TIMEOUT = 30.0
+
+# ``kernels.load``'s arguments for the compiled decoder of ``vectors_json.c``.
+_DECODE = ("vectors_json", "decode_vectors", (
+    ctypes.c_char_p, ctypes.c_ssize_t, np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+    ctypes.c_ssize_t, np.ctypeslib.ndpointer(np.intp, flags="C_CONTIGUOUS"),
+))
 
 
 def _route_for(base_url: str, timeout: float):
@@ -93,17 +107,28 @@ class _JsonServiceClient:
         self._route = None  # ``_route_for(base_url)``, worked out on the first request
 
     def _post(self, endpoint: str, payload: dict) -> dict:
-        (body,) = self._post_many(endpoint, [payload])
+        (data,) = self._post_many(endpoint, [payload])
+        return self._object(endpoint, data)
+
+    def _object(self, endpoint: str, data: bytes) -> dict:
+        """The JSON object a response body from ``endpoint`` holds."""
+        url = f"{self.base_url}{endpoint}"
+        try:
+            body = json.loads(data)
+        except ValueError as exc:
+            raise MalformedResponse(f"POST {url} returned non-JSON body") from exc
+        if not isinstance(body, dict):
+            raise MalformedResponse(f"POST {url} returned non-object JSON")
         return body
 
-    def _post_many(self, endpoint: str, payloads: Iterable[dict]) -> Iterator[dict]:
-        """The JSON object each payload's POST returns, in order, one request ahead.
+    def _post_many(self, endpoint: str, payloads: Iterable[dict]) -> Iterator[bytes]:
+        """The body each payload's POST returns, in order, one request ahead.
 
         Response n is read to its end and its connection closed, request n+1
-        is sent, and only then is response n decoded and checked. A failure to
-        send request n+1 is raised when its response is asked for, after
-        response n. Closing the generator closes the connection of a request
-        in flight.
+        is sent, and only then is body n yielded, for the caller to decode. A
+        failure to send request n+1 is raised when its response is asked for,
+        after response n. Closing the generator closes the connection of a
+        request in flight.
         """
         # Imported here: a run without a service URL never loads them (nor ssl).
         import http.client
@@ -150,13 +175,7 @@ class _JsonServiceClient:
                     except ServiceUnavailable as exc:
                         failure = exc
                 if data is not None:
-                    try:
-                        body = json.loads(data)
-                    except ValueError as exc:
-                        raise MalformedResponse(f"POST {url} returned non-JSON body") from exc
-                    if not isinstance(body, dict):
-                        raise MalformedResponse(f"POST {url} returned non-object JSON")
-                    yield body
+                    yield data
                 if failure is not None:
                     raise failure
         finally:
@@ -203,9 +222,33 @@ class EmbeddingClient(_JsonServiceClient):
         payloads = ({"texts": list(texts)} for texts in batches if texts)
         with closing(self._post_many("/v1/embed", payloads)) as bodies:
             for texts in batches:
-                yield self._matrix(texts, next(bodies)) if texts else np.zeros((0, 0))
+                yield self._decode(texts, next(bodies)) if texts else np.zeros((0, 0))
+
+    def _decode(self, texts: Sequence[str], data: bytes) -> np.ndarray:
+        """The checked matrix of one response body to an embed request for ``texts``.
+
+        The compiled decoder (``vectors_json.c``, loaded by ``kernels.load``)
+        reads a canonical body straight into the matrix. Any other body, one
+        with a vector count other than ``len(texts)``, and every body when the
+        kernel is unavailable, goes to the Python reference: ``json.loads``,
+        the object check and ``_matrix``, which also give every error. Both
+        give the same float64 bits. Either way, the width must be nonzero and
+        that of the client's first response.
+        """
+        matrix = _decode_vectors(data)
+        if matrix is None or len(matrix) != len(texts):
+            matrix = self._matrix(texts, self._object("/v1/embed", data))
+        width = matrix.shape[1]
+        if width == 0:
+            raise MalformedResponse("embed vectors have width 0")
+        if self._width is None:
+            self._width = width
+        elif width != self._width:
+            raise MalformedResponse(f"embed vectors have width {width}, earlier ones {self._width}")
+        return matrix
 
     def _matrix(self, texts: Sequence[str], body: dict) -> np.ndarray:
+        """The reference decoding of the vectors in ``body``, one per text."""
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise MalformedResponse("embed response missing one vector per text")
@@ -220,13 +263,24 @@ class EmbeddingClient(_JsonServiceClient):
             or not np.isfinite(matrix).all()
         ):
             raise MalformedResponse("embed vectors are ragged or not finite numbers")
-        if self._width is None:
-            self._width = matrix.shape[1]
-        elif matrix.shape[1] != self._width:
-            raise MalformedResponse(
-                f"embed vectors have width {matrix.shape[1]}, earlier ones {self._width}"
-            )
         return matrix
+
+
+def _decode_vectors(data: bytes) -> np.ndarray | None:
+    """The matrix of a canonical embed response body, by the compiled decoder.
+
+    None if the body is not canonical (see ``vectors_json.c``) or the kernel
+    is unavailable. In a canonical body every comma separates two numbers, so
+    the buffer the decoder fills is exactly the matrix.
+    """
+    kernel = kernels.load(*_DECODE)
+    if kernel is None:
+        return None
+    values = np.empty(data.count(b",") + 1)
+    shape = np.zeros(2, dtype=np.intp)
+    kernel(data, len(data), values, len(values), shape)
+    rows, width = shape.tolist()
+    return values.reshape(rows, width) if rows else None
 
 
 class GenerationClient(_JsonServiceClient):

@@ -12,16 +12,20 @@ from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bulletsum
-from bulletsum import pipeline, services
+from bulletsum import kernels, pipeline, services
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import generate_questions_external
 from bulletsum.services import EmbeddingClient, GenerationClient, QGClient
+from conftest import needs_cc
 
 BOW_WIDTH = 16
 SLOW_REPLY_S = 0.5
@@ -45,6 +49,96 @@ def bow_vector(text: str) -> list[float]:
     for word in re.findall(r"\w+", text.lower()):
         vector[zlib.crc32(word.encode("utf-8")) % BOW_WIDTH] += 1.0
     return vector
+
+
+# JSON numbers that are finite doubles, as the decoder must read them.
+FINITE_NUMBERS = st.one_of(
+    st.sampled_from([
+        "0", "-0", "-0.0", "0e0", "-0e-0", "1e308", "-1.2e-05", "1E+2", "4.9e-324", "1e-400",
+        "0.1", "1.7976931348623157e308", "123456789012345", "1234567890123456",
+        str(2**53 + 1), str(2**63 + 1), str(2**64 + 1), str(-(2**64) - 1), "1" + "0" * 308,
+    ]),
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+)
+# Literals that are not a finite JSON number.
+BAD_NUMBERS = [
+    "1e400", "-1e400", "1" + "0" * 400, "01", "-01", "00", "1.", ".5", "+1", "-", "1e", "1e+",
+    "0x1", "NaN", "Infinity", "-Infinity", "true", "false", '"1"', "null", "[1]", "[]", "{}",
+    "1 2", "\u0661", "1\f",
+]
+# Embed bodies for one text that the decoder must leave to the reference.
+NOT_CANONICAL = [
+    *('{"vectors": [[1, %s]]}' % number for number in BAD_NUMBERS),
+    '{"vectors": [[1, 2]]}x', '{"vectors": [[1, 2]]}}', '{"vectors": [[1, 2]]}\0',
+    '{"vectors": [[1, 2]] 1}', '{"vectors": [[1, 2]]', '{"vectors": [[1, 2', '{"vectors": [[1, 2],',
+    '{"vectors": [[1, 2]], "model": "x"}', '{"vectors": [[1]], "vectors": [[1, 2]]}',
+    '{"vect\\u006frs": [[1, 2]]}', '{"vectors": [[[1, 2]]]}', '{"vectors": [[]]}',
+    '{"vectors": []}', '{"vectors": [[1, 2], [3]]}', '\ufeff{"vectors": [[1, 2]]}',
+]
+WHITESPACE = st.sampled_from(["", "", " ", "\t", "\n", "\r\n", "  "])
+
+
+@st.composite
+def embed_bodies(draw):
+    """An embed response body and the number of texts it answers, and whether it is canonical."""
+
+    def ws():
+        return draw(WHITESPACE)
+
+    width = draw(st.integers(1, 4))
+    rows = [[draw(FINITE_NUMBERS) for _ in range(width)] for _ in range(draw(st.integers(1, 4)))]
+    n_texts = draw(st.sampled_from([len(rows)] * 4 + [len(rows) - 1, len(rows) + 1]))
+    row = draw(st.integers(0, len(rows) - 1))
+    fault = draw(st.sampled_from(
+        ["none"] * 6 + ["number", "ragged", "empty row", "deeper", "no rows", "key", "escaped key",
+                        "extra key", "duplicate key", "trailing", "truncated", "utf-16", "bom"]
+    ))
+    if fault == "number":
+        rows[row][draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif fault == "ragged":
+        rows[row] = rows[row][:-1] if width > 1 else rows[row] * 2
+    elif fault == "empty row":
+        rows[row] = []
+    elif fault == "deeper":
+        rows[row] = ["[" + ",".join(rows[row]) + "]"]
+    elif fault == "no rows":
+        rows = []
+    vectors = ",".join(
+        ws() + "[" + ",".join(ws() + number + ws() for number in numbers) + "]" + ws()
+        for numbers in rows
+    )
+    key = {"key": '"vector"', "escaped key": '"vect\\u006frs"'}.get(fault, '"vectors"')
+    members = [f"{ws()}{key}{ws()}:{ws()}[{vectors}]{ws()}"]
+    if fault == "extra key":
+        members.append(f'{ws()}"model"{ws()}:{ws()}"x"{ws()}')
+    if fault == "duplicate key":
+        members.append(members[0])
+    text = ws() + "{" + ",".join(members) + "}" + ws()
+    if fault == "trailing":
+        text += draw(st.sampled_from(["x", "}", "\0", " 1", "\f"]))
+    body = text.encode({"utf-16": "utf-16", "bom": "utf-8-sig"}.get(fault, "utf-8"))
+    if fault == "truncated":
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    canonical = fault == "none" and n_texts == len(rows)
+    return body, n_texts, canonical
+
+
+def decoded(body: bytes, n_texts: int):
+    """What ``_decode`` gives for ``body``: dtype, shape and bytes, or the error message."""
+    client = EmbeddingClient("http://127.0.0.1:9")  # never contacted
+    try:
+        matrix = client._decode(["text"] * n_texts, body)
+    except MalformedResponse as exc:
+        return str(exc)
+    return matrix.dtype, matrix.shape, matrix.tobytes()
+
+
+def reference_decoded(body: bytes, n_texts: int):
+    """``decoded`` with the compiled decoder unavailable."""
+    with mock.patch.object(kernels, "load", lambda *kernel: None):
+        return decoded(body, n_texts)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -92,6 +186,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, "this is not json", raw=True)
         elif self.path.startswith("/badschema/v1/embed"):
             self._reply(200, {"vectors": [[1.0, 2.0], [3.0]]})
+        elif self.path == "/zerowidth/v1/embed":
+            self._reply(200, {"vectors": [[] for _ in payload["texts"]]})
         elif self.path == "/widening/v1/embed":
             # every vector of a response is one wider than the batch is long
             width = len(payload["texts"]) + 1
@@ -269,11 +365,14 @@ class TestTransport:
     def test_offline_run_loads_no_http_modules(self, tmp_path):
         code = (
             "import json, sys\n"
-            "from bulletsum import synthetic_data_dirs\n"
+            "from bulletsum import kernels, synthetic_data_dirs\n"
             "from bulletsum.config import PipelineConfig\n"
             "from bulletsum.pipeline import run_stage\n"
+            "loaded, load = [], kernels.load\n"
+            "kernels.load = lambda name, *args: loaded.append(name) or load(name, *args)\n"
             "run_stage('run', PipelineConfig(lda_iters=20), sys.argv[1], *synthetic_data_dirs())\n"
             f"print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))\n"
+            "print(json.dumps(sorted(set(loaded))))\n"
         )
         src = str(Path(bulletsum.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -286,7 +385,8 @@ class TestTransport:
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "ws" / "eval" / "report.json").is_file()
-        assert json.loads(done.stdout.splitlines()[-1]) == []
+        assert json.loads(done.stdout.splitlines()[-2]) == []
+        assert json.loads(done.stdout.splitlines()[-1]) == ["lda_sweep", "tokenize"]
 
 
 class TestEmbeddingClient:
@@ -320,6 +420,58 @@ class TestEmbeddingClient:
         assert client.embed(["c"]).shape == (1, 2)
 
 
+class TestDecoder:
+    """The compiled decoder, with its fallback, against the Python reference."""
+
+    @needs_cc
+    @settings(max_examples=200, deadline=None)
+    @given(case=embed_bodies())
+    @example(case=(b'{"vectors": [[-0, -0.0, 1e308, -1.2e-05]]}', 1, True))
+    @example(case=(b'{"vectors":[[%d,%d,%d]]}' % (2**53 + 1, 2**63 + 1, 2**64 + 1), 1, True))
+    @example(case=(b'\t{ "vectors" :\n[ [1] ,\r\n[2] ] }  ', 2, True))
+    @example(case=(b'{"vectors": [[1e400]]}', 1, False))
+    def test_kernel_matches_the_reference(self, case):
+        body, n_texts, canonical = case
+        assert kernels.load(*services._DECODE) is not None
+        assert decoded(body, n_texts) == reference_decoded(body, n_texts)
+        if canonical:
+            assert services._decode_vectors(body) is not None
+
+    @needs_cc
+    @pytest.mark.parametrize("text", NOT_CANONICAL)
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+    def test_body_that_is_not_canonical_goes_to_the_reference(self, text, encoding):
+        body = text.encode(encoding)
+        assert kernels.load(*services._DECODE) is not None
+        assert services._decode_vectors(body) is None
+        assert decoded(body, 1) == reference_decoded(body, 1)
+
+    @needs_cc
+    def test_reference_path_gives_the_same_matrices_and_errors(self, server_url, monkeypatch):
+        def outcomes():
+            results = []
+            for route in ["bow", "widening", "zerowidth", "badschema", "garbage", *BAD_VECTORS]:
+                client = EmbeddingClient(f"{server_url}/{route}")
+                try:
+                    for texts in (["revenue rose"], [], ["cash fell", "margin"]):
+                        results.append(client.embed(texts).tobytes())
+                except MalformedResponse as exc:
+                    results.append(str(exc))
+            return results
+
+        assert kernels.load(*services._DECODE) is not None
+        with_kernel = outcomes()
+        monkeypatch.setattr(kernels, "load", lambda *kernel: None)
+        assert outcomes() == with_kernel
+
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_zero_width_vectors_rejected(self, server_url, monkeypatch, kernel):
+        if not kernel:
+            monkeypatch.setattr(kernels, "load", lambda *kernel: None)
+        with pytest.raises(MalformedResponse, match="width 0"):
+            EmbeddingClient(f"{server_url}/zerowidth").embed(["a"])
+
+
 class TestEmbedMany:
     """Requests go out one ahead; errors and cleanup keep batch order."""
 
@@ -330,6 +482,7 @@ class TestEmbedMany:
         events = []
         sent = {}
         request, getresponse = http.client.HTTPConnection.request, http.client.HTTPConnection.getresponse
+        decode = EmbeddingClient._decode
 
         def recorded_request(connection, method, url, body, *args, **kwargs):
             sent[connection] = len(json.loads(body)["texts"][0].split()) - 1
@@ -340,14 +493,14 @@ class TestEmbedMany:
             events.append(("read", sent[connection]))
             return getresponse(connection)
 
-        def recorded_loads(data):
-            body = json.loads(data)
-            events.append(("decode", int(sum(body["vectors"][0])) - 1))
-            return body
+        def recorded_decode(client, texts, data):
+            matrix = decode(client, texts, data)
+            events.append(("decode", int(matrix[0].sum()) - 1))
+            return matrix
 
         monkeypatch.setattr(http.client.HTTPConnection, "request", recorded_request)
         monkeypatch.setattr(http.client.HTTPConnection, "getresponse", recorded_getresponse)
-        monkeypatch.setattr(services, "json", SimpleNamespace(dumps=json.dumps, loads=recorded_loads))
+        monkeypatch.setattr(EmbeddingClient, "_decode", recorded_decode)
         server.embed_log.clear()
 
         matrices = list(EmbeddingClient(f"{server_url}/bow").embed_many(batches))
