@@ -33,7 +33,7 @@ from .corpus import Corpus, CorpusSplit, corpus_stats, load_corpus, split_corpus
 from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTopicsDetected
 from .qbank import MasterList, QuestionBank, build_question_bank
 from .records import reader
-from .retrieval import ExtractiveContext, TfidfEmbedder, TokenIndex, build_context
+from .retrieval import ExtractiveContext, TfidfEmbedder, build_context, encode
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords, read_text_file
@@ -296,19 +296,19 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
 def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, model) -> None:
     master = categorized.master
     master_texts = [q.text for q in master]
-    index = TokenIndex()
     buckets = topic_buckets(master)
     client = _embedding_client(config)
     test_ids = sorted(split.test)
     # A service's vectors do not depend on the document, so the master list is
     # embedded once, ahead of the documents' sentences. TF-IDF vectors do; the
-    # master list's term counts over its own tokens (the index's first ids) are
-    # built once and weighed per document.
+    # master list's term counts over the tokens of its own encoding are built
+    # once and weighed per document.
     if client:
         embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
         service_master_vectors = next(embedded)
     else:
-        master_counts = index.counts(master_texts)
+        master_ids = encode(master_texts)
+        master_counts = master_ids.counts()
 
     detections = []
     selected_questions = []
@@ -317,17 +317,17 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         sentences = corpus.transcripts[doc_id]
         if client:
             sentence_vectors = next(embedded)
-            sentence_ids = index.encode_many(sentences)
+            sentence_ids = encode(sentences)
             ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
         else:
-            embedder = TfidfEmbedder(sentences, index)
+            embedder = TfidfEmbedder(sentences)
             sentence_ids, sentence_vectors = embedder.fit, embedder.fit_vectors
             # A master row is zero outside the master tokens' columns, so a
             # cosine on them is the full one times a positive factor per topic
             # centroid: each topic ranks its bucket the same.
-            columns, ranked_master = embedder.embed_counts(master_counts)
+            columns, ranked_master = embedder.embed_counts(master_counts, master_ids.tokens)
             ranked_sentences = sentence_vectors[:, columns]
-        detection = detect_topics(doc_id, model.keywords, sentence_ids, index)
+        detection = detect_topics(doc_id, model.keywords, sentence_ids)
         try:
             chosen = select_questions(
                 detection, ranked_sentences, ranked_master, buckets, config.q_per_topic

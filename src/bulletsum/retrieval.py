@@ -2,13 +2,13 @@
 
 The built-in embedder is per-document TF-IDF: the vocabulary and IDF are fit
 on one transcript's sentences, which sharpens discrimination inside that
-document. Fit and embed share a ``TokenIndex``, which encodes a document's
-texts as token ids in one call of a small C kernel (``tokenize.c``, built and
-loaded by ``kernels.load``), so a count vector is a scatter of token ids into
-the document's columns. A sentence-transformer service can be substituted
+document. ``encode`` gives texts token ids local to the call in one call of a
+small C kernel (``tokenize.c``, built and loaded by ``kernels.load``), with
+the text of each id, so a count vector is a scatter of token ids into the
+document's columns. A sentence-transformer service can be substituted
 through the embedding client (``services.EmbeddingClient``). Ranking takes
 vectors, which a caller embeds once per document. ``embed_counts`` weighs a
-text list counted once per stage (``TokenIndex.counts``) on the columns of its
+text list counted once per stage (``Encoded.counts``) on the columns of its
 tokens only.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,11 +32,20 @@ SCORE_DECIMALS = 12
 
 
 class Encoded(NamedTuple):
-    """Texts as token ids, flat and in order: ``ids[i]`` came from text ``rows[i]``."""
+    """Texts as token ids local to one ``encode`` call, flat and in order.
+
+    ``ids[i]`` came from text ``rows[i]``. Ids are handed out in first-seen
+    order, and ``tokens[j]`` is the text of id j, each distinct token once.
+    """
 
     ids: np.ndarray
     rows: np.ndarray
     n_texts: int
+    tokens: list[str]
+
+    def counts(self) -> np.ndarray:
+        """Raw term counts: a row per text, a column per id."""
+        return _scatter_counts(self.n_texts, len(self.tokens), self.rows, self.ids)
 
 
 # ``kernels.load``'s arguments for the compiled tokenizer of ``tokenize.c``.
@@ -46,76 +56,47 @@ _TOKENIZE = ("tokenize", "tokenize_texts", (
 ))
 
 
-class TokenIndex:
-    """Tokens interned as ints, shared by the embedders of one stage.
+def encode(texts: Sequence[str]) -> Encoded:
+    """The ids of ``tokenize``'s tokens of every text, in one call of the compiled tokenizer.
 
-    Ids are handed out in first-seen order. ``encode_many`` gives a
-    document's texts their ids in one call of the compiled tokenizer
-    (``tokenize.c``, loaded by ``kernels.load``), which finds ``tokenize``'s
-    tokens.
+    The texts are lowercased and passed to the kernel (``tokenize.c``, loaded
+    by ``kernels.load``) as one ASCII buffer with the offset of each text.
+    Each character that is not ASCII becomes one ``?``, which no token holds,
+    so the tokens are ``tokenize``'s and a byte offset is a character offset.
+    Where the kernel is unavailable, the Python reference (``_python_encode``)
+    runs, with the same result.
     """
+    lowered = [text.lower() for text in texts]
+    joined = "".join(lowered)
+    kernel = kernels.load(*_TOKENIZE)
+    if kernel is None:
+        return _python_encode(texts)
+    starts = np.cumsum([0, *map(len, lowered)], dtype=np.intp)
+    # A decimal token spans three bytes or more, and any other token but a
+    # text's last is followed by a byte that no token holds, so a text of n
+    # bytes holds at most (n + 1) // 2 tokens. The table keeps at least half
+    # its slots free.
+    room = (len(joined) + len(texts)) // 2
+    table = np.full(1 << (2 * room).bit_length(), -1, dtype=np.intp)
+    local, rows, first, length = np.empty((4, room), dtype=np.intp)
+    found = np.zeros(2, dtype=np.intp)
+    kernel(
+        joined.encode("ascii", "replace"), starts, len(texts), table, len(table),
+        local, rows, first, length, found,
+    )
+    n_tokens, n_distinct = found.tolist()
+    ends = (first[:n_distinct] + length[:n_distinct]).tolist()
+    tokens = [joined[a:b] for a, b in zip(first[:n_distinct].tolist(), ends)]
+    return Encoded(local[:n_tokens].copy(), rows[:n_tokens].copy(), len(texts), tokens)
 
-    def __init__(self):
-        self.tokens: list[str] = []
-        self._ids: dict[str, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def id_of(self, token: str) -> int | None:
-        return self._ids.get(token)
-
-    def _intern(self, tokens: list[str]) -> np.ndarray:
-        """The id of each token, handing new tokens the next ids in first-seen order."""
-        ids = self._ids
-        new = list(dict.fromkeys(token for token in tokens if token not in ids))
-        ids.update(zip(new, range(len(self.tokens), len(self.tokens) + len(new))))
-        self.tokens.extend(new)
-        return np.fromiter(map(ids.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-
-    def encode_many(self, texts: Sequence[str]) -> Encoded:
-        """The ids of ``tokenize``'s tokens of every text, interning new ones.
-
-        The texts are lowercased and passed to the kernel as one ASCII buffer
-        with the offset of each text. Each character that is not ASCII becomes
-        one ``?``, which no token holds, so the tokens are ``tokenize``'s and a
-        byte offset is a character offset. Where the kernel is unavailable, the
-        Python reference (``_python_encode``) runs, with the same result.
-        """
-        lowered = [text.lower() for text in texts]
-        joined = "".join(lowered)
-        kernel = kernels.load(*_TOKENIZE)
-        if kernel is None:
-            return self._python_encode(texts)
-        starts = np.cumsum([0, *map(len, lowered)], dtype=np.intp)
-        # A decimal token spans three bytes or more, and any other token but a
-        # text's last is followed by a byte that no token holds, so a text of
-        # n bytes holds at most (n + 1) // 2 tokens. The table keeps at least
-        # half its slots free.
-        room = (len(joined) + len(texts)) // 2
-        table = np.full(1 << (2 * room).bit_length(), -1, dtype=np.intp)
-        local, rows, first, length = np.empty((4, room), dtype=np.intp)
-        found = np.zeros(2, dtype=np.intp)
-        kernel(
-            joined.encode("ascii", "replace"), starts, len(texts), table, len(table),
-            local, rows, first, length, found,
-        )
-        n_tokens, n_distinct = found.tolist()
-        ends = (first[:n_distinct] + length[:n_distinct]).tolist()
-        ids = self._intern([joined[a:b] for a, b in zip(first[:n_distinct].tolist(), ends)])
-        return Encoded(ids[local[:n_tokens]], rows[:n_tokens].copy(), len(texts))
-
-    def _python_encode(self, texts: Sequence[str]) -> Encoded:
-        """The reference for ``encode_many``: ``tokenize`` per text, interned in order."""
-        tokens = [tokenize(text) for text in texts]
-        ids = self._intern([token for toks in tokens for token in toks])
-        rows = np.repeat(np.arange(len(texts)), [len(toks) for toks in tokens])
-        return Encoded(ids, rows, len(texts))
-
-    def counts(self, texts: Sequence[str]) -> np.ndarray:
-        """Raw term counts: a row per text, a column per id handed out so far."""
-        ids, rows, n_texts = self.encode_many(texts)
-        return _scatter_counts(n_texts, len(self), rows, ids)
+def _python_encode(texts: Sequence[str]) -> Encoded:
+    """The reference for ``encode``: ``tokenize`` per text, ids from a first-seen dict."""
+    tokens = [tokenize(text) for text in texts]
+    first_seen: dict[str, int] = {}
+    ids = [first_seen.setdefault(token, len(first_seen)) for toks in tokens for token in toks]
+    rows = np.repeat(np.arange(len(texts), dtype=np.intp), [len(toks) for toks in tokens])
+    return Encoded(np.array(ids, dtype=np.intp), rows, len(texts), list(first_seen))
 
 
 def _scatter_counts(n_rows: int, width: int, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -130,55 +111,52 @@ class TfidfEmbedder:
 
     IDF = ln((1+N)/(1+df)) + 1, TF = raw count, vectors L2-normalized. The
     columns are the fit corpus's tokens sorted as strings. Text sharing no
-    terms with the fit corpus embeds to the zero vector. Fit and embedded
-    texts are encoded into ``index``, a fresh one by default. ``fit`` holds
-    the fit texts' encoding and ``fit_vectors`` their vectors, the rows
+    terms with the fit corpus embeds to the zero vector. ``fit`` holds the fit
+    texts' encoding and ``fit_vectors`` their vectors, the rows
     ``embed(fit_corpus)`` gives, counted once for the fit's document
     frequencies.
     """
 
-    def __init__(self, fit_corpus: Sequence[str], index: TokenIndex | None = None):
+    def __init__(self, fit_corpus: Sequence[str]):
         if not fit_corpus:
             raise ValueError("fit_corpus must be non-empty")
-        self.index = TokenIndex() if index is None else index
-        self.fit = self.index.encode_many(fit_corpus)
-        ids, rows, _ = self.fit
-        present = np.zeros(len(self.index), dtype=bool)
-        present[ids] = True
-        self._vocab_ids = np.array(
-            sorted(np.flatnonzero(present).tolist(), key=self.index.tokens.__getitem__),
-            dtype=np.intp,
-        )
-        counts = _scatter_counts(len(fit_corpus), len(self._vocab_ids), rows, self._columns(ids))
+        self.fit = encode(fit_corpus)
+        vocab = sorted(self.fit.tokens)
+        self._column_of = dict(zip(vocab, range(len(vocab))))
+        columns = self._columns(self.fit.tokens)[self.fit.ids]
+        counts = _scatter_counts(len(fit_corpus), len(vocab), self.fit.rows, columns)
         df = np.count_nonzero(counts, axis=0)
         self.idf = np.log((1.0 + len(fit_corpus)) / (1.0 + df)) + 1.0
         self.fit_vectors = _weigh(counts, self.idf)
 
-    def _columns(self, ids: np.ndarray) -> np.ndarray:
-        """The column of each token id; -1 for a token outside the vocabulary."""
-        columns = np.full(len(self.index), -1, dtype=np.intp)
-        columns[self._vocab_ids] = np.arange(len(self._vocab_ids))
-        return columns[ids]
+    def _columns(self, tokens: list[str]) -> np.ndarray:
+        """The column of each token; -1 for a token outside the vocabulary."""
+        return np.fromiter(
+            map(self._column_of.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
+        )
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        ids, rows, _ = self.index.encode_many(texts)
-        columns = self._columns(ids)
+        ids, rows, _, tokens = encode(texts)
+        columns = self._columns(tokens)[ids]
         known = columns >= 0
-        counts = _scatter_counts(len(texts), len(self._vocab_ids), rows[known], columns[known])
+        counts = _scatter_counts(len(texts), len(self._column_of), rows[known], columns[known])
         return _weigh(counts, self.idf)
 
-    def embed_counts(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """TF-IDF rows of texts given as ``TokenIndex.counts`` rows, on their columns only.
+    def embed_counts(self, counts: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """TF-IDF rows of texts given as term counts, on their tokens' columns only.
 
-        ``counts`` has a column for each of the index's first
-        ``counts.shape[1]`` token ids. Returns the ascending columns of this
-        embedder's vocabulary that hold one of those tokens, and the rows
-        weighed and L2-normalized on those columns. ``embed`` of such a text
-        is zero outside them, so a row is ``embed``'s row restricted to the
-        columns, up to the rounding of its norm.
+        Column j of ``counts`` counts ``tokens[j]``, as ``Encoded.counts``
+        gives them. Returns the ascending columns of this embedder's
+        vocabulary that hold one of ``tokens``, and the rows weighed and
+        L2-normalized on those columns. ``embed`` of such a text is zero
+        outside them, so a row is ``embed``'s row restricted to the columns,
+        up to the rounding of its norm.
         """
-        columns = np.flatnonzero(self._vocab_ids < counts.shape[1])
-        return columns, _weigh(counts[:, self._vocab_ids[columns]], self.idf[columns])
+        columns = self._columns(tokens)
+        held = np.flatnonzero(columns >= 0)
+        held = held[np.argsort(columns[held])]
+        columns = columns[held]
+        return columns, _weigh(counts[:, held], self.idf[columns])
 
 
 def _weigh(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:

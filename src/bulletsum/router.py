@@ -9,12 +9,13 @@ that triggered the topic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import Encoded, TokenIndex, cosine_matrix
+from .retrieval import Encoded, cosine_matrix
 from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
@@ -36,40 +37,32 @@ class TopicDetection:
 
 
 def detect_topics(
-    doc_id: str,
-    keywords: dict[str, list[str]],
-    sentence_ids: Encoded,
-    index: TokenIndex,
+    doc_id: str, keywords: dict[str, list[str]], sentence_ids: Encoded
 ) -> TopicDetection:
     """Topics whose keywords occur as tokens anywhere in the document.
 
-    ``sentence_ids`` encodes the document's sentences in ``index``. Each
-    detected topic lists the keywords that matched and the positions of the
-    sentences they matched in. One scatter of the ids marks which keywords
-    each sentence holds, and one product with the topic x keyword membership
-    gives the topics each sentence matches.
+    ``sentence_ids`` encodes the document's sentences. Each detected topic
+    lists the keywords that matched and the positions of the sentences they
+    matched in. One scatter of the ids marks which keywords each sentence
+    holds, and one product with the topic x keyword membership gives the
+    topics each sentence matches.
     """
     topic_ids = [topic_id for topic_id in sorted(keywords) if topic_id != UNCATEGORIZED]
-    # Each keyword's row in the keyword x sentence incidence, one per distinct
-    # token id; a keyword the index does not know has none and never matches.
-    row_of: dict[int, int] = {}
+    # Each distinct keyword's row in the keyword x sentence incidence; the row
+    # of a keyword the document lacks stays empty.
+    row_of: dict[str, int] = {}
     keyword_rows = [
-        [
-            None if (token_id := index.id_of(keyword)) is None
-            else row_of.setdefault(token_id, len(row_of))
-            for keyword in keywords[topic_id]
-        ]
+        [row_of.setdefault(keyword, len(row_of)) for keyword in keywords[topic_id]]
         for topic_id in topic_ids
     ]
-    rows_by_id = np.full(len(index), -1, dtype=np.intp)
-    rows_by_id[list(row_of)] = list(row_of.values())
-    ids, sentences, n_sentences = sentence_ids
-    rows = rows_by_id[ids]
+    ids, sentences, n_sentences, tokens = sentence_ids
+    token_rows = np.fromiter(map(row_of.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens))
+    rows = token_rows[ids]
     hit = rows >= 0
     incidence = np.zeros((len(row_of), n_sentences))
     incidence[rows[hit], sentences[hit]] = 1.0
     pairs = np.array(
-        [(t, row) for t, topic_rows in enumerate(keyword_rows) for row in topic_rows if row is not None],
+        [(t, row) for t, topic_rows in enumerate(keyword_rows) for row in topic_rows],
         dtype=np.intp,
     ).reshape(-1, 2)
     membership = np.zeros((len(topic_ids), len(row_of)))
@@ -81,9 +74,7 @@ def detect_topics(
     detected = []
     for topic_id, topic_rows, matches in zip(topic_ids, keyword_rows, topic_sentences):
         matched = [
-            keyword
-            for keyword, row in zip(keywords[topic_id], topic_rows)
-            if row is not None and present[row]
+            keyword for keyword, row in zip(keywords[topic_id], topic_rows) if present[row]
         ]
         if matched:
             detected.append(DetectedTopic(topic_id, matched, np.flatnonzero(matches).tolist()))

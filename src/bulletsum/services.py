@@ -115,7 +115,7 @@ class _JsonServiceClient:
         url = f"{self.base_url}{endpoint}"
         try:
             body = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # a body nested too deeply to read
             raise MalformedResponse(f"POST {url} returned non-JSON body") from exc
         if not isinstance(body, dict):
             raise MalformedResponse(f"POST {url} returned non-object JSON")

@@ -1,4 +1,4 @@
-/* Tokenize and intern one document's texts for retrieval.TokenIndex.
+/* Tokenize and intern the texts of one retrieval.encode call.
  *
  * buf holds the texts lowercased and ASCII, back to back: text i is
  * buf[starts[i]] up to buf[starts[i + 1]]. A token is text.tokenize's on
@@ -7,7 +7,7 @@
  *
  * Tokens are interned with FNV-1a into table, n_table slots (a power of two,
  * all -1) that must outnumber the distinct tokens. For each token in order,
- * local[t] is its document-local id, handed out in first-seen order, and
+ * local[t] is its id local to the call, handed out in first-seen order, and
  * row[t] the text it came from. For each distinct token d, buf[first[d]]
  * starts its first occurrence, length[d] bytes long. The output arrays need
  * room for one token per two bytes of a text, rounded up. n_out receives the

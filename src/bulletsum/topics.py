@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
+from .errors import ConfigInvalid, DegenerateVocabulary, EmptyBank, TooFewDocuments
 from .qbank import Question
 from .text import QUESTION_STOPWORDS, tokenize
 
@@ -37,6 +37,8 @@ UNCATEGORIZED = "uncategorized"
 
 DEFAULT_BETA = 0.01
 DEFAULT_ITERS = 1000
+# The compiled sampler counts sweeps in a C int.
+MAX_ITERS = 2**31 - 1
 
 _INTS = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS")
 # ``kernels.load``'s arguments for the compiled sweeps of ``lda_sweep.c``.
@@ -128,9 +130,13 @@ def fit_lda(
 
     ``alpha`` defaults to 50/K. Questions that are empty after stop-word
     filtering are excluded from the fit; the remaining count must be >= K.
+    ``iters`` is the config's ``lda_iters``; above ``MAX_ITERS`` it is a
+    ``ConfigInvalid`` whichever sampler would run.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    if iters > MAX_ITERS:
+        raise ConfigInvalid(f"lda_iters must be at most {MAX_ITERS}, got {iters}")
     if alpha is None:
         alpha = 50.0 / K
 

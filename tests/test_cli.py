@@ -330,6 +330,21 @@ class TestStages:
         assert error["error"] == "ConfigInvalid"
         assert "lda_beta" in error["message"]
 
+    def test_lda_iters_beyond_the_compiled_sampler_rejected(self, tmp_path, synthetic_dirs, capsys):
+        # 2**32 + 20 would wrap to 20 sweeps in the kernel's C int.
+        transcripts, summaries = synthetic_dirs
+        workspace = tmp_path / "ws"
+        for stage in ("ingest", "qgen"):
+            assert _run([stage, "--workspace", workspace, "--transcripts", transcripts,
+                         "--summaries", summaries, *FAST_FLAGS]) == 0
+        code = _run(["topics", "--workspace", workspace, *FAST_FLAGS,
+                     "--lda-iters", str(2**32 + 20)])
+        error = self._error(code, capsys)
+        assert error["error"] == "ConfigInvalid"
+        assert error["stage"] == "topics"
+        assert "lda_iters" in error["message"]
+        assert not (workspace / "topics").exists()
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_bytes(b'{"k": 5}\xff\xfe')

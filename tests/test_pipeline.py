@@ -14,7 +14,7 @@ from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder, TokenIndex
+from bulletsum.retrieval import TfidfEmbedder, encode
 from bulletsum.router import detect_topics, select_questions, topic_buckets
 
 from test_cli import README, _tree_digest
@@ -273,13 +273,13 @@ def test_route_tokenizes_each_sentence_once(tmp_path, synthetic_dirs, monkeypatc
     for stage in ("ingest", "qgen", "topics"):
         pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
     calls = []
-    encode_many = retrieval.TokenIndex.encode_many
 
-    def counting_encode_many(index, texts):
+    def counting_encode(texts):
         calls.extend(texts)
-        return encode_many(index, texts)
+        return encode(texts)
 
-    monkeypatch.setattr(retrieval.TokenIndex, "encode_many", counting_encode_many)
+    monkeypatch.setattr(retrieval, "encode", counting_encode)
+    monkeypatch.setattr(pipeline, "encode", counting_encode)
     pipeline.run_stage("route", config, workspace)
 
     master = json.loads((workspace / "topics" / "question_bank.json").read_text())["master"]
@@ -329,17 +329,17 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     master = pipeline.read_artifact(workspace, "topics/question_bank.json").master
     keywords = pipeline.read_artifact(workspace, "topics/topic_model.json").keywords
     texts = [q.text for q in master]
-    index = TokenIndex()
-    counts = index.counts(texts)
+    master_ids = encode(texts)
+    counts = master_ids.counts()
     buckets = topic_buckets(master)
     assert sorted(routed) == sorted(split.test)
     for doc_id in sorted(split.test):
         doc = corpus.transcripts[doc_id]
-        embedder = TfidfEmbedder(doc, index)
+        embedder = TfidfEmbedder(doc)
         sentences = embedder.embed(doc)
         dense = embedder.embed(texts)
-        columns, narrow = embedder.embed_counts(counts)
-        detection = detect_topics(doc_id, keywords, embedder.fit, index)
+        columns, narrow = embedder.embed_counts(counts, master_ids.tokens)
+        detection = detect_topics(doc_id, keywords, embedder.fit)
         chosen = select_questions(detection, sentences, dense, buckets, config.q_per_topic)
         narrow_chosen = select_questions(
             detection, sentences[:, columns], narrow, buckets, config.q_per_topic

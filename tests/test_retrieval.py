@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bulletsum import kernels, retrieval
@@ -15,9 +15,9 @@ from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
     ExtractiveContext,
     TfidfEmbedder,
-    TokenIndex,
     build_context,
     cosine_matrix,
+    encode,
     top_k,
 )
 from bulletsum.text import tokenize
@@ -75,26 +75,23 @@ embed_texts = st.one_of(
 )
 
 
-def _preloaded(texts):
-    """An index that has already encoded ``texts``."""
-    index = TokenIndex()
-    index.encode_many(texts)
-    return index
-
-
-def loop_encode(preloaded, texts):
+def loop_encode(texts):
     """Flat ids, rows and tokens of ``texts`` by ``tokenize`` per text and a dict.
 
-    The reference for ``TokenIndex.encode_many`` on an index that already
-    holds the tokens ``preloaded``, in id order.
+    The reference for ``encode``: ids in first-seen order, each distinct token once.
     """
-    ids = {token: i for i, token in enumerate(preloaded)}
+    ids = {}
     flat, rows = [], []
     for row, text in enumerate(texts):
         for token in tokenize(text):
             flat.append(ids.setdefault(token, len(ids)))
             rows.append(row)
     return flat, rows, list(ids)
+
+
+def _listed(encoded):
+    """``encode``'s ids, rows and tokens as lists, for comparing with ``loop_encode``."""
+    return encoded.ids.tolist(), encoded.rows.tolist(), encoded.tokens
 
 
 # Decimals, dotted abbreviations, stray dots and letter-digit runs, whole, and
@@ -115,22 +112,28 @@ token_texts = st.one_of(
 )
 
 
-class TestTokenIndex:
+class TestEncode:
     @needs_cc
-    @given(texts=st.lists(token_texts, max_size=8), preload=st.lists(token_texts, max_size=8))
-    def test_kernel_matches_tokenize(self, texts, preload):
-        # A fresh index, and one already holding other tokens, as route's
-        # shared master index does.
+    @settings(deadline=None)  # the first example may build the kernel
+    @given(texts=st.lists(token_texts, max_size=8), earlier=st.lists(token_texts, max_size=8))
+    @example(texts=["a " * 39 + "a", "1.1." * 20 + "1", "1." * 30, "\0a\0\0bb\0"], earlier=["b"])
+    def test_kernel_matches_tokenize(self, texts, earlier):
+        # Runs of one-letter tokens and of dotted digits fill the outputs to
+        # their bound; NUL bytes split tokens. A call after another, on other
+        # texts, gives what a first call does.
         assert kernels.load(*retrieval._TOKENIZE) is not None
-        for index in (TokenIndex(), _preloaded(preload)):
-            preloaded = list(index.tokens)
-            ids, rows, n_texts = index.encode_many(texts)
-            expected_ids, expected_rows, tokens = loop_encode(preloaded, texts)
-            assert ids.tolist() == expected_ids
-            assert rows.tolist() == expected_rows
-            assert n_texts == len(texts)
-            assert index.tokens == tokens
-        assert preloaded == loop_encode([], preload)[2]
+        expected = loop_encode(texts)
+        assert _listed(retrieval._python_encode(texts)) == expected
+        assert _listed(encode(texts)) == expected
+        assert _listed(encode(earlier)) == loop_encode(earlier)
+        encoded = encode(texts)
+        assert _listed(encoded) == expected
+        assert encoded.n_texts == len(texts)
+
+    def test_counts_per_text_and_token(self):
+        encoded = encode(["revenue rose, revenue fell", "", "cash rose"])
+        assert encoded.tokens == ["revenue", "rose", "fell", "cash"]
+        assert encoded.counts().tolist() == [[2, 1, 1, 0], [0, 0, 0, 0], [0, 1, 0, 1]]
 
     @pytest.mark.parametrize(
         "text, tokens",
@@ -141,20 +144,16 @@ class TestTokenIndex:
         # is not ASCII splits tokens like any other character.
         assert tokenize(text) == tokens
         for texts in ([text], ["revenue rose 3.5%", text, "cash 0.97 fell"]):
-            index = _preloaded(["what is revenue?"])
-            ids, rows, _ = index.encode_many(texts)
-            expected = loop_encode(["what", "is", "revenue"], texts)
-            assert (ids.tolist(), rows.tolist(), index.tokens) == expected
+            assert _listed(encode(texts)) == loop_encode(texts)
 
     @needs_cc
     def test_non_ascii_document_runs_the_kernel(self, monkeypatch):
-        def python_encode(index, texts):
+        def python_encode(texts):
             raise AssertionError("the Python tokenizer ran")
 
-        monkeypatch.setattr(TokenIndex, "_python_encode", python_encode)
+        monkeypatch.setattr(retrieval, "_python_encode", python_encode)
         texts = ["revenue at the café rose ٣.٤ points", "İ \u212a 0.97 \U0001F4C8 cash"]
-        ids, rows, _ = TokenIndex().encode_many(texts)
-        assert (ids.tolist(), rows.tolist()) == loop_encode([], texts)[:2]
+        assert _listed(encode(texts)) == loop_encode(texts)
 
     @pytest.mark.parametrize(
         "failure, reason",
@@ -169,13 +168,11 @@ class TestTokenIndex:
         self, failure, reason, fresh_cache, break_kernel_build, caplog
     ):
         texts = ["Revenue rose 3.5% in Q3.", "", "cash\nflow 1.2.3 u.s.", "revenue"]
-        expected = loop_encode([], texts)
+        expected = loop_encode(texts)
         break_kernel_build(failure)
         with caplog.at_level(logging.WARNING, logger="bulletsum.kernels"):
             for _ in range(2):
-                index = TokenIndex()
-                ids, rows, _ = index.encode_many(texts)
-                assert (ids.tolist(), rows.tolist(), index.tokens) == expected
+                assert _listed(encode(texts)) == expected
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert reason in warnings[0].getMessage()
@@ -191,31 +188,28 @@ class TestTfidfEmbedder:
         data=st.data(),
     )
     def test_bytes_match_the_per_token_loop(self, fit_corpus, others, data):
-        # Queries mix fit texts, texts the shared index already holds, and new
-        # ones with out-of-vocabulary tokens. The shared index has already
-        # served another document's embedder, as a route stage's index has.
+        # Queries mix fit texts and new ones with out-of-vocabulary tokens.
+        # Another document's embedder has already run, as in a route stage.
         queries = data.draw(st.lists(st.sampled_from(fit_corpus) | embed_texts, max_size=6))
         expected = loop_embed(fit_corpus, queries)
         fit_expected = loop_embed(fit_corpus, fit_corpus)
-        shared = _preloaded(others + queries)
-        TfidfEmbedder(others or ["unrelated text"], shared).embed(queries + others)
-        for embedder in (TfidfEmbedder(fit_corpus), TfidfEmbedder(fit_corpus, shared)):
-            vectors = embedder.embed(queries)
-            assert vectors.shape == expected.shape
-            assert vectors.tobytes() == expected.tobytes()
-            assert embedder.fit_vectors.tobytes() == fit_expected.tobytes()
+        TfidfEmbedder(others or ["unrelated text"]).embed(queries + others)
+        embedder = TfidfEmbedder(fit_corpus)
+        vectors = embedder.embed(queries)
+        assert vectors.shape == expected.shape
+        assert vectors.tobytes() == expected.tobytes()
+        assert embedder.fit_vectors.tobytes() == fit_expected.tobytes()
 
     def test_fit_texts_are_tokenized_once(self, monkeypatch):
         # ``fit_vectors`` are ``embed``'s rows of the fit texts, from the
         # encoding the fit made.
         calls = []
-        encode_many = TokenIndex.encode_many
 
-        def counting_encode_many(index, texts):
+        def counting_encode(texts):
             calls.extend(texts)
-            return encode_many(index, texts)
+            return encode(texts)
 
-        monkeypatch.setattr(TokenIndex, "encode_many", counting_encode_many)
+        monkeypatch.setattr(retrieval, "encode", counting_encode)
         embedder = TfidfEmbedder(["revenue rose", "cash fell"])
         vectors = embedder.fit_vectors
         assert sorted(calls) == ["cash fell", "revenue rose"]

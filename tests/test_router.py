@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bulletsum import router
 from bulletsum.errors import NoTopicsDetected
-from bulletsum.retrieval import SCORE_DECIMALS, TfidfEmbedder, TokenIndex, cosine_matrix, top_k
+from bulletsum.retrieval import SCORE_DECIMALS, TfidfEmbedder, cosine_matrix, encode, top_k
 from bulletsum.router import (
     DetectedTopic,
     TopicDetection,
@@ -36,11 +36,9 @@ def cosine(u, v):
     return float(np.dot(u, v)) / (nu * nv)
 
 
-def _detect(sentences, keywords, kept=()):
-    """``detect_topics`` on the document's sentences encoded into an index holding ``kept``."""
-    index = TokenIndex()
-    index.encode_many(kept)
-    return detect_topics("d", keywords, index.encode_many(sentences), index)
+def _detect(sentences, keywords):
+    """``detect_topics`` on the document's sentences as ``encode`` gives them."""
+    return detect_topics("d", keywords, encode(sentences))
 
 
 def _select(sentences, detection, master, q_per_topic, embedder):
@@ -123,11 +121,10 @@ class TestDetectTopics:
             st.lists(st.sampled_from(WORDS), min_size=1, max_size=4, unique=True),
             max_size=5,
         ),
-        kept=st.lists(st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join), max_size=3),
     )
-    def test_matches_brute_force_scan(self, sentences, keywords, kept):
-        # ``kept`` stands for the master list a stage's index holds first.
-        detection = _detect(sentences, keywords, kept)
+    def test_matches_brute_force_scan(self, sentences, keywords):
+        # A keyword may be in no sentence, or in every one.
+        detection = _detect(sentences, keywords)
         expected = []
         for topic_id in sorted(keywords):
             if topic_id == UNCATEGORIZED:
@@ -292,12 +289,11 @@ class TestSelectQuestions:
         c is a centroid of sentence vectors and c_K its part on those columns.
         The examples share no master token with the document, and exactly one.
         """
-        index = TokenIndex()
-        master_counts = index.counts(master)
-        embedder = TfidfEmbedder(sentences, index)
+        master_ids = encode(master)
+        embedder = TfidfEmbedder(sentences)
         sentence_vectors = embedder.embed(sentences)
         dense = embedder.embed(master)
-        columns, narrow = embedder.embed_counts(master_counts)
+        columns, narrow = embedder.embed_counts(master_ids.counts(), master_ids.tokens)
         outside = np.ones(dense.shape[1], dtype=bool)
         outside[columns] = False
         assert not dense[:, outside].any()

@@ -24,6 +24,7 @@ from bulletsum import kernels, pipeline, services
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import generate_questions_external
+from bulletsum.retrieval import build_context
 from bulletsum.services import EmbeddingClient, GenerationClient, QGClient
 from conftest import needs_cc
 
@@ -430,6 +431,11 @@ class TestDecoder:
     @example(case=(b'{"vectors":[[%d,%d,%d]]}' % (2**53 + 1, 2**63 + 1, 2**64 + 1), 1, True))
     @example(case=(b'\t{ "vectors" :\n[ [1] ,\r\n[2] ] }  ', 2, True))
     @example(case=(b'{"vectors": [[1e400]]}', 1, False))
+    @example(case=(b'{"vectors": [[%s]]}' % b",".join([b"-1.5e-7"] * 5000), 1, True))
+    @example(case=(b'{"vectors": [%s]}' % b",".join([b"[0.25,1]"] * 3000), 3000, True))
+    @example(case=(b'{"vectors": %s1%s}' % (b"[" * 100000, b"]" * 100000), 1, False))
+    @example(case=(b'{"vectors": [[1, 2.5e', 1, False))
+    @example(case=(b'{"vectors": [[12345678901234567890123', 1, False))
     def test_kernel_matches_the_reference(self, case):
         body, n_texts, canonical = case
         assert kernels.load(*services._DECODE) is not None
@@ -592,6 +598,34 @@ class TestRouteWithEmbeddingService:
                 v = np.array(bow_vector(sentences[selection["position"]]))
                 expected = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
                 assert abs(selection["score"] - expected) <= 1e-9
+
+    def test_no_topic_detected_falls_back_to_the_service_master_vectors(
+        self, server_url, tmp_path, synthetic_dirs
+    ):
+        config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+        workspace = tmp_path / "ws"
+        for stage in ("ingest", "qgen", "topics"):
+            pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+        corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
+        doc_id = pipeline.read_artifact(workspace, "ingest/split.json").test[0]
+        sentences = ["Good morning and welcome to the call.", "Operator, please go ahead."]
+        corpus.transcripts[doc_id] = sentences
+        pipeline._write_json(workspace / "ingest" / "corpus.json", corpus)
+        config = PipelineConfig.from_dict({
+            **config.to_dict(), "embed_url": f"{server_url}/bow", "fallback_on_empty_detection": True
+        })
+        pipeline.run_stage("route", config, workspace)
+
+        lines = (workspace / "route" / "detections.jsonl").read_text().splitlines()
+        detections = {record["doc_id"]: record for record in map(json.loads, lines)}
+        assert detections[doc_id]["detected"] == []
+        master = [q.text for q in pipeline.read_artifact(workspace, "topics/question_bank.json").master]
+        expected = build_context(
+            doc_id, sentences, master, np.array([bow_vector(q) for q in master]),
+            np.array([bow_vector(s) for s in sentences]), config.k,
+        )
+        contexts = pipeline.read_artifact(workspace, "route/contexts.jsonl")
+        assert next(c for c in contexts if c.doc_id == doc_id) == expected
 
 
 class TestExtractWithEmbeddingService:

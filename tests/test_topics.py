@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from bulletsum import kernels, pipeline, topics
 from bulletsum.config import PipelineConfig
-from bulletsum.errors import DegenerateVocabulary, EmptyBank, TooFewDocuments
+from bulletsum.errors import ConfigInvalid, DegenerateVocabulary, EmptyBank, TooFewDocuments
 from bulletsum.qbank import build_question_bank
 from bulletsum.records import reader
 from bulletsum.topics import (
+    MAX_ITERS,
     UNCATEGORIZED,
     TopicModel,
     categorize_questions,
@@ -86,6 +87,15 @@ class TestFitLda:
     def test_degenerate_vocabulary(self):
         with pytest.raises(DegenerateVocabulary):
             fit_lda(["what is the of?", "what is it?"], K=1, iters=10, seed=0)
+
+    @pytest.mark.parametrize("python_sampler", [False, True])
+    def test_iters_beyond_a_c_int_rejected(self, python_sampler):
+        # The compiled sampler's C int would wrap 2**32 + 20 sweeps to 20.
+        load = (lambda *kernel: None) if python_sampler else kernels.load
+        with mock.patch.object(kernels, "load", load):
+            for iters in (MAX_ITERS + 1, 2**32 + 20):
+                with pytest.raises(ConfigInvalid, match="lda_iters"):
+                    fit_lda(SEPARABLE, K=2, iters=iters, seed=1)
 
     def test_questions_empty_after_filtering_excluded(self):
         # 3 usable questions + 1 all-stopword question; K=3 must still fit.
