@@ -71,9 +71,10 @@ class PipelineConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigInvalid(f"config file not found: {path}")
+        # A RecursionError is JSON nested too deeply to parse.
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigInvalid("config file must hold a JSON object")

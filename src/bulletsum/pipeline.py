@@ -33,7 +33,7 @@ from .corpus import Corpus, CorpusSplit, corpus_stats, load_corpus, split_corpus
 from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTopicsDetected
 from .qbank import MasterList, QuestionBank, build_question_bank
 from .records import reader
-from .retrieval import ExtractiveContext, TfidfEmbedder, build_context, encode
+from .retrieval import CountedTexts, ExtractiveContext, TfidfEmbedder, build_context, encode
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords, read_text_file
@@ -75,10 +75,11 @@ def _read_json(path: Path, parse):
     if not path.is_file():
         raise MissingArtifact(f"missing artifact {path}")
     jsonl = path.suffix == ".jsonl"
+    # A RecursionError is JSON nested too deeply to parse.
     try:
         with path.open(encoding="utf-8") as fh:
             data = [json.loads(line) for line in fh if line.strip()] if jsonl else json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise IoError(f"artifact {path} is not valid JSON: {exc}") from exc
     try:
         return [parse(record) for record in data] if jsonl else parse(data)
@@ -268,23 +269,23 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
         # One batch per document; a row depends only on its own text.
         batches = ([*sentences, *questions] for _, sentences, questions in documents)
         embedded = (
-            (vectors[: len(sentences)], vectors[len(sentences) :])
+            (vectors[len(sentences) :], vectors[: len(sentences)], None)
             for (_, sentences, _), vectors in zip(documents, client.embed_many(batches))
         )
     else:
-        embedders = (TfidfEmbedder(sentences) for _, sentences, _ in documents)
+        # One encoding per document: its sentences, fit on, then its questions.
+        embedders = (TfidfEmbedder(sentences, questions) for _, sentences, questions in documents)
         embedded = (
-            (embedder.fit_vectors, embedder.embed(questions))
-            for embedder, (_, _, questions) in zip(embedders, documents)
+            embedder.embed(questions) for embedder, (_, _, questions) in zip(embedders, documents)
         )
 
     contexts = []
     pairs = []
-    for (doc_id, sentences, questions), (sentence_vectors, question_vectors) in zip(
+    for (doc_id, sentences, questions), (question_vectors, sentence_vectors, norms) in zip(
         documents, embedded
     ):
         context = build_context(
-            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k
+            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k, norms
         )
         contexts.append(context)
         pairs.append((context, corpus.summaries[doc_id]))
@@ -300,15 +301,14 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
     client = _embedding_client(config)
     test_ids = sorted(split.test)
     # A service's vectors do not depend on the document, so the master list is
-    # embedded once, ahead of the documents' sentences. TF-IDF vectors do; the
-    # master list's term counts over the tokens of its own encoding are built
-    # once and weighed per document.
+    # embedded once, ahead of the documents' sentences. TF-IDF vectors do: the
+    # master list is counted once (``CountedTexts``), and each document's fit
+    # weighs those counts by its IDF (``TfidfEmbedder.fold``).
     if client:
         embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
         service_master_vectors = next(embedded)
     else:
-        master_ids = encode(master_texts)
-        master_counts = master_ids.counts()
+        master_counts = CountedTexts(master_texts)
 
     detections = []
     selected_questions = []
@@ -318,19 +318,18 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         if client:
             sentence_vectors = next(embedded)
             sentence_ids = encode(sentences)
-            ranked_sentences, ranked_master = sentence_vectors, service_master_vectors
+            ranked_sentences, ranked_master, fold = sentence_vectors, service_master_vectors, None
         else:
             embedder = TfidfEmbedder(sentences)
-            sentence_ids, sentence_vectors = embedder.fit, embedder.fit_vectors
-            # A master row is zero outside the master tokens' columns, so a
-            # cosine on them is the full one times a positive factor per topic
-            # centroid: each topic ranks its bucket the same.
-            columns, ranked_master = embedder.embed_counts(master_counts, master_ids.tokens)
-            ranked_sentences = sentence_vectors[:, columns]
+            sentence_ids = embedder.fit
+            # The topic centroids are taken on the fit columns that hold a master
+            # token, and scored against the master counts the fit holds.
+            fold = embedder.fold(master_counts)
+            ranked_sentences, ranked_master = embedder.vectors(fold.fit_columns), None
         detection = detect_topics(doc_id, model.keywords, sentence_ids)
         try:
             chosen = select_questions(
-                detection, ranked_sentences, ranked_master, buckets, config.q_per_topic
+                detection, ranked_sentences, ranked_master, buckets, config.q_per_topic, fold
             )
         except NoTopicsDetected:
             if not config.fallback_on_empty_detection:
@@ -340,17 +339,25 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
             )
             chosen = list(range(len(master)))
         questions = [master_texts[i] for i in chosen]
-        # A row depends only on its own text: these are the full master rows.
-        question_vectors = service_master_vectors[chosen] if client else embedder.embed(questions)
+        # The chosen questions are scored from the master counts, not encoded
+        # again, on the fit columns they hold.
+        if client:
+            question_vectors, norms = service_master_vectors[chosen], None
+        else:
+            counts = master_counts.matrix[chosen][:, fold.columns]
+            held = counts.any(axis=0)
+            question_vectors, sentence_vectors, norms = embedder.embed(
+                questions, (counts[:, held], fold.fit_columns[held])
+            )
         detections.append(detection)
         selected_questions.append({"doc_id": doc_id, "questions": questions})
         context = build_context(
-            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k
+            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k, norms
         )
         contexts.append(context)
         # Release this document's arrays before the next document's are built.
-        embedder = sentence_ids = sentence_vectors = None
-        ranked_sentences = ranked_master = question_vectors = None
+        embedder = sentence_ids = sentence_vectors = fold = None
+        ranked_sentences = ranked_master = question_vectors = norms = None
 
     _write_jsonl(out / "detections.jsonl", detections)
     _write_jsonl(out / "questions.jsonl", selected_questions)

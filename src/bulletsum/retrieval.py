@@ -4,12 +4,16 @@ The built-in embedder is per-document TF-IDF: the vocabulary and IDF are fit
 on one transcript's sentences, which sharpens discrimination inside that
 document. ``encode`` gives texts token ids local to the call in one call of a
 small C kernel (``tokenize.c``, built and loaded by ``kernels.load``), with
-the text of each id, so a count vector is a scatter of token ids into the
-document's columns. A sentence-transformer service can be substituted
-through the embedding client (``services.EmbeddingClient``). Ranking takes
-vectors, which a caller embeds once per document. ``embed_counts`` weighs a
-text list counted once per stage (``Encoded.counts``) on the columns of its
-tokens only.
+the text of each id. A TF-IDF cosine comes from token counts, not from a
+dense texts x vocabulary matrix: ``TfidfEmbedder`` keeps a document's counts
+as one entry per distinct (sentence, token) pair, takes each vector's norm
+from them, and fills rows only on the columns the queries hold. Texts counted
+once per stage (``CountedTexts``) are scored on any document's fit through
+its IDF (``TfidfEmbedder.fold``). A sentence-transformer service can be
+substituted through the embedding client (``services.EmbeddingClient``). Its
+vectors, and the TF-IDF rows with the norms of their whole vectors, are
+ranked by the one scoring routine, ``cosine_matrix``; the products of a fold
+(``Fold.products``) are divided and rounded by the same rule (``cosines``).
 """
 
 from __future__ import annotations
@@ -43,9 +47,15 @@ class Encoded(NamedTuple):
     n_texts: int
     tokens: list[str]
 
-    def counts(self) -> np.ndarray:
-        """Raw term counts: a row per text, a column per id."""
-        return _scatter_counts(self.n_texts, len(self.tokens), self.rows, self.ids)
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw term counts: text ``rows[i]`` holds id ``ids[i]`` ``counts[i]`` times.
+
+        Returns ``(rows, ids, counts)``, one entry per distinct (text, id)
+        pair, ordered by text and then id.
+        """
+        width = max(len(self.tokens), 1)
+        keys, counts = np.unique(self.rows * width + self.ids, return_counts=True)
+        return keys // width, keys % width, counts.astype(float)
 
 
 # ``kernels.load``'s arguments for the compiled tokenizer of ``tokenize.c``.
@@ -99,86 +109,187 @@ def _python_encode(texts: Sequence[str]) -> Encoded:
     return Encoded(np.array(ids, dtype=np.intp), rows, len(texts), list(first_seen))
 
 
-def _scatter_counts(n_rows: int, width: int, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """An ``n_rows`` x ``width`` matrix counting each (row, column) pair."""
-    counts = np.zeros((n_rows, width))
-    np.add.at(counts.reshape(-1), rows * width + columns, 1.0)
-    return counts
-
-
 class TfidfEmbedder:
-    """TF-IDF vectors over a fixed fit corpus (typically one document).
+    """TF-IDF over a fixed fit corpus (typically one document), scored from token counts.
 
-    IDF = ln((1+N)/(1+df)) + 1, TF = raw count, vectors L2-normalized. The
-    columns are the fit corpus's tokens sorted as strings. Text sharing no
-    terms with the fit corpus embeds to the zero vector. ``fit`` holds the fit
-    texts' encoding and ``fit_vectors`` their vectors, the rows
-    ``embed(fit_corpus)`` gives, counted once for the fit's document
-    frequencies.
+    IDF = ln((1+N)/(1+df)) + 1 and TF = raw count; a text's vector is its
+    counts times the IDF, L2-normalized. The columns are the fit texts' token
+    ids: ``encode`` runs on the fit texts and then ``queries`` in one call,
+    and ids are handed out in first-seen order, so the ids below the fit's
+    vocabulary size are exactly the fit's tokens and a query token at or
+    above it is outside the vocabulary. Text sharing no terms with the fit
+    corpus has the zero vector. ``fit`` is the fit texts' encoding.
+
+    No texts x vocabulary matrix is built. The fit keeps its counts as one
+    entry per distinct (text, token) pair, from one ``np.unique``; one
+    ``bincount`` of them gives the document frequencies and another the norm
+    of each fit text's vector. ``embed`` and ``vectors`` fill rows on the
+    columns that queries hold only, and ``cosine_matrix`` divides by the norms
+    of the whole vectors.
     """
 
-    def __init__(self, fit_corpus: Sequence[str]):
+    def __init__(self, fit_corpus: Sequence[str], queries: Sequence[str] = ()):
         if not fit_corpus:
             raise ValueError("fit_corpus must be non-empty")
-        self.fit = encode(fit_corpus)
-        vocab = sorted(self.fit.tokens)
-        self._column_of = dict(zip(vocab, range(len(vocab))))
-        columns = self._columns(self.fit.tokens)[self.fit.ids]
-        counts = _scatter_counts(len(fit_corpus), len(vocab), self.fit.rows, columns)
-        df = np.count_nonzero(counts, axis=0)
-        self.idf = np.log((1.0 + len(fit_corpus)) / (1.0 + df)) + 1.0
-        self.fit_vectors = _weigh(counts, self.idf)
+        n = len(fit_corpus)
+        encoded = encode([*fit_corpus, *queries])
+        split = int(np.searchsorted(encoded.rows, n))
+        width = int(encoded.ids[:split].max(initial=-1)) + 1
+        self.fit = Encoded(encoded.ids[:split], encoded.rows[:split], n, encoded.tokens[:width])
+        self._rows, self._ids, counts = self.fit.terms()
+        self.idf = np.log((1.0 + n) / (1.0 + np.bincount(self._ids, minlength=width))) + 1.0
+        self._weights = counts * self.idf[self._ids]
+        self._norms = np.sqrt(np.bincount(self._rows, self._weights**2, minlength=n))
+        # The queries' counts on the columns they hold.
+        ids, rows = encoded.ids[split:], encoded.rows[split:] - n
+        known = ids < width
+        columns, local = np.unique(ids[known], return_inverse=True)
+        cells = np.bincount(
+            rows[known] * len(columns) + local, minlength=len(queries) * len(columns)
+        )
+        self._queries = list(queries)
+        self._query_counts = (cells.reshape(len(queries), len(columns)).astype(float), columns)
 
-    def _columns(self, tokens: list[str]) -> np.ndarray:
-        """The column of each token; -1 for a token outside the vocabulary."""
+    def _on(self, columns: np.ndarray) -> np.ndarray:
+        """The fit texts' counts times the IDF on ``columns``: a row per fit text."""
+        position = np.full(len(self.idf), -1, dtype=np.intp)
+        position[columns] = np.arange(len(columns))
+        at = position[self._ids]
+        held = at >= 0
+        rows = np.zeros((self.fit.n_texts, len(columns)))
+        rows[self._rows[held], at[held]] = self._weights[held]
+        return rows
+
+    def vectors(self, columns: np.ndarray) -> np.ndarray:
+        """The fit texts' vectors on ``columns``, each L2-normalized as the whole vector."""
+        rows, norms = self._on(columns), self._norms[:, None]
+        return np.divide(rows, norms, out=rows, where=norms > 0)
+
+    def embed(
+        self, texts: Sequence[str], counts: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """``texts`` against the fit texts: ``cosine_matrix``'s arguments.
+
+        Returns the texts' and the fit texts' counts times the IDF, on the
+        columns the texts hold, and the norms of their whole vectors.
+        ``counts`` is a texts x columns count matrix and the fit columns it is
+        on, which hold every token of the texts that the fit holds. Without
+        it, ``texts`` are the ``queries`` this embedder was built with,
+        counted by the fit's ``encode`` call.
+        """
+        if counts is None:
+            if list(texts) != self._queries:
+                raise ValueError("texts other than the queries need their counts")
+            counts = self._query_counts
+        matrix, columns = counts
+        weights = matrix * self.idf[columns]
+        return weights, self._on(columns), (np.linalg.norm(weights, axis=1), self._norms)
+
+    def fold(self, counted: CountedTexts) -> Fold:
+        """Texts counted once (``CountedTexts``) on this fit: its IDF on their counts.
+
+        A counted text's TF-IDF vector on this fit is zero outside the fit
+        columns that hold one of the counted tokens, so it is its counts of
+        those tokens times the IDF, and its norm comes from them in one
+        ``bincount``.
+        """
+        master = counted.columns_of(self.fit.tokens)
+        fit_columns = np.flatnonzero(master >= 0)
+        columns = master[fit_columns]
+        position = np.full(counted.matrix.shape[1], -1, dtype=np.intp)
+        position[columns] = np.arange(len(columns))
+        rows, ids, counts = counted.terms
+        at = position[ids]
+        held = at >= 0
+        rows, at = rows[held], at[held]
+        weights = counts[held] * self.idf[fit_columns][at]
+        norms = np.sqrt(np.bincount(rows, weights**2, minlength=len(counted.matrix)))
+        return Fold(fit_columns, columns, rows, at, weights, norms)
+
+
+class CountedTexts:
+    """Texts encoded and counted once, to be scored on any document's fit.
+
+    ``terms`` holds an entry per distinct (text, token) pair
+    (``Encoded.terms``) and ``matrix`` the same counts as a texts x tokens
+    matrix. The columns are the texts' own token ids, so neither depends on a
+    document.
+    """
+
+    def __init__(self, texts: Sequence[str]):
+        encoded = encode(texts)
+        self.terms = rows, ids, counts = encoded.terms()
+        self.matrix = np.zeros((len(texts), len(encoded.tokens)))
+        self.matrix[rows, ids] = counts
+        self._column_of = dict(zip(encoded.tokens, range(len(encoded.tokens))))
+
+    def columns_of(self, tokens: list[str]) -> np.ndarray:
+        """The column of each token; -1 for a token these texts do not hold."""
         return np.fromiter(
             map(self._column_of.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
         )
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        ids, rows, _, tokens = encode(texts)
-        columns = self._columns(tokens)[ids]
-        known = columns >= 0
-        counts = _scatter_counts(len(texts), len(self._column_of), rows[known], columns[known])
-        return _weigh(counts, self.idf)
 
-    def embed_counts(self, counts: np.ndarray, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """TF-IDF rows of texts given as term counts, on their tokens' columns only.
+class Fold(NamedTuple):
+    """A fit's TF-IDF weights on the counts of ``CountedTexts``.
 
-        Column j of ``counts`` counts ``tokens[j]``, as ``Encoded.counts``
-        gives them. Returns the ascending columns of this embedder's
-        vocabulary that hold one of ``tokens``, and the rows weighed and
-        L2-normalized on those columns. ``embed`` of such a text is zero
-        outside them, so a row is ``embed``'s row restricted to the columns,
-        up to the rounding of its norm.
+    Fit column ``fit_columns[j]`` holds the token of counted column
+    ``columns[j]``. Entry i is a counted (text, token) pair the fit holds:
+    text ``rows[i]`` has weight ``weights[i]``, its count times the IDF, on
+    fit column ``fit_columns[at[i]]``. ``norms`` are the counted texts'
+    TF-IDF norms on the fit.
+    """
+
+    fit_columns: np.ndarray
+    columns: np.ndarray
+    rows: np.ndarray
+    at: np.ndarray
+    weights: np.ndarray
+    norms: np.ndarray
+
+    def products(self, queries: np.ndarray) -> np.ndarray:
+        """Each query row, on ``fit_columns``, times each counted text's TF-IDF vector.
+
+        One ``bincount`` over the entries, for every query at once, on the
+        calling thread. A matrix product of this size would run on BLAS
+        threads: on a 2-vCPU host, OpenBLAS's hand-off made one such product
+        per document take 0.1 ms in some runs and 13 ms in others.
         """
-        columns = self._columns(tokens)
-        held = np.flatnonzero(columns >= 0)
-        held = held[np.argsort(columns[held])]
-        columns = columns[held]
-        return columns, _weigh(counts[:, held], self.idf[columns])
+        n, width = len(queries), len(self.norms)
+        cells = np.arange(n)[:, None] * width + self.rows
+        terms = queries[:, self.at] * self.weights
+        # With no entries, bincount counts in integers.
+        products = np.bincount(cells.ravel(), terms.ravel(), minlength=n * width)
+        return products.astype(float, copy=False).reshape(n, width)
 
 
-def _weigh(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:
-    """Term counts times ``idf``, each row L2-normalized, in place; a zero row stays zero."""
-    counts *= idf
-    norms = np.linalg.norm(counts, axis=1, keepdims=True)
-    np.divide(counts, norms, out=counts, where=norms > 0)
-    return counts
-
-
-def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def cosine_matrix(
+    queries: np.ndarray,
+    candidates: np.ndarray,
+    norms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Cosine of every query row to every candidate row, rounded.
 
     One matrix product divided by the outer product of the row norms; a zero
-    row scores 0. Scores are rounded to ``SCORE_DECIMALS`` so that noise in
-    the last bits, which differs between summation orders and embedders,
-    cannot decide a ranking.
+    row scores 0. ``norms`` are the query and candidate norms when the rows
+    are vectors on some of their columns only, every column where both can
+    be nonzero; by default they are the rows' own. Scores are rounded to
+    ``SCORE_DECIMALS`` so that noise in the last bits, which differs between
+    summation orders and embedders, cannot decide a ranking.
     """
-    scores = queries @ candidates.T
-    norms = np.outer(np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
-    np.divide(scores, norms, out=scores, where=norms > 0)
-    return np.round(scores, SCORE_DECIMALS, out=scores)
+    if norms is None:
+        norms = (np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
+    return cosines(queries @ candidates.T, np.outer(*norms))
+
+
+def cosines(products: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosines from the products of vector pairs and of their norms, in place.
+
+    Each product is divided by its pair's ``norms`` and rounded to
+    ``SCORE_DECIMALS``; a pair with a zero norm scores 0.
+    """
+    np.divide(products, norms, out=products, where=norms > 0)
+    return np.round(products, SCORE_DECIMALS, out=products)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -243,11 +354,13 @@ def build_context(
     question_vectors: np.ndarray,
     sentence_vectors: np.ndarray,
     k: int,
+    norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ExtractiveContext:
     """Union of per-question top-k selections, deduplicated by position.
 
     Row i of ``question_vectors`` embeds ``questions[i]`` and row j of
-    ``sentence_vectors`` embeds ``sentences[j]``. Each question takes the
+    ``sentence_vectors`` embeds ``sentences[j]``, scored by ``cosine_matrix``
+    with ``norms`` (as ``TfidfEmbedder.embed`` gives all three). Each question takes the
     min(k, |sentences|) sentences of highest cosine (``top_k``), so ties
     break toward the earlier document position. Context sentences keep
     document order; the per-question selections are retained for audit. At
@@ -257,7 +370,7 @@ def build_context(
         raise NoQuestions(f"no questions supplied for document {doc_id!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = cosine_matrix(question_vectors, sentence_vectors)
+    scores = cosine_matrix(question_vectors, sentence_vectors, norms)
 
     selections = [
         Selection(

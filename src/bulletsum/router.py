@@ -3,7 +3,9 @@
 With no reference summary available, the transcript's own topic-keyword
 matches decide which bank questions to retrieve with. Questions under a
 detected topic are ranked by cosine against the centroid of the sentences
-that triggered the topic.
+that triggered the topic. With the built-in TF-IDF embedder, the master list
+is counted once per stage and each document's IDF weighs only the master
+counts its fit holds (``retrieval.Fold``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import Encoded, cosine_matrix
+from .retrieval import Encoded, Fold, cosine_matrix, cosines
 from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
@@ -100,20 +102,25 @@ def topic_buckets(master: list[Question]) -> dict[str, np.ndarray]:
 def select_questions(
     detection: TopicDetection,
     sentence_vectors: np.ndarray,
-    master_vectors: np.ndarray,
+    master_vectors: np.ndarray | None,
     buckets: dict[str, np.ndarray],
     q_per_topic: int,
+    fold: Fold | None = None,
 ) -> list[int]:
     """Master-list indices of the top-matched questions for each detected topic.
 
     Per topic, the questions in its bucket (``topic_buckets``) are ranked by
     cosine between their row of ``master_vectors`` and the mean of the
     ``sentence_vectors`` rows the topic was detected in, rounded as ``top_k``
-    rounds, ties going to the earlier master-list index. All topics are ranked
-    together, one masked ``argmax`` per rank. The per-topic winners are
-    unioned in (topic id, rank) order, each index once. Master-list texts are
-    distinct (``build_question_bank`` deduplicates them), so this is the
-    union by text as well.
+    rounds, ties going to the earlier master-list index. With a ``fold``, the
+    sentence rows are TF-IDF vectors on ``fold.fit_columns``, the master
+    texts' TF-IDF vectors are the fold's entries (``Fold.products``) and
+    ``master_vectors`` is not used; each cosine is divided by the norms of the
+    whole centroid and master vectors (``fold.norms``).
+    All topics are ranked together, one masked ``argmax`` per rank. The
+    per-topic winners are unioned in (topic id, rank) order, each index once.
+    Master-list texts are distinct (``build_question_bank`` deduplicates
+    them), so this is the union by text as well.
     """
     if q_per_topic < 1:
         raise ValueError("q_per_topic must be >= 1")
@@ -127,11 +134,14 @@ def select_questions(
     incidence = np.zeros((len(detected), len(sentence_vectors)))
     incidence[topics, positions] = 1.0
     centroids = incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True)
-    scores = cosine_matrix(centroids, master_vectors)
+    if fold is None:
+        scores = cosine_matrix(centroids, master_vectors)
+    else:
+        norms = np.outer(np.linalg.norm(centroids, axis=1), fold.norms)
+        scores = cosines(fold.products(centroids), norms)
 
-    # Each topic's row holds its bucket's scores, which ``cosine_matrix``
-    # rounded, and -inf elsewhere; a NaN score goes below every number, as in
-    # ``top_k``.
+    # Each topic's row holds its bucket's scores, which ``cosines`` rounded,
+    # and -inf elsewhere; a NaN score goes below every number, as in ``top_k``.
     detected_buckets = [buckets.get(topic.topic_id, _EMPTY_BUCKET) for topic in detected]
     sizes = np.array([len(bucket) for bucket in detected_buckets])
     columns, rows = _flatten(detected_buckets)

@@ -21,7 +21,6 @@ from bulletsum.corpus import Corpus, corpus_stats, load_corpus
 from bulletsum.generator import FineTuneSpec, PromptTemplate, export_finetune_dataset
 from bulletsum.metrics import num_prec, rouge_l, rouge_n
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder
 from bulletsum.text import normalize_text
 from bulletsum.topics import fit_lda, topic_keywords
 
@@ -108,10 +107,9 @@ def test_criterion_retrieval_property(make_question):
         ]
         target_position = rng.randrange(len(sentences) + 1)
         sentences.insert(target_position, target)
-        embedder = TfidfEmbedder(sentences)
 
         k = rng.randint(1, 4)
-        ranked = _context(sentences, [question], k, embedder).selections
+        ranked = _context(sentences, [question], k).selections
         if ranked[0].position == target_position:
             rank_one += 1
 
@@ -120,7 +118,7 @@ def test_criterion_retrieval_property(make_question):
             questions.append(
                 make_question(f"what is {' '.join(rng.sample(distractor_pool, 2))}?", index=1)
             )
-        context = _context(sentences, questions, k, embedder)
+        context = _context(sentences, questions, k)
         assert len(context.context_sentences) <= k * len(questions)
 
     assert rank_one == 100, f"dominant sentence ranked first in {rank_one}/100 cases"

@@ -352,6 +352,14 @@ class TestStages:
         error = self._error(code, capsys)
         assert error["error"] == "ConfigInvalid"
 
+    def test_config_file_nested_too_deeply(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 100_000 + "]" * 100_000)
+        code = _run(["ingest", "--workspace", tmp_path / "ws", "--config", config_path])
+        error = self._error(code, capsys)
+        assert error["error"] == "ConfigInvalid"
+        assert "not valid JSON" in error["message"]
+
     @pytest.mark.parametrize(
         "artifact, edit, stage",
         [
@@ -368,6 +376,7 @@ class TestStages:
             ("ingest/split.json", _with_train_id_in("train", ["x"]), "qgen"),
             ("ingest/split.json", _with_train_id_in("test"), "qgen"),
             ("ingest/split.json", _not_utf8, "qgen"),
+            ("ingest/split.json", lambda _: "[" * 100_000 + "]" * 100_000, "qgen"),
             ("route/contexts.jsonl", _not_utf8, "generate"),
             ("generate/predictions.json", _predictions_not_lists, "eval"),
             ("route/contexts.jsonl", _with_first_context(_tamper_context_text), "generate"),
@@ -413,6 +422,7 @@ class TestStages:
             "split-unhashable-id",
             "split-overlapping-parts",
             "split-not-utf8",
+            "split-nested-too-deeply",
             "contexts-not-utf8",
             "predictions-not-lists",
             "context-text-tampered",
@@ -483,9 +493,8 @@ class TestStages:
         routed = next(c for c in contexts if c["doc_id"] == doc_id)
         master = [q["text"] for q in json.loads(
             (workspace / "topics" / "question_bank.json").read_text())["master"]]
-        embedder = TfidfEmbedder(sentences)
-        expected = build_context(doc_id, sentences, master, embedder.embed(master),
-                                 embedder.embed(sentences), PipelineConfig().k)
+        queries, fit, norms = TfidfEmbedder(sentences, master).embed(master)
+        expected = build_context(doc_id, sentences, master, queries, fit, PipelineConfig().k, norms)
         assert ExtractiveContext.from_dict(routed) == expected
 
     def test_empty_transcript_names_file(self, tmp_path, capsys):

@@ -14,11 +14,12 @@ from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder, encode
+from bulletsum.retrieval import TfidfEmbedder, cosine_matrix, encode
 from bulletsum.router import detect_topics, select_questions, topic_buckets
 
 from test_cli import README, _tree_digest
 from test_golden import CASES
+from test_retrieval import loop_embed
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUND = ROOT / "bench" / "round.py"
@@ -265,30 +266,55 @@ def test_non_ascii_run_passes_the_oracle_checks(tmp_path):
     assert check_workspace(workspace, corpus, shape, remote=False) == []
 
 
-def test_route_tokenizes_each_sentence_once(tmp_path, synthetic_dirs, monkeypatch):
-    """Route encodes the master list once, each test sentence once, and the
-    questions chosen for a document once more each, to embed them."""
-    config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
-    workspace = tmp_path / "ws"
-    for stage in ("ingest", "qgen", "topics"):
-        pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+@pytest.fixture
+def counted_encodes(monkeypatch):
+    """The texts of every ``encode`` call, one list per call."""
     calls = []
 
     def counting_encode(texts):
-        calls.extend(texts)
+        calls.append(list(texts))
         return encode(texts)
 
     monkeypatch.setattr(retrieval, "encode", counting_encode)
     monkeypatch.setattr(pipeline, "encode", counting_encode)
+    return calls
+
+
+def test_extract_encodes_once_per_train_document(tmp_path, synthetic_dirs, counted_encodes):
+    """Each train document's sentences and then its questions, in one call."""
+    config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+    workspace = tmp_path / "ws"
+    for stage in ("ingest", "qgen", "topics"):
+        pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+    counted_encodes.clear()
+    pipeline.run_stage("extract", config, workspace)
+
+    corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
+    bank = pipeline.read_artifact(workspace, "qgen/question_bank.json")
+    train = pipeline.read_artifact(workspace, "ingest/split.json").train
+    assert counted_encodes == [
+        [*corpus.transcripts[doc_id], *(q.text for q in bank.per_doc[doc_id])]
+        for doc_id in sorted(train)
+    ]
+
+
+def test_route_encodes_once_per_test_document_and_once_for_the_master_list(
+    tmp_path, synthetic_dirs, counted_encodes
+):
+    """The chosen questions are scored from the master list's counts, not encoded again."""
+    config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
+    workspace = tmp_path / "ws"
+    for stage in ("ingest", "qgen", "topics"):
+        pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+    counted_encodes.clear()
     pipeline.run_stage("route", config, workspace)
 
-    master = json.loads((workspace / "topics" / "question_bank.json").read_text())["master"]
-    transcripts = json.loads((workspace / "ingest" / "corpus.json").read_text())["transcripts"]
-    test_ids = json.loads((workspace / "ingest" / "split.json").read_text())["test"]
-    sentences = [text for doc_id in test_ids for text in transcripts[doc_id]]
-    routed = _jsonl(workspace / "route" / "questions.jsonl")
-    chosen = [question for record in routed for question in record["questions"]]
-    assert sorted(calls) == sorted([q["text"] for q in master] + sentences + chosen)
+    corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
+    master = pipeline.read_artifact(workspace, "topics/question_bank.json").master
+    test_ids = pipeline.read_artifact(workspace, "ingest/split.json").test
+    assert counted_encodes == [
+        [q.text for q in master], *(list(corpus.transcripts[doc_id]) for doc_id in sorted(test_ids))
+    ]
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -303,19 +329,20 @@ def topics_workspace(request, tmp_path_factory):
     return config, workspace
 
 
-def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, monkeypatch):
-    """Every test document chooses, and hands ``build_context``, what the dense reference does.
+def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, monkeypatch):
+    """Every test document chooses, and scores its context on, what the dense reference does.
 
-    The reference embeds the whole master list on the document's vocabulary.
-    The stage ranks on the master tokens' columns (``embed_counts``) and
-    embeds only the chosen questions.
+    The reference embeds the sentences and the whole master list on the
+    document's vocabulary with the per-token loop. The stage folds the IDF
+    into the topic centroids against the master counts, and scores only the
+    chosen questions, from those counts.
     """
     config, workspace = topics_workspace
     handed = {}
 
-    def recording_build_context(doc_id, sentences, questions, question_vectors, *rest):
-        handed[doc_id] = question_vectors
-        return retrieval.build_context(doc_id, sentences, questions, question_vectors, *rest)
+    def recording_build_context(doc_id, sentences, questions, *vectors):
+        handed[doc_id] = cosine_matrix(*vectors[:2], vectors[3])
+        return retrieval.build_context(doc_id, sentences, questions, *vectors)
 
     monkeypatch.setattr(pipeline, "build_context", recording_build_context)
     pipeline.run_stage("route", config, workspace)
@@ -329,24 +356,18 @@ def test_route_ranks_and_embeds_as_on_dense_master_vectors(topics_workspace, mon
     master = pipeline.read_artifact(workspace, "topics/question_bank.json").master
     keywords = pipeline.read_artifact(workspace, "topics/topic_model.json").keywords
     texts = [q.text for q in master]
-    master_ids = encode(texts)
-    counts = master_ids.counts()
     buckets = topic_buckets(master)
     assert sorted(routed) == sorted(split.test)
     for doc_id in sorted(split.test):
         doc = corpus.transcripts[doc_id]
-        embedder = TfidfEmbedder(doc)
-        sentences = embedder.embed(doc)
-        dense = embedder.embed(texts)
-        columns, narrow = embedder.embed_counts(counts, master_ids.tokens)
-        detection = detect_topics(doc_id, keywords, embedder.fit)
+        sentences = loop_embed(doc, doc)
+        dense = loop_embed(doc, texts)
+        detection = detect_topics(doc_id, keywords, encode(doc))
         chosen = select_questions(detection, sentences, dense, buckets, config.q_per_topic)
-        narrow_chosen = select_questions(
-            detection, sentences[:, columns], narrow, buckets, config.q_per_topic
-        )
-        assert narrow_chosen == chosen
         assert routed[doc_id] == [texts[i] for i in chosen]
-        assert np.array_equal(handed[doc_id], dense[chosen])
+        np.testing.assert_allclose(
+            handed[doc_id], cosine_matrix(dense[chosen], sentences), rtol=0, atol=1e-12
+        )
 
 
 def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeypatch):
@@ -356,9 +377,9 @@ def test_route_embeds_only_the_chosen_master_questions(topics_workspace, monkeyp
     embed = TfidfEmbedder.embed
     embedded = []
 
-    def counting_embed(self, texts):
+    def counting_embed(self, texts, *counts):
         embedded.extend(text for text in texts if text in master)
-        return embed(self, texts)
+        return embed(self, texts, *counts)
 
     monkeypatch.setattr(TfidfEmbedder, "embed", counting_embed)
     pipeline.run_stage("route", config, workspace)

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from bulletsum import router
 from bulletsum.errors import NoTopicsDetected
-from bulletsum.retrieval import SCORE_DECIMALS, TfidfEmbedder, cosine_matrix, encode, top_k
+from bulletsum.retrieval import (
+    SCORE_DECIMALS,
+    CountedTexts,
+    TfidfEmbedder,
+    cosine_matrix,
+    cosines,
+    encode,
+    top_k,
+)
 from bulletsum.router import (
     DetectedTopic,
     TopicDetection,
@@ -19,6 +27,7 @@ from bulletsum.router import (
 )
 from bulletsum.text import tokenize
 from bulletsum.topics import UNCATEGORIZED
+from test_retrieval import loop_embed
 
 KEYWORDS = {
     "t0": ["revenue", "sales"],
@@ -41,20 +50,38 @@ def _detect(sentences, keywords):
     return detect_topics("d", keywords, encode(sentences))
 
 
-def _select(sentences, detection, master, q_per_topic, embedder):
-    """The master questions ``select_questions`` picks on dense vectors.
+def _fold_select(sentences, detection, texts, buckets, q_per_topic):
+    """``select_questions`` as the route stage calls it: the IDF folded into the centroids.
 
-    This is the dense reference: the whole master list is embedded on the
-    document's vocabulary. The route stage ranks on the master tokens'
-    columns instead (``TfidfEmbedder.embed_counts``), which chooses the same.
+    The master texts are counted once (``CountedTexts``); the topic centroids
+    are taken on the fit columns that hold a master token, and scored against
+    the master counts the fit holds (``TfidfEmbedder.fold``).
     """
+    counted = CountedTexts(texts)
+    embedder = TfidfEmbedder(sentences)
+    fold = embedder.fold(counted)
+    return select_questions(
+        detection, embedder.vectors(fold.fit_columns), None, buckets, q_per_topic, fold
+    )
+
+
+def _select(sentences, detection, master, q_per_topic):
+    """The master questions ``select_questions`` picks, on dense vectors and through the fold.
+
+    The dense reference embeds the sentences and the whole master list on
+    the document's vocabulary with the per-token loop. The fold must choose
+    the same.
+    """
+    texts = [q.text for q in master]
+    buckets = topic_buckets(master)
     chosen = select_questions(
         detection,
-        embedder.embed(sentences),
-        embedder.embed([q.text for q in master]),
-        topic_buckets(master),
+        loop_embed(sentences, sentences),
+        loop_embed(sentences, texts),
+        buckets,
         q_per_topic,
     )
+    assert _fold_select(sentences, detection, texts, buckets, q_per_topic) == chosen
     return [master[i] for i in chosen]
 
 
@@ -177,14 +204,14 @@ class TestSelectQuestions:
         sentences = ("profit improved again this year",)
         master = [make_question("what is net profit?", topics={"t1"})]
         detection = _detect(sentences, KEYWORDS)
-        selected = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
+        selected = _select(sentences, detection, master, 2)
         assert [q.text for q in selected] == ["what is net profit?"]
 
     def test_question_under_two_topics_appears_once(self, make_question):
         sentences = ("revenue rose", "profit rose")
         master = [make_question("what is revenue and profit mix?", topics={"t0", "t1"})]
         detection = _detect(sentences, KEYWORDS)
-        selected = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
+        selected = _select(sentences, detection, master, 2)
         assert len(selected) == 1
 
     def test_content_word_match_ranks_first(self, make_question):
@@ -199,18 +226,17 @@ class TestSelectQuestions:
             make_question("what is miscellaneous trivia?", index=2, topics={"t0"}),
         ]
         detection = _detect(sentences, KEYWORDS)
-        embedder = TfidfEmbedder(sentences)
-        selected = _select(sentences, detection, master, 1, embedder)
+        selected = _select(sentences, detection, master, 1)
         assert selected[0].text == "what is quarterly revenue grew?"
         # brute-force oracle: cosine of each bucket question vs evidence centroid
-        evidence_vec = embedder.embed(["quarterly revenue grew substantially"])[0]
+        evidence_vec = loop_embed(sentences, ["quarterly revenue grew substantially"])[0]
         sims = {
-            q.text: cosine(embedder.embed([q.text])[0], evidence_vec)
+            q.text: cosine(loop_embed(sentences, [q.text])[0], evidence_vec)
             for q in master
         }
         assert max(sims, key=sims.get) == "what is quarterly revenue grew?"
         routine = cosine_matrix(
-            evidence_vec[None], embedder.embed([q.text for q in master])
+            evidence_vec[None], loop_embed(sentences, [q.text for q in master])
         )[0]
         for q, score in zip(master, routine):
             assert abs(score - sims[q.text]) <= 1e-12
@@ -221,14 +247,14 @@ class TestSelectQuestions:
         texts = ["what is revenue growth?", "what is growth revenue?"]
         for order in (texts, texts[::-1]):
             master = [make_question(t, index=i, topics={"t0"}) for i, t in enumerate(order)]
-            selected = _select(sentences, detection, master, 1, TfidfEmbedder(sentences))
+            selected = _select(sentences, detection, master, 1)
             assert [q.text for q in selected] == [order[0]]
 
     def test_output_subset_of_master_and_bounded(self, make_question):
         sentences = ("revenue rose", "profit fell", "dividend paid")
         master = self._master(make_question)
         detection = _detect(sentences, KEYWORDS)
-        selected = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
+        selected = _select(sentences, detection, master, 2)
         master_texts = {q.text for q in master}
         assert all(q.text in master_texts for q in selected)
         assert len(selected) <= 2 * len(detection.detected)
@@ -237,18 +263,17 @@ class TestSelectQuestions:
         sentences = ("revenue rose", "profit fell")
         master = self._master(make_question)
         detection = _detect(sentences, KEYWORDS)
-        first = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
-        second = _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
+        first = _select(sentences, detection, master, 2)
+        second = _select(sentences, detection, master, 2)
         assert [q.text for q in first] == [q.text for q in second]
 
     def test_returns_master_indices_each_once(self, make_question):
         sentences = ("revenue rose", "profit fell")
         master = self._master(make_question)
-        embedder = TfidfEmbedder(sentences)
         chosen = select_questions(
             _detect(sentences, KEYWORDS),
-            embedder.embed(sentences),
-            embedder.embed([q.text for q in master]),
+            loop_embed(sentences, sentences),
+            loop_embed(sentences, [q.text for q in master]),
             topic_buckets(master),
             3,
         )
@@ -261,7 +286,7 @@ class TestSelectQuestions:
         master = self._master(make_question)
         detection = _detect(sentences, KEYWORDS)
         with pytest.raises(NoTopicsDetected):
-            _select(sentences, detection, master, 2, TfidfEmbedder(sentences))
+            _select(sentences, detection, master, 2)
 
     MASTER_WORDS = ["revenue", "sales", "profit", "margin", "what", "is"]
     DOC_WORDS = ["revenue", "profit", "cash", "the", "rose", "q3"]
@@ -283,31 +308,44 @@ class TestSelectQuestions:
         sentences=["cash rose", "revenue rose in q3"], master=["what is revenue", "sales"],
         groups=[[0], [1], [0, 1]],
     )
-    def test_master_columns_scale_each_centroid_score(self, sentences, master, groups):
-        """The cosine on the master tokens' columns is the dense one over ||c_K|| / ||c||.
+    def test_fold_scales_each_centroid_score(self, sentences, master, groups):
+        """The fold's cosine is the dense one over ||c_K|| / ||c||, and it chooses the same.
 
-        c is a centroid of sentence vectors and c_K its part on those columns.
-        The examples share no master token with the document, and exactly one.
+        c is a centroid of dense sentence vectors and c_K its part on the
+        columns that hold a master token. The examples share no master token
+        with the document, and exactly one.
         """
-        master_ids = encode(master)
-        embedder = TfidfEmbedder(sentences)
-        sentence_vectors = embedder.embed(sentences)
-        dense = embedder.embed(master)
-        columns, narrow = embedder.embed_counts(master_ids.counts(), master_ids.tokens)
-        outside = np.ones(dense.shape[1], dtype=bool)
-        outside[columns] = False
-        assert not dense[:, outside].any()
+        dense_sentences = loop_embed(sentences, sentences)
+        dense = loop_embed(sentences, master)
+        detection = TopicDetection("d", [
+            DetectedTopic(f"t{i}", ["k"], sorted({p % len(sentences) for p in group}))
+            for i, group in enumerate(groups)
+        ])
+        buckets = {topic.topic_id: np.arange(len(master)) for topic in detection.detected}
+        scored = []
+
+        def recording_cosines(*args):
+            scored.append(cosines(*args))
+            return scored[-1]
+
+        with mock.patch.object(router, "cosines", side_effect=recording_cosines):
+            chosen = _fold_select(sentences, detection, master, buckets, 2)
+        narrow = scored[-1]
+        assert chosen == select_questions(detection, dense_sentences, dense, buckets, 2)
+
+        # ``loop_embed``'s columns are the document's tokens in string order.
+        vocab = sorted({token for text in sentences for token in tokenize(text)})
+        master_tokens = {token for text in master for token in tokenize(text)}
+        held = [token in master_tokens for token in vocab]
+        assert not dense[:, np.logical_not(held)].any()
         centroids = np.array(
-            [sentence_vectors[[p % len(sentences) for p in group]].mean(axis=0) for group in groups]
+            [dense_sentences[topic.positions].mean(axis=0) for topic in detection.detected]
         )
         full = np.linalg.norm(centroids, axis=1)
-        part = np.linalg.norm(centroids[:, columns], axis=1)
+        part = np.linalg.norm(centroids[:, held], axis=1)
         factor = np.divide(part, full, out=np.zeros_like(full), where=full > 0)
         np.testing.assert_allclose(
-            cosine_matrix(centroids[:, columns], narrow) * factor[:, None],
-            cosine_matrix(centroids, dense),
-            rtol=0,
-            atol=1e-12,
+            narrow * factor[:, None], cosine_matrix(centroids, dense), rtol=0, atol=1e-12
         )
 
     @settings(max_examples=200, deadline=None)
@@ -372,4 +410,4 @@ class TestSelectQuestions:
         master = self._master(make_question)
         detection = _detect(sentences, KEYWORDS)
         with pytest.raises(ValueError):
-            _select(sentences, detection, master, 0, TfidfEmbedder(sentences))
+            _select(sentences, detection, master, 0)
