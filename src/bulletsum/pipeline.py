@@ -33,7 +33,14 @@ from .corpus import Corpus, CorpusSplit, corpus_stats, load_corpus, split_corpus
 from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTopicsDetected
 from .qbank import MasterList, QuestionBank, build_question_bank
 from .records import reader
-from .retrieval import CountedTexts, ExtractiveContext, TfidfEmbedder, build_context, encode
+from .retrieval import (
+    CountedTexts,
+    ExtractiveContext,
+    TfidfEmbedder,
+    build_context,
+    cosine_matrix,
+    encode,
+)
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
 from .text import QUESTION_STOPWORDS, load_stopwords, read_text_file
@@ -316,20 +323,20 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
     for doc_id in test_ids:
         sentences = corpus.transcripts[doc_id]
         if client:
-            sentence_vectors = next(embedded)
+            sentence_vectors = ranked_sentences = next(embedded)
             sentence_ids = encode(sentences)
-            ranked_sentences, ranked_master, fold = sentence_vectors, service_master_vectors, None
+            score_master = functools.partial(cosine_matrix, candidates=service_master_vectors)
         else:
             embedder = TfidfEmbedder(sentences)
             sentence_ids = embedder.fit
             # The topic centroids are taken on the fit columns that hold a master
             # token, and scored against the master counts the fit holds.
             fold = embedder.fold(master_counts)
-            ranked_sentences, ranked_master = embedder.vectors(fold.fit_columns), None
+            ranked_sentences, score_master = embedder.vectors(fold.fit_columns), fold.scores
         detection = detect_topics(doc_id, model.keywords, sentence_ids)
         try:
             chosen = select_questions(
-                detection, ranked_sentences, ranked_master, buckets, config.q_per_topic, fold
+                detection, ranked_sentences, score_master, buckets, config.q_per_topic
             )
         except NoTopicsDetected:
             if not config.fallback_on_empty_detection:
@@ -357,7 +364,7 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         contexts.append(context)
         # Release this document's arrays before the next document's are built.
         embedder = sentence_ids = sentence_vectors = fold = None
-        ranked_sentences = ranked_master = question_vectors = norms = None
+        ranked_sentences = score_master = question_vectors = norms = None
 
     _write_jsonl(out / "detections.jsonl", detections)
     _write_jsonl(out / "questions.jsonl", selected_questions)

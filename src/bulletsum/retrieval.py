@@ -12,8 +12,8 @@ once per stage (``CountedTexts``) are scored on any document's fit through
 its IDF (``TfidfEmbedder.fold``). A sentence-transformer service can be
 substituted through the embedding client (``services.EmbeddingClient``). Its
 vectors, and the TF-IDF rows with the norms of their whole vectors, are
-ranked by the one scoring routine, ``cosine_matrix``; the products of a fold
-(``Fold.products``) are divided and rounded by the same rule (``cosines``).
+ranked by the one scoring routine, ``cosine_matrix``; a fold's cosines
+(``Fold.scores``) are divided and rounded by the same rule (``cosines``).
 """
 
 from __future__ import annotations
@@ -237,7 +237,9 @@ class Fold(NamedTuple):
     ``columns[j]``. Entry i is a counted (text, token) pair the fit holds:
     text ``rows[i]`` has weight ``weights[i]``, its count times the IDF, on
     fit column ``fit_columns[at[i]]``. ``norms`` are the counted texts'
-    TF-IDF norms on the fit.
+    TF-IDF norms on the fit. ``scores`` gives the cosines of query rows on
+    ``fit_columns`` to every counted text; the route stage scores its topic
+    centroids against the master list with it.
     """
 
     fit_columns: np.ndarray
@@ -247,20 +249,24 @@ class Fold(NamedTuple):
     weights: np.ndarray
     norms: np.ndarray
 
-    def products(self, queries: np.ndarray) -> np.ndarray:
-        """Each query row, on ``fit_columns``, times each counted text's TF-IDF vector.
+    def scores(self, queries: np.ndarray) -> np.ndarray:
+        """The cosine of each query row, on ``fit_columns``, to each counted text's TF-IDF vector.
 
-        One ``bincount`` over the entries, for every query at once, on the
-        calling thread. A matrix product of this size would run on BLAS
-        threads: on a 2-vCPU host, OpenBLAS's hand-off made one such product
-        per document take 0.1 ms in some runs and 13 ms in others.
+        A query's norm is that of its row as given, on ``fit_columns`` only;
+        the counted texts' norms are ``norms``. The products come from one
+        ``bincount`` over the entries, for every query at once, on the
+        calling thread, and ``cosines`` divides and rounds them. A matrix
+        product of this size would run on BLAS threads: on a 2-vCPU host,
+        OpenBLAS's hand-off made one such product per document take 0.1 ms in
+        some runs and 13 ms in others.
         """
         n, width = len(queries), len(self.norms)
         cells = np.arange(n)[:, None] * width + self.rows
         terms = queries[:, self.at] * self.weights
         # With no entries, bincount counts in integers.
         products = np.bincount(cells.ravel(), terms.ravel(), minlength=n * width)
-        return products.astype(float, copy=False).reshape(n, width)
+        products = products.astype(float, copy=False).reshape(n, width)
+        return cosines(products, np.outer(np.linalg.norm(queries, axis=1), self.norms))
 
 
 def cosine_matrix(

@@ -1,23 +1,27 @@
 """Test-time routing: topic detection on a transcript, then question choice.
 
 With no reference summary available, the transcript's own topic-keyword
-matches decide which bank questions to retrieve with. Questions under a
+matches decide which bank questions to retrieve with; detection is a lookup
+in one boolean token x sentence table per document. Questions under a
 detected topic are ranked by cosine against the centroid of the sentences
-that triggered the topic. With the built-in TF-IDF embedder, the master list
-is counted once per stage and each document's IDF weighs only the master
-counts its fit holds (``retrieval.Fold``).
+that triggered the topic, as scored by the one master-scoring callable the
+caller passes. With the built-in TF-IDF embedder that is the document's fold
+of the master counts (``retrieval.Fold.scores``): the master list is counted
+once per stage and each document's IDF weighs only the master counts its fit
+holds. With an embedding service it is ``cosine_matrix`` against the master
+list's vectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import Encoded, Fold, cosine_matrix, cosines
+from .retrieval import Encoded
 from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
@@ -45,40 +49,20 @@ def detect_topics(
 
     ``sentence_ids`` encodes the document's sentences. Each detected topic
     lists the keywords that matched and the positions of the sentences they
-    matched in. One scatter of the ids marks which keywords each sentence
-    holds, and one product with the topic x keyword membership gives the
-    topics each sentence matches.
+    matched in. One boolean token x sentence table marks the sentences that
+    hold each of the document's tokens; a topic's positions are where any of
+    its matched keywords' rows is set.
     """
-    topic_ids = [topic_id for topic_id in sorted(keywords) if topic_id != UNCATEGORIZED]
-    # Each distinct keyword's row in the keyword x sentence incidence; the row
-    # of a keyword the document lacks stays empty.
-    row_of: dict[str, int] = {}
-    keyword_rows = [
-        [row_of.setdefault(keyword, len(row_of)) for keyword in keywords[topic_id]]
-        for topic_id in topic_ids
-    ]
     ids, sentences, n_sentences, tokens = sentence_ids
-    token_rows = np.fromiter(map(row_of.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens))
-    rows = token_rows[ids]
-    hit = rows >= 0
-    incidence = np.zeros((len(row_of), n_sentences))
-    incidence[rows[hit], sentences[hit]] = 1.0
-    pairs = np.array(
-        [(t, row) for t, topic_rows in enumerate(keyword_rows) for row in topic_rows],
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    membership = np.zeros((len(topic_ids), len(row_of)))
-    membership[pairs[:, 0], pairs[:, 1]] = 1.0
-    # A count of matching keywords per topic and sentence; nonzero is a match.
-    topic_sentences = membership @ incidence > 0
-    present = incidence.any(axis=1).tolist()
+    holds = np.zeros((len(tokens), n_sentences), dtype=bool)
+    holds[ids, sentences] = True
+    token_row = dict(zip(tokens, range(len(tokens))))
 
     detected = []
-    for topic_id, topic_rows, matches in zip(topic_ids, keyword_rows, topic_sentences):
-        matched = [
-            keyword for keyword, row in zip(keywords[topic_id], topic_rows) if present[row]
-        ]
+    for topic_id in sorted(keywords.keys() - {UNCATEGORIZED}):
+        matched = [keyword for keyword in keywords[topic_id] if keyword in token_row]
         if matched:
+            matches = holds[[token_row[keyword] for keyword in matched]].any(axis=0)
             detected.append(DetectedTopic(topic_id, matched, np.flatnonzero(matches).tolist()))
     return TopicDetection(doc_id=doc_id, detected=detected)
 
@@ -102,21 +86,19 @@ def topic_buckets(master: list[Question]) -> dict[str, np.ndarray]:
 def select_questions(
     detection: TopicDetection,
     sentence_vectors: np.ndarray,
-    master_vectors: np.ndarray | None,
+    score_master: Callable[[np.ndarray], np.ndarray],
     buckets: dict[str, np.ndarray],
     q_per_topic: int,
-    fold: Fold | None = None,
 ) -> list[int]:
     """Master-list indices of the top-matched questions for each detected topic.
 
     Per topic, the questions in its bucket (``topic_buckets``) are ranked by
-    cosine between their row of ``master_vectors`` and the mean of the
-    ``sentence_vectors`` rows the topic was detected in, rounded as ``top_k``
-    rounds, ties going to the earlier master-list index. With a ``fold``, the
-    sentence rows are TF-IDF vectors on ``fold.fit_columns``, the master
-    texts' TF-IDF vectors are the fold's entries (``Fold.products``) and
-    ``master_vectors`` is not used; each cosine is divided by the norms of the
-    whole centroid and master vectors (``fold.norms``).
+    their cosine to the mean of the ``sentence_vectors`` rows the topic was
+    detected in, ties going to the earlier master-list index.
+    ``score_master`` maps the topic centroids, a row each, to their cosines
+    to every master question, a column each, rounded as ``cosine_matrix``
+    rounds: ``Fold.scores`` for TF-IDF sentence rows on the fold's fit
+    columns, or ``cosine_matrix`` against a service's master vectors.
     All topics are ranked together, one masked ``argmax`` per rank. The
     per-topic winners are unioned in (topic id, rank) order, each index once.
     Master-list texts are distinct (``build_question_bank`` deduplicates
@@ -133,14 +115,9 @@ def select_questions(
     positions, topics = _flatten([topic.positions for topic in detected])
     incidence = np.zeros((len(detected), len(sentence_vectors)))
     incidence[topics, positions] = 1.0
-    centroids = incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True)
-    if fold is None:
-        scores = cosine_matrix(centroids, master_vectors)
-    else:
-        norms = np.outer(np.linalg.norm(centroids, axis=1), fold.norms)
-        scores = cosines(fold.products(centroids), norms)
+    scores = score_master(incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True))
 
-    # Each topic's row holds its bucket's scores, which ``cosines`` rounded,
+    # Each topic's row holds its bucket's scores, which ``score_master`` rounded,
     # and -inf elsewhere; a NaN score goes below every number, as in ``top_k``.
     detected_buckets = [buckets.get(topic.topic_id, _EMPTY_BUCKET) for topic in detected]
     sizes = np.array([len(bucket) for bucket in detected_buckets])

@@ -4,6 +4,8 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -203,17 +205,42 @@ def _round(tmp_path, name, *trace):
     return workspace
 
 
+# Every layer call the benchmark's tracer wraps (``bench/tracer.py``) that a
+# run with the built-in embedder and generator makes.
+TRACED_LAYERS = {
+    "corpus.load",
+    "qbank.build",
+    "topics.fit_lda",
+    "topics.keywords",
+    "topics.categorize",
+    "retrieval.embedder_fit",
+    "retrieval.embed",
+    "retrieval.build_context",
+    "router.detect",
+    "router.select",
+    "generator.export",
+    "generator.prompt",
+    "generator.generate",
+    "metrics.eval",
+}
+
+
 def test_traced_round_matches_untraced(tmp_path):
-    """The benchmark's tracer still wraps every stage and changes no artifact."""
+    """The benchmark's tracer still wraps every stage and layer and changes no artifact.
+
+    A stage that stops calling a layer through the name the tracer patches
+    drops that layer's spans, and its per-layer metric would read 0.
+    """
     trace = tmp_path / "trace.jsonl"
     traced = _round(tmp_path, "traced", trace)
     plain = _round(tmp_path, "plain")
     spans = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
     stage_spans = [s["name"] for s in spans if s["name"].startswith("pipeline.")]
     assert stage_spans == [f"pipeline.{stage}" for stage in pipeline.STAGES]
-    assert {"corpus.load", "topics.fit_lda", "router.select", "metrics.eval"} <= {
-        s["name"] for s in spans
-    }
+    layers = Counter(s["name"] for s in spans if not s["name"].startswith("pipeline."))
+    assert set(layers) == TRACED_LAYERS
+    n_test = len(pipeline.read_artifact(traced, "ingest/split.json").test)
+    assert layers["router.detect"] == layers["router.select"] == n_test > 0
     assert _tree_digest(traced) == _tree_digest(plain)
 
 
@@ -363,7 +390,8 @@ def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, mon
         sentences = loop_embed(doc, doc)
         dense = loop_embed(doc, texts)
         detection = detect_topics(doc_id, keywords, encode(doc))
-        chosen = select_questions(detection, sentences, dense, buckets, config.q_per_topic)
+        score_master = partial(cosine_matrix, candidates=dense)
+        chosen = select_questions(detection, sentences, score_master, buckets, config.q_per_topic)
         assert routed[doc_id] == [texts[i] for i in chosen]
         np.testing.assert_allclose(
             handed[doc_id], cosine_matrix(dense[chosen], sentences), rtol=0, atol=1e-12

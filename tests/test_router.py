@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bulletsum import router
+from bulletsum import retrieval
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.retrieval import (
     SCORE_DECIMALS,
@@ -45,6 +46,11 @@ def cosine(u, v):
     return float(np.dot(u, v)) / (nu * nv)
 
 
+def against(master_vectors):
+    """A service's master scorer: ``cosine_matrix`` of the centroids against ``master_vectors``."""
+    return partial(cosine_matrix, candidates=master_vectors)
+
+
 def _detect(sentences, keywords):
     """``detect_topics`` on the document's sentences as ``encode`` gives them."""
     return detect_topics("d", keywords, encode(sentences))
@@ -61,7 +67,7 @@ def _fold_select(sentences, detection, texts, buckets, q_per_topic):
     embedder = TfidfEmbedder(sentences)
     fold = embedder.fold(counted)
     return select_questions(
-        detection, embedder.vectors(fold.fit_columns), None, buckets, q_per_topic, fold
+        detection, embedder.vectors(fold.fit_columns), fold.scores, buckets, q_per_topic
     )
 
 
@@ -77,7 +83,7 @@ def _select(sentences, detection, master, q_per_topic):
     chosen = select_questions(
         detection,
         loop_embed(sentences, sentences),
-        loop_embed(sentences, texts),
+        against(loop_embed(sentences, texts)),
         buckets,
         q_per_topic,
     )
@@ -149,6 +155,20 @@ class TestDetectTopics:
             max_size=5,
         ),
     )
+    # A keyword under two topics, and one repeated within a topic.
+    @example(
+        sentences=["revenue rose", "cash fell"],
+        keywords={"t0": ["cash", "revenue"], "t1": ["revenue", "margin", "revenue"]},
+    )
+    # ``uncategorized`` holds a keyword the document contains.
+    @example(sentences=["the dividend", "cash"], keywords={UNCATEGORIZED: ["dividend", "cash"]})
+    # A decimal keyword, and trailing sentences with no token.
+    @example(
+        sentences=["eps of 3.5 rose", "3 5 and 35", "", "..."],
+        keywords={"t0": ["3.5"], "t1": ["35", "5"]},
+    )
+    # A document with no token at all.
+    @example(sentences=["", "--", "."], keywords={"t0": ["revenue"], UNCATEGORIZED: ["cash"]})
     def test_matches_brute_force_scan(self, sentences, keywords):
         # A keyword may be in no sentence, or in every one.
         detection = _detect(sentences, keywords)
@@ -273,7 +293,7 @@ class TestSelectQuestions:
         chosen = select_questions(
             _detect(sentences, KEYWORDS),
             loop_embed(sentences, sentences),
-            loop_embed(sentences, [q.text for q in master]),
+            against(loop_embed(sentences, [q.text for q in master])),
             topic_buckets(master),
             3,
         )
@@ -328,10 +348,10 @@ class TestSelectQuestions:
             scored.append(cosines(*args))
             return scored[-1]
 
-        with mock.patch.object(router, "cosines", side_effect=recording_cosines):
+        with mock.patch.object(retrieval, "cosines", side_effect=recording_cosines):
             chosen = _fold_select(sentences, detection, master, buckets, 2)
         narrow = scored[-1]
-        assert chosen == select_questions(detection, dense_sentences, dense, buckets, 2)
+        assert chosen == select_questions(detection, dense_sentences, against(dense), buckets, 2)
 
         # ``loop_embed``'s columns are the document's tokens in string order.
         vocab = sorted({token for text in sentences for token in tokenize(text)})
@@ -382,12 +402,11 @@ class TestSelectQuestions:
             winners.extend(bucket[top_k(row[bucket], q_per_topic)].tolist())
         expected = list(dict.fromkeys(winners))
 
-        # The stand-in for ``cosine_matrix`` rounds its scores as it does.
+        # The stand-in master scorer rounds its scores as ``cosine_matrix`` does.
         rounded = np.round(scores, SCORE_DECIMALS)
-        with mock.patch.object(router, "cosine_matrix", return_value=rounded):
-            chosen = select_questions(
-                detection, np.zeros((1, 1)), np.zeros((n_master, 1)), buckets, q_per_topic
-            )
+        chosen = select_questions(
+            detection, np.zeros((1, 1)), lambda centroids: rounded, buckets, q_per_topic
+        )
         assert chosen == expected
 
     def test_centroids_are_the_mean_of_each_topics_sentences(self):
@@ -398,8 +417,8 @@ class TestSelectQuestions:
         detection = TopicDetection(
             "d", [DetectedTopic(f"t{i}", ["k"], group) for i, group in enumerate(groups)]
         )
-        with mock.patch.object(router, "cosine_matrix", wraps=cosine_matrix) as scored:
-            select_questions(detection, sentence_vectors, master_vectors, {}, 1)
+        scored = mock.Mock(wraps=against(master_vectors))
+        select_questions(detection, sentence_vectors, scored, {}, 1)
         centroids = scored.call_args.args[0]
         np.testing.assert_allclose(
             centroids, [sentence_vectors[group].mean(axis=0) for group in groups], rtol=0, atol=1e-12
