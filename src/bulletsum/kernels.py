@@ -1,8 +1,8 @@
 """The one loader of the package's C kernels.
 
 A kernel is a C file next to this module (``lda_sweep.c``, ``tokenize.c``,
-``vectors_json.c``) that a Python reference in its caller's module computes
-too, with the same result. ``load`` compiles the file with ``cc`` on first use into
+``vectors_json.c``, ``pair_products.c``) that a Python reference in its
+caller's module computes too, with the same result. ``load`` compiles the file with ``cc`` on first use into
 ``${XDG_CACHE_HOME:-~/.cache}/bulletsum/<name>-<sha256>.so``, keyed by source
 and flags, loads it with ``ctypes`` and declares the argument types of the
 function the caller asked for. If that fails, one WARNING per kernel and

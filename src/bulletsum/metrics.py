@@ -3,7 +3,9 @@
 All metrics are computed from scratch so results depend only on one
 tokenization, ``text.tokenize``: lowercase; split on anything that is not an
 ASCII letter, ASCII digit, or a decimal point inside a number; no stemming, no
-stop-word removal. ROUGE-L is summary-level LCS over the full token sequence.
+stop-word removal. ROUGE-L is summary-level LCS over the full token sequence,
+computed bit-parallel (``_lcs_length``). ``evaluate_corpus`` tokenizes each
+prediction and reference once for all three ROUGE scores.
 """
 
 from __future__ import annotations
@@ -59,8 +61,12 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap F1 (n in {1, 2})."""
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand = _ngrams(tokenize(candidate), n)
-    ref = _ngrams(tokenize(reference), n)
+    return _rouge_n(tokenize(candidate), tokenize(reference), n)
+
+
+def _rouge_n(cand_tokens: list[str], ref_tokens: list[str], n: int) -> RougeScore:
+    cand = _ngrams(cand_tokens, n)
+    ref = _ngrams(ref_tokens, n)
     cand_total = sum(cand.values())
     ref_total = sum(ref.values())
     if cand_total == 0 or ref_total == 0:
@@ -72,26 +78,32 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # Single-row DP; b indexes the row to keep memory at O(|b|).
-    if not a or not b:
-        return 0
-    row = [0] * (len(b) + 1)
-    for token in a:
-        prev_diag = 0
-        for j, other in enumerate(b, start=1):
-            prev_row = row[j]
-            if token == other:
-                row[j] = prev_diag + 1
-            elif row[j - 1] > row[j]:
-                row[j] = row[j - 1]
-            prev_diag = prev_row
-    return row[len(b)]
+    """Length of a longest common subsequence, by the bit-parallel recurrence.
+
+    Allison and Dix (1986), as Hyyrö (2004) writes it: bit i of ``matches[t]``
+    is set where ``a[i]`` is t, and ``v`` starts with the ``len(a)`` low bits
+    set. Each token of ``b`` updates ``v`` with one addition, one subtraction
+    and three bitwise operations on Python ints, and the LCS length is the
+    number of those bits that end up clear. Bits that a carry sets above them
+    never reach back down.
+    """
+    matches: dict[str, int] = {}
+    for i, token in enumerate(a):
+        matches[token] = matches.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for token in b:
+        u = v & matches.get(token, 0)
+        v = (v + u) | (v - u)
+    return len(a) - (v & full).bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Summary-level longest-common-subsequence F1 (beta = 1)."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _rouge_l(tokenize(candidate), tokenize(reference))
+
+
+def _rouge_l(cand: list[str], ref: list[str]) -> RougeScore:
     if not cand or not ref:
         return RougeScore(0.0, 0.0, 0.0)
     lcs = _lcs_length(cand, ref)
@@ -167,13 +179,13 @@ def evaluate_corpus(
     per_doc = []
     for doc_id in sorted(pred_ids):
         cand_text = "\n".join(predictions[doc_id])
-        ref_text = "\n".join(references[doc_id])
+        cand, ref = tokenize(cand_text), tokenize("\n".join(references[doc_id]))
         per_doc.append(
             DocumentScores(
                 doc_id=doc_id,
-                rouge1=rouge_n(cand_text, ref_text, 1),
-                rouge2=rouge_n(cand_text, ref_text, 2),
-                rougeL=rouge_l(cand_text, ref_text),
+                rouge1=_rouge_n(cand, ref, 1),
+                rouge2=_rouge_n(cand, ref, 2),
+                rougeL=_rouge_l(cand, ref),
                 num_prec=num_prec(cand_text, sources[doc_id]),
             )
         )

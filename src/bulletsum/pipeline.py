@@ -26,6 +26,8 @@ from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import generator as gen
 from . import metrics as met
 from .config import PipelineConfig
@@ -301,6 +303,13 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
     gen.export_finetune_dataset(pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl")
 
 
+def _pair_cosines(
+    candidates: np.ndarray, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray
+) -> np.ndarray:
+    """``cosine_matrix`` of ``queries`` against ``candidates``, at the (query, candidate) pairs."""
+    return cosine_matrix(queries, candidates)[topics, texts]
+
+
 def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, model) -> None:
     master = categorized.master
     master_texts = [q.text for q in master]
@@ -325,12 +334,13 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         if client:
             sentence_vectors = ranked_sentences = next(embedded)
             sentence_ids = encode(sentences)
-            score_master = functools.partial(cosine_matrix, candidates=service_master_vectors)
+            score_master = functools.partial(_pair_cosines, service_master_vectors)
         else:
             embedder = TfidfEmbedder(sentences)
             sentence_ids = embedder.fit
             # The topic centroids are taken on the fit columns that hold a master
-            # token, and scored against the master counts the fit holds.
+            # token, and scored against the master counts the fit holds, at their
+            # buckets' questions only.
             fold = embedder.fold(master_counts)
             ranked_sentences, score_master = embedder.vectors(fold.fit_columns), fold.scores
         detection = detect_topics(doc_id, model.keywords, sentence_ids)

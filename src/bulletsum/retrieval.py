@@ -9,11 +9,13 @@ dense texts x vocabulary matrix: ``TfidfEmbedder`` keeps a document's counts
 as one entry per distinct (sentence, token) pair, takes each vector's norm
 from them, and fills rows only on the columns the queries hold. Texts counted
 once per stage (``CountedTexts``) are scored on any document's fit through
-its IDF (``TfidfEmbedder.fold``). A sentence-transformer service can be
-substituted through the embedding client (``services.EmbeddingClient``). Its
-vectors, and the TF-IDF rows with the norms of their whole vectors, are
-ranked by the one scoring routine, ``cosine_matrix``; a fold's cosines
-(``Fold.scores``) are divided and rounded by the same rule (``cosines``).
+its IDF (``TfidfEmbedder.fold``), at the (query, text) pairs asked for only:
+a second small C kernel (``pair_products.c``) sums each pair's products over
+the text's entries. A sentence-transformer service can be substituted
+through the embedding client (``services.EmbeddingClient``). Its vectors,
+and the TF-IDF rows with the norms of their whole vectors, are ranked by the
+one scoring routine, ``cosine_matrix``; a fold's cosines (``Fold.scores``)
+are divided and rounded by the same rule (``cosines``).
 """
 
 from __future__ import annotations
@@ -236,10 +238,12 @@ class Fold(NamedTuple):
     Fit column ``fit_columns[j]`` holds the token of counted column
     ``columns[j]``. Entry i is a counted (text, token) pair the fit holds:
     text ``rows[i]`` has weight ``weights[i]``, its count times the IDF, on
-    fit column ``fit_columns[at[i]]``. ``norms`` are the counted texts'
-    TF-IDF norms on the fit. ``scores`` gives the cosines of query rows on
-    ``fit_columns`` to every counted text; the route stage scores its topic
-    centroids against the master list with it.
+    fit column ``fit_columns[at[i]]``. The entries are ordered by text, so
+    each text's entries are one run. ``norms`` are the counted texts' TF-IDF
+    norms on the fit. ``scores`` gives the cosines of query rows on
+    ``fit_columns`` to counted texts, at the (query, text) pairs asked for;
+    the route stage scores its topic centroids against the master questions
+    in their buckets with it.
     """
 
     fit_columns: np.ndarray
@@ -249,24 +253,62 @@ class Fold(NamedTuple):
     weights: np.ndarray
     norms: np.ndarray
 
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        """The cosine of each query row, on ``fit_columns``, to each counted text's TF-IDF vector.
+    def scores(self, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray) -> np.ndarray:
+        """The cosine of query row ``topics[p]``, on ``fit_columns``, to counted text ``texts[p]``.
 
-        A query's norm is that of its row as given, on ``fit_columns`` only;
-        the counted texts' norms are ``norms``. The products come from one
-        ``bincount`` over the entries, for every query at once, on the
-        calling thread, and ``cosines`` divides and rounds them. A matrix
-        product of this size would run on BLAS threads: on a 2-vCPU host,
-        OpenBLAS's hand-off made one such product per document take 0.1 ms in
-        some runs and 13 ms in others.
+        One score per pair p. A query's norm is that of its row as given, on
+        ``fit_columns`` only; the counted texts' norms are ``norms``. The
+        products come from ``products`` and ``cosines`` divides and rounds
+        them.
         """
-        n, width = len(queries), len(self.norms)
-        cells = np.arange(n)[:, None] * width + self.rows
-        terms = queries[:, self.at] * self.weights
-        # With no entries, bincount counts in integers.
-        products = np.bincount(cells.ravel(), terms.ravel(), minlength=n * width)
-        products = products.astype(float, copy=False).reshape(n, width)
-        return cosines(products, np.outer(np.linalg.norm(queries, axis=1), self.norms))
+        topics = np.asarray(topics, dtype=np.intp)
+        texts = np.asarray(texts, dtype=np.intp)
+        # Gathered first, so an index out of range raises before the kernel runs.
+        norms = np.linalg.norm(queries, axis=1)[topics] * self.norms[texts]
+        return cosines(self.products(queries, topics, texts), norms)
+
+    def products(self, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray) -> np.ndarray:
+        """The product of query row ``topics[p]`` with counted text ``texts[p]``'s weights.
+
+        One product per pair p, on the calling thread, from the compiled loop
+        over each text's entries (``pair_products.c``, loaded by
+        ``kernels.load``), which sums in entry order from 0.0 as ``bincount``
+        does. Where the kernel is unavailable, the Python reference
+        (``_python_products``) runs, with the same bits. ``topics`` and
+        ``texts`` are ``intp`` arrays of indices in range.
+        """
+        kernel = kernels.load(*_PAIR_PRODUCTS)
+        if kernel is None:
+            return _python_products(self, queries, topics, texts)
+        queries = np.ascontiguousarray(queries, dtype=float)
+        starts = np.searchsorted(self.rows, np.arange(len(self.norms) + 1))
+        out = np.empty(len(topics))
+        width = queries.shape[1]
+        kernel(queries, width, self.at, self.weights, starts, topics, texts, len(topics), out)
+        return out
+
+
+# ``kernels.load``'s arguments for the compiled loop of ``pair_products.c``.
+_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_PAIR_PRODUCTS = ("pair_products", "pair_products", (
+    _DOUBLES, ctypes.c_ssize_t, _INTP, _DOUBLES, _INTP, _INTP, _INTP, ctypes.c_ssize_t, _DOUBLES,
+))
+
+
+def _python_products(
+    fold: Fold, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray
+) -> np.ndarray:
+    """The reference for ``Fold.products``: every query x text cell, gathered at the pairs.
+
+    One ``bincount`` over the entries for every query at once, which adds
+    each cell's terms in entry order from 0.0.
+    """
+    n, width = len(queries), len(fold.norms)
+    cells = np.arange(n)[:, None] * width + fold.rows
+    terms = queries[:, fold.at] * fold.weights
+    # With no entries, bincount counts in integers.
+    products = np.bincount(cells.ravel(), terms.ravel(), minlength=n * width)
+    return products.astype(float, copy=False).reshape(n, width)[topics, texts]
 
 
 def cosine_matrix(

@@ -5,11 +5,13 @@ matches decide which bank questions to retrieve with; detection is a lookup
 in one boolean token x sentence table per document. Questions under a
 detected topic are ranked by cosine against the centroid of the sentences
 that triggered the topic, as scored by the one master-scoring callable the
-caller passes. With the built-in TF-IDF embedder that is the document's fold
+caller passes, at the (topic, question) pairs of the detected topics'
+buckets only. With the built-in TF-IDF embedder that is the document's fold
 of the master counts (``retrieval.Fold.scores``): the master list is counted
-once per stage and each document's IDF weighs only the master counts its fit
-holds. With an embedding service it is ``cosine_matrix`` against the master
-list's vectors.
+once per stage, each document's IDF weighs only the master counts its fit
+holds, and a compiled loop sums each pair's products over the question's
+entries. With an embedding service it is ``cosine_matrix`` against the master
+list's vectors, gathered at the pairs.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def topic_buckets(master: list[Question]) -> dict[str, np.ndarray]:
 def select_questions(
     detection: TopicDetection,
     sentence_vectors: np.ndarray,
-    score_master: Callable[[np.ndarray], np.ndarray],
+    score_master: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     buckets: dict[str, np.ndarray],
     q_per_topic: int,
 ) -> list[int]:
@@ -95,14 +97,17 @@ def select_questions(
     Per topic, the questions in its bucket (``topic_buckets``) are ranked by
     their cosine to the mean of the ``sentence_vectors`` rows the topic was
     detected in, ties going to the earlier master-list index.
-    ``score_master`` maps the topic centroids, a row each, to their cosines
-    to every master question, a column each, rounded as ``cosine_matrix``
-    rounds: ``Fold.scores`` for TF-IDF sentence rows on the fold's fit
-    columns, or ``cosine_matrix`` against a service's master vectors.
-    All topics are ranked together, one masked ``argmax`` per rank. The
-    per-topic winners are unioned in (topic id, rank) order, each index once.
-    Master-list texts are distinct (``build_question_bank`` deduplicates
-    them), so this is the union by text as well.
+    ``score_master(centroids, topics, questions)`` maps the topic centroids,
+    a row each, to the cosine of centroid ``topics[p]`` to master question
+    ``questions[p]`` for each pair p, rounded as ``cosine_matrix`` rounds:
+    ``Fold.scores`` for TF-IDF sentence rows on the fold's fit columns, or
+    ``cosine_matrix`` against a service's master vectors, gathered at the
+    pairs. The pairs are every detected topic's bucket, flattened, so no
+    other question is scored. All topics are ranked together, one masked
+    ``argmax`` per rank. The per-topic winners are unioned in (topic id,
+    rank) order, each index once. Master-list texts are distinct
+    (``build_question_bank`` deduplicates them), so this is the union by
+    text as well.
     """
     if q_per_topic < 1:
         raise ValueError("q_per_topic must be >= 1")
@@ -115,15 +120,16 @@ def select_questions(
     positions, topics = _flatten([topic.positions for topic in detected])
     incidence = np.zeros((len(detected), len(sentence_vectors)))
     incidence[topics, positions] = 1.0
-    scores = score_master(incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True))
+    centroids = incidence @ sentence_vectors / incidence.sum(axis=1, keepdims=True)
 
     # Each topic's row holds its bucket's scores, which ``score_master`` rounded,
     # and -inf elsewhere; a NaN score goes below every number, as in ``top_k``.
     detected_buckets = [buckets.get(topic.topic_id, _EMPTY_BUCKET) for topic in detected]
     sizes = np.array([len(bucket) for bucket in detected_buckets])
     columns, rows = _flatten(detected_buckets)
-    masked = np.full(scores.shape, -np.inf)
-    masked[rows, columns] = np.nan_to_num(scores[rows, columns], nan=_BELOW_ANY_SCORE)
+    scores = score_master(centroids, rows, columns)
+    masked = np.full((len(detected), int(columns.max(initial=-1)) + 1), -np.inf)
+    masked[rows, columns] = np.nan_to_num(scores, nan=_BELOW_ANY_SCORE)
     # Rank r of every topic at once: argmax takes the first maximum, so equal
     # scores go to the lower master index; the winner is then masked out.
     rounds = min(q_per_topic, int(sizes.max()))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bulletsum import metrics
 from bulletsum.errors import AlignmentError
 from bulletsum.metrics import (
     MetricsReport,
@@ -34,6 +35,23 @@ def brute_force_lcs(a, b):
         if len(sub) > best and is_subsequence(sub, b):
             best = len(sub)
     return best
+
+
+def dp_lcs(a, b):
+    """LCS length by the single-row dynamic program: the reference for the bit-parallel one."""
+    if not a or not b:
+        return 0
+    row = [0] * (len(b) + 1)
+    for token in a:
+        prev_diag = 0
+        for j, other in enumerate(b, start=1):
+            prev_row = row[j]
+            if token == other:
+                row[j] = prev_diag + 1
+            elif row[j - 1] > row[j]:
+                row[j] = row[j - 1]
+            prev_diag = prev_row
+    return row[len(b)]
 
 
 class TestTokenize:
@@ -141,6 +159,20 @@ class TestRougeL:
             assert score.f1 == expected
 
 
+    # Runs of up to 200 tokens cross several 64-bit words and make carries
+    # run above the top bit; a small alphabet makes long common subsequences.
+    lcs_tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "revenue"]), max_size=200)
+
+    @given(a=lcs_tokens, b=lcs_tokens)
+    @example(a=["a"] * 130, b=["a"] * 70 + ["b"] * 70)
+    @example(a=["a", "b"] * 40, b=["b", "a"] * 40)
+    @example(a=["a"] * 64, b=["a"] * 200)
+    def test_bit_parallel_lcs_matches_the_dynamic_program(self, a, b):
+        expected = dp_lcs(a, b)
+        assert metrics._lcs_length(a, b) == expected
+        assert metrics._lcs_length(b, a) == expected
+
+
 class TestExtractNumbers:
     def test_currency_scale_percent(self):
         numbers = normalized_numbers(["eps $0.97, revenue $6.15 billion, growth 16%"])
@@ -237,6 +269,21 @@ class TestEvaluateCorpus:
         doc = report.per_document[0]
         assert report.rouge1 == doc.rouge1
         assert report.num_prec == doc.num_prec
+
+    def test_each_prediction_and_reference_is_tokenized_once(self, monkeypatch):
+        sources, references = self._fixture()
+        predictions = {"a": ["revenue rose 5%."], "b": ["sales fell.", "margin was 20%."]}
+        expected = evaluate_corpus(predictions, references, sources)
+        tokenized = []
+
+        def counting_tokenize(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(metrics, "tokenize", counting_tokenize)
+        assert evaluate_corpus(predictions, references, sources) == expected
+        texts = [predictions["a"], references["a"], predictions["b"], references["b"]]
+        assert tokenized == ["\n".join(bullets) for bullets in texts]
 
     def test_alignment_error_lists_ids(self):
         sources, references = self._fixture()

@@ -390,7 +390,7 @@ def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, mon
         sentences = loop_embed(doc, doc)
         dense = loop_embed(doc, texts)
         detection = detect_topics(doc_id, keywords, encode(doc))
-        score_master = partial(cosine_matrix, candidates=dense)
+        score_master = partial(pipeline._pair_cosines, dense)
         chosen = select_questions(detection, sentences, score_master, buckets, config.q_per_topic)
         assert routed[doc_id] == [texts[i] for i in chosen]
         np.testing.assert_allclose(

@@ -4,6 +4,7 @@ import math
 import random
 import string
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,14 +199,28 @@ def _scores(fit_corpus, queries):
 
 
 def _counted_scores(fit_corpus, texts):
-    """The same cosines, with ``texts`` counted apart and folded onto the fit, as route does."""
+    """The same cosines, with ``texts`` counted apart and folded onto the fit, as route does.
+
+    Route scores its chosen texts for the context from their counts
+    (``embed``), and ranks them by ``Fold.scores`` at (fit row, text) pairs.
+    There a row's norm is taken on the fold's fit columns only, and the rows
+    given have whole norm 1 or 0, so each fold score is the whole cosine over
+    its row's norm.
+    """
     counted = CountedTexts(texts)
     embedder = TfidfEmbedder(fit_corpus)
     fold = embedder.fold(counted)
     embedded = embedder.embed(texts, (counted.matrix[:, fold.columns], fold.fit_columns))
     query_norms, _ = embedded[2]
     np.testing.assert_allclose(query_norms, fold.norms, rtol=0, atol=1e-12)
-    return cosine_matrix(*embedded)
+    scores = cosine_matrix(*embedded)
+    rows = embedder.vectors(fold.fit_columns)
+    n, m = len(fit_corpus), len(texts)
+    folded = fold.scores(rows, np.repeat(np.arange(n), m), np.tile(np.arange(m), n))
+    np.testing.assert_allclose(
+        folded.reshape(n, m).T * np.linalg.norm(rows, axis=1), scores, rtol=0, atol=1e-12
+    )
+    return scores
 
 
 class TestTfidfEmbedder:
@@ -305,6 +320,81 @@ class TestTfidfEmbedder:
         a = TfidfEmbedder(texts, ["alpha gamma"]).embed(["alpha gamma"])
         b = TfidfEmbedder(texts, ["alpha gamma"]).embed(["alpha gamma"])
         assert all(np.array_equal(x, y) for x, y in zip([*a[:2], *a[2]], [*b[:2], *b[2]]))
+
+
+# Centroid entries: exact values, and noise that makes the summation order show.
+centroid_values = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0, 1e-300]) | st.floats(-10, 10), max_size=24
+)
+
+
+def _pairs(fold, n_topics, values, pairs):
+    """Centroids on ``fold``'s fit columns, cycling ``values``, and the pairs as index arrays."""
+    centroids = np.resize(np.array(values or [0.0]), (n_topics, len(fold.fit_columns)))
+    topics = np.array([topic % n_topics for topic, _ in pairs], dtype=np.intp)
+    texts = np.array([text % len(fold.norms) for _, text in pairs], dtype=np.intp)
+    return centroids, topics, texts
+
+
+class TestPairProducts:
+    """``pair_products.c`` against the all-cells ``bincount`` it replaces."""
+
+    @needs_cc
+    @settings(deadline=None)  # the first example may build the kernel
+    @given(
+        sentences=st.lists(embed_texts, min_size=1, max_size=6),
+        master=st.lists(embed_texts, min_size=1, max_size=8),
+        n_topics=st.integers(1, 4),
+        values=centroid_values,
+        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+    )
+    # In order: a question that holds no fit token, and the last master row;
+    # an all-zero centroid; one question under several topics; a topic with
+    # an empty bucket (topic 1).
+    @example(
+        sentences=["revenue rose", "cash"], master=["q3 sales", "revenue cash"], n_topics=1,
+        values=[0.5, 1.0], pairs=[(0, 0), (0, 1)],
+    )
+    @example(
+        sentences=["revenue rose", "cash"], master=["revenue cash"], n_topics=2,
+        values=[0.0], pairs=[(0, 0), (1, 0)],
+    )
+    @example(
+        sentences=["revenue rose", "cash rose", "q3"], master=["rose", "revenue rose cash"],
+        n_topics=3, values=[0.25, 1.0, -3.5, 7.0, 1e-300], pairs=[(0, 1), (1, 1), (2, 1)],
+    )
+    @example(
+        sentences=["revenue rose", "cash rose"], master=["rose", "cash", "revenue cash"],
+        n_topics=3, values=[0.1, 0.7, 0.3], pairs=[(0, 0), (0, 2), (2, 1), (2, 2)],
+    )
+    def test_kernel_matches_the_reference(self, sentences, master, n_topics, values, pairs):
+        assert kernels.load(*retrieval._PAIR_PRODUCTS) is not None
+        fold = TfidfEmbedder(sentences).fold(CountedTexts(master))
+        centroids, topics, texts = _pairs(fold, n_topics, values, pairs)
+        expected = retrieval._python_products(fold, centroids, topics, texts)
+        products = fold.products(centroids, topics, texts)
+        assert products.tobytes() == expected.tobytes()
+        # A text that holds no fit token has no entries: product 0, score 0.
+        empty = np.bincount(fold.rows, minlength=len(master))[texts] == 0
+        assert not products[empty].any()
+        scores = fold.scores(centroids, topics, texts)
+        assert not scores[empty].any()
+        with mock.patch.object(kernels, "load", return_value=None):
+            assert fold.scores(centroids, topics, texts).tobytes() == scores.tobytes()
+
+    @needs_cc
+    def test_failure_falls_back_with_one_warning(self, break_kernel_build, caplog):
+        fold = TfidfEmbedder(["revenue rose", "cash rose"]).fold(CountedTexts(["rose", "cash"]))
+        centroids, topics, texts = _pairs(fold, 2, [0.3, 0.9], [(0, 0), (1, 1), (1, 0)])
+        expected = retrieval._python_products(fold, centroids, topics, texts)
+        break_kernel_build("compile-error")
+        with caplog.at_level(logging.WARNING):
+            products = fold.products(centroids, topics, texts)
+            fold.products(centroids, topics, texts)
+        assert products.tobytes() == expected.tobytes()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "pair_products" in warnings[0].getMessage()
 
 
 class TestRankingRoutine:

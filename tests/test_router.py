@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bulletsum import retrieval
+from bulletsum import pipeline, retrieval
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.retrieval import (
     SCORE_DECIMALS,
@@ -47,8 +47,8 @@ def cosine(u, v):
 
 
 def against(master_vectors):
-    """A service's master scorer: ``cosine_matrix`` of the centroids against ``master_vectors``."""
-    return partial(cosine_matrix, candidates=master_vectors)
+    """A service's master scorer: the centroids' cosines to ``master_vectors``, at the pairs."""
+    return partial(pipeline._pair_cosines, master_vectors)
 
 
 def _detect(sentences, keywords):
@@ -350,7 +350,8 @@ class TestSelectQuestions:
 
         with mock.patch.object(retrieval, "cosines", side_effect=recording_cosines):
             chosen = _fold_select(sentences, detection, master, buckets, 2)
-        narrow = scored[-1]
+        # Every topic's bucket is the whole master list: the pairs run row by row.
+        narrow = scored[-1].reshape(len(groups), len(master))
         assert chosen == select_questions(detection, dense_sentences, against(dense), buckets, 2)
 
         # ``loop_embed``'s columns are the document's tokens in string order.
@@ -405,7 +406,11 @@ class TestSelectQuestions:
         # The stand-in master scorer rounds its scores as ``cosine_matrix`` does.
         rounded = np.round(scores, SCORE_DECIMALS)
         chosen = select_questions(
-            detection, np.zeros((1, 1)), lambda centroids: rounded, buckets, q_per_topic
+            detection,
+            np.zeros((1, 1)),
+            lambda centroids, topics, questions: rounded[topics, questions],
+            buckets,
+            q_per_topic,
         )
         assert chosen == expected
 

@@ -4,7 +4,8 @@ A kernel that reads or writes one slot outside an array, or overflows a
 signed integer, can still give the reference's result in a plain build. Here
 a child process builds every kernel with the sanitizers into its own cache
 and runs the kernel-vs-reference property tests of ``tokenize.c``,
-``vectors_json.c`` and ``lda_sweep.c``; the first fault aborts it.
+``vectors_json.c``, ``lda_sweep.c`` and ``pair_products.c``; the first fault
+aborts it.
 """
 
 import os
@@ -22,6 +23,7 @@ SANITIZE = (
 )
 PROPERTY_TESTS = [
     "tests/test_retrieval.py::TestEncode::test_kernel_matches_tokenize",
+    "tests/test_retrieval.py::TestPairProducts::test_kernel_matches_the_reference",
     "tests/test_services.py::TestDecoder::test_kernel_matches_the_reference",
     "tests/test_services.py::TestDecoder::test_body_that_is_not_canonical_goes_to_the_reference",
     "tests/test_topics.py::TestCompiledSampler::test_same_phi_as_python_loop",
@@ -73,4 +75,4 @@ def test_kernels_match_their_references_under_sanitizers(tmp_path):
     )
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
     built = sorted(path.name.split("-")[0] for path in (cache / "bulletsum").glob("*.so"))
-    assert built == ["lda_sweep", "tokenize", "vectors_json"]
+    assert built == ["lda_sweep", "pair_products", "tokenize", "vectors_json"]

@@ -387,7 +387,7 @@ class TestTransport:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "ws" / "eval" / "report.json").is_file()
         assert json.loads(done.stdout.splitlines()[-2]) == []
-        assert json.loads(done.stdout.splitlines()[-1]) == ["lda_sweep", "tokenize"]
+        assert json.loads(done.stdout.splitlines()[-1]) == ["lda_sweep", "pair_products", "tokenize"]
 
 
 class TestEmbeddingClient:
