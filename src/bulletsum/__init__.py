@@ -8,11 +8,3 @@ instruction-prompted abstractive stage, plus the evaluation harness
 
 __version__ = "0.1.0"
 
-from pathlib import Path
-
-
-def synthetic_data_dirs() -> tuple[Path, Path]:
-    """The transcript and summary directories of the bundled five-document demo corpus."""
-    root = Path(__file__).parent / "data" / "synthetic"
-    return root / "transcripts", root / "summaries"
-

@@ -10,6 +10,15 @@ process ("compiled kernel <name> unavailable, running its Python reference:
 <reason>") is logged, ``load`` returns None, and the caller runs its Python
 reference. Deleting the cache directory is always safe: the next run rebuilds
 it.
+
+``one_blas_thread`` is not a kernel: it runs its body with the OpenBLAS that
+numpy's wheel bundles on one thread, and then sets the caller's thread count
+back, also when the body raises. It finds that library in the wheel's library
+directory and calls its get and set functions through ``ctypes``, under the
+names of numpy 2 (``scipy_openblas_*_num_threads64_``) or of numpy 1
+(``openblas_*_num_threads64_``). Where there is none (an MKL or Accelerate
+build, say), the body runs at BLAS's own thread count, and one INFO line per
+process says so.
 """
 
 from __future__ import annotations
@@ -21,7 +30,10 @@ import logging
 import os
 import subprocess
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 # -ffp-contract=off: a fused multiply-add would round differently from Python.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -77,3 +89,57 @@ def _build(name: str) -> Path:
     finally:
         Path(tmp).unlink(missing_ok=True)
     return library
+
+
+# The OpenBLAS file in numpy's wheel, and its thread-count functions' names:
+# numpy 2 bundles scipy-openblas, numpy 1 OpenBLAS itself, each with 64-bit
+# (``64_``) or 32-bit integers.
+_OPENBLAS_FILES = "lib*openblas*"
+_OPENBLAS_THREADS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads",
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    The library is in the wheel's library directory: ``numpy.libs`` beside
+    the package on Linux and Windows, ``numpy/.dylibs`` on macOS. numpy has
+    loaded it already, so ``ctypes`` opens that same copy.
+    """
+    package = Path(np.__file__).parent
+    for directory in (package.with_name("numpy.libs"), package / ".dylibs", package / ".libs"):
+        for path in sorted(directory.glob(_OPENBLAS_FILES)):
+            try:
+                library = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for name in _OPENBLAS_THREADS:
+                get = getattr(library, name.format("get"), None)
+                set_ = getattr(library, name.format("set"), None)
+                if get and set_:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    logger.info("numpy's BLAS is not a bundled OpenBLAS; stages run it at its own thread count")
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the caller's count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)

@@ -57,14 +57,10 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
-    """Clipped n-gram overlap F1 (n in {1, 2})."""
+def rouge_n(cand_tokens: list[str], ref_tokens: list[str], n: int) -> RougeScore:
+    """Clipped n-gram overlap F1 (n in {1, 2}) of two token lists."""
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    return _rouge_n(tokenize(candidate), tokenize(reference), n)
-
-
-def _rouge_n(cand_tokens: list[str], ref_tokens: list[str], n: int) -> RougeScore:
     cand = _ngrams(cand_tokens, n)
     ref = _ngrams(ref_tokens, n)
     cand_total = sum(cand.values())
@@ -98,12 +94,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(a) - (v & full).bit_count()
 
 
-def rouge_l(candidate: str, reference: str) -> RougeScore:
-    """Summary-level longest-common-subsequence F1 (beta = 1)."""
-    return _rouge_l(tokenize(candidate), tokenize(reference))
-
-
-def _rouge_l(cand: list[str], ref: list[str]) -> RougeScore:
+def rouge_l(cand: list[str], ref: list[str]) -> RougeScore:
+    """Summary-level longest-common-subsequence F1 (beta = 1) of two token lists."""
     if not cand or not ref:
         return RougeScore(0.0, 0.0, 0.0)
     lcs = _lcs_length(cand, ref)
@@ -183,9 +175,9 @@ def evaluate_corpus(
         per_doc.append(
             DocumentScores(
                 doc_id=doc_id,
-                rouge1=_rouge_n(cand, ref, 1),
-                rouge2=_rouge_n(cand, ref, 2),
-                rougeL=_rouge_l(cand, ref),
+                rouge1=rouge_n(cand, ref, 1),
+                rouge2=rouge_n(cand, ref, 2),
+                rougeL=rouge_l(cand, ref),
                 num_prec=num_prec(cand_text, sources[doc_id]),
             )
         )

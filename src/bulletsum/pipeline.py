@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import generator as gen
+from . import kernels
 from . import metrics as met
 from .config import PipelineConfig
 from .corpus import Corpus, CorpusSplit, corpus_stats, load_corpus, split_corpus
@@ -304,10 +305,18 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
 
 
 def _pair_cosines(
-    candidates: np.ndarray, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray
+    candidates: np.ndarray,
+    candidate_norms: np.ndarray,
+    queries: np.ndarray,
+    topics: np.ndarray,
+    texts: np.ndarray,
 ) -> np.ndarray:
-    """``cosine_matrix`` of ``queries`` against ``candidates``, at the (query, candidate) pairs."""
-    return cosine_matrix(queries, candidates)[topics, texts]
+    """``cosine_matrix`` of ``queries`` against ``candidates``, at the (query, candidate) pairs.
+
+    ``candidate_norms`` are the candidates' row norms, computed once by the caller.
+    """
+    norms = (np.linalg.norm(queries, axis=1), candidate_norms)
+    return cosine_matrix(queries, candidates, norms)[topics, texts]
 
 
 def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, model) -> None:
@@ -317,12 +326,16 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
     client = _embedding_client(config)
     test_ids = sorted(split.test)
     # A service's vectors do not depend on the document, so the master list is
-    # embedded once, ahead of the documents' sentences. TF-IDF vectors do: the
+    # embedded once, ahead of the documents' sentences, and its norms taken
+    # once for every document's scorer. TF-IDF vectors do: the
     # master list is counted once (``CountedTexts``), and each document's fit
     # weighs those counts by its IDF (``TfidfEmbedder.fold``).
     if client:
         embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
         service_master_vectors = next(embedded)
+        score_service = functools.partial(
+            _pair_cosines, service_master_vectors, np.linalg.norm(service_master_vectors, axis=1)
+        )
     else:
         master_counts = CountedTexts(master_texts)
 
@@ -334,7 +347,7 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         if client:
             sentence_vectors = ranked_sentences = next(embedded)
             sentence_ids = encode(sentences)
-            score_master = functools.partial(_pair_cosines, service_master_vectors)
+            score_master = score_service
         else:
             embedder = TfidfEmbedder(sentences)
             sentence_ids = embedder.fit
@@ -454,4 +467,7 @@ def run_stage(
             inputs[path] = read_artifact(workspace, path)
             if path == "ingest/split.json":
                 _check_split(inputs["ingest/corpus.json"], inputs[path], workspace / path)
-        STAGES[stage].run(config, out, *inputs.values(), *directories)
+        # The products are small and per document: a second BLAS thread saves
+        # little and keeps spinning after them, on a CPU a service may need.
+        with kernels.one_blas_thread():
+            STAGES[stage].run(config, out, *inputs.values(), *directories)

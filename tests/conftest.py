@@ -1,11 +1,19 @@
 import shutil
+from pathlib import Path
 
 import pytest
 
-from bulletsum import kernels, synthetic_data_dirs
+import bulletsum
+from bulletsum import kernels
 from bulletsum.qbank import Question
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
+
+
+def synthetic_data_dirs() -> tuple[Path, Path]:
+    """The transcript and summary directories of the bundled five-document demo corpus."""
+    root = Path(bulletsum.__file__).parent / "data" / "synthetic"
+    return root / "transcripts", root / "summaries"
 
 
 @pytest.fixture

@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bulletsum import synthetic_data_dirs
 from bulletsum.cli import main as cli_main
 from bulletsum.config import PipelineConfig
 from bulletsum.corpus import Corpus, corpus_stats, load_corpus
 from bulletsum.generator import FineTuneSpec, PromptTemplate, export_finetune_dataset
 from bulletsum.metrics import num_prec, rouge_l, rouge_n
 from bulletsum.qbank import build_question_bank
-from bulletsum.text import normalize_text
+from bulletsum.text import normalize_text, tokenize
 from bulletsum.topics import fit_lda, topic_keywords
 
 from conftest import *  # noqa: F401,F403  (fixtures)
@@ -46,12 +45,12 @@ def test_criterion_rouge_oracle_suite():
 
     # hand-derived frozen values
     unigram = rouge_n(
-        "q2 earnings per share 0.97", "q2 non gaap earnings per share 0.97", 1
+        tokenize("q2 earnings per share 0.97"), tokenize("q2 non gaap earnings per share 0.97"), 1
     )
     assert abs(unigram.f1 - 10 / 12) <= 1e-9  # the 0.833... unigram case
-    bigram = rouge_n("a b d", "a b c", 2)
+    bigram = rouge_n(["a", "b", "d"], ["a", "b", "c"], 2)
     assert abs(bigram.f1 - 0.5) <= 1e-9
-    lcs = rouge_l("the cat sat", "the cat on mat sat")
+    lcs = rouge_l("the cat sat".split(), "the cat on mat sat".split())
     assert abs(lcs.f1 - 0.75) <= 1e-9
 
     # exhaustive-subsequence oracle, 200 random pairs of length <= 8, exact
@@ -61,7 +60,7 @@ def test_criterion_rouge_oracle_suite():
         cand = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
         ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
         oracle_lcs = brute_force_lcs(cand, ref)
-        score = rouge_l(" ".join(cand), " ".join(ref))
+        score = rouge_l(cand, ref)
         p = oracle_lcs / len(cand)
         r = oracle_lcs / len(ref)
         expected_f1 = 2 * p * r / (p + r) if p + r else 0.0
@@ -154,7 +153,7 @@ def test_criterion_lda_determinism_and_separation():
     _announce("lda-determinism-and-separation")
 
 
-def test_criterion_pipeline_constants(tmp_path):
+def test_criterion_pipeline_constants(tmp_path, synthetic_dirs):
     config = PipelineConfig()
     assert config.k == 3
     assert config.num_topics == 30
@@ -162,7 +161,7 @@ def test_criterion_pipeline_constants(tmp_path):
     assert config.max_new_tokens == 60
 
     # the defaults appear verbatim in a stage's emitted config
-    transcripts, summaries = synthetic_data_dirs()
+    transcripts, summaries = synthetic_dirs
     workspace = tmp_path / "ws"
     code = cli_main(
         ["ingest", "--workspace", str(workspace), "--transcripts", str(transcripts),
@@ -196,8 +195,8 @@ def test_criterion_pipeline_constants(tmp_path):
     _announce("pipeline-constants")
 
 
-def test_criterion_end_to_end_smoke(tmp_path):
-    transcripts, summaries = synthetic_data_dirs()
+def test_criterion_end_to_end_smoke(tmp_path, synthetic_dirs):
+    transcripts, summaries = synthetic_dirs
     digests = []
     for run_index in range(2):
         workspace = tmp_path / f"ws{run_index}"

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from bulletsum import kernels, pipeline, synthetic_data_dirs
+from bulletsum import kernels, pipeline
 from bulletsum.config import PipelineConfig
 
+from conftest import synthetic_data_dirs
 from test_cli import _tree_digest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,15 +58,18 @@ def _differing(expected: dict, actual: dict) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "case, compiled",
-    [("bundled", True), ("bundled", False), ("bench120", True)],
-    ids=["bundled", "bundled-python-sampler", "bench120"],
+    "case, unavailable",
+    [("bundled", None), ("bundled", "kernels"), ("bench120", None), ("bench120", "openblas")],
+    ids=["bundled", "bundled-python-sampler", "bench120", "bench120-blas-threads-unpinned"],
 )
-def test_workspace_matches_golden_digests(case, compiled, tmp_path, monkeypatch):
-    if not compiled:
+def test_workspace_matches_golden_digests(case, unavailable, tmp_path, monkeypatch):
+    if unavailable == "kernels":
         # Every kernel unavailable: the LDA sampler and the tokenizer both
         # run their Python references.
         monkeypatch.setattr(kernels, "load", lambda *kernel: None)
+    elif unavailable == "openblas":
+        # No OpenBLAS found: the stages run BLAS at its own thread count.
+        monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     actual = _workspace_digests(case, tmp_path)
     assert _differing(expected, actual) == []

@@ -83,14 +83,14 @@ class TestTokenize:
 
 class TestRougeN:
     def test_identical_texts(self):
-        score = rouge_n("revenue rose sharply", "revenue rose sharply", 1)
+        score = rouge_n(tokenize("revenue rose sharply"), tokenize("revenue rose sharply"), 1)
         assert score.f1 == 1.0
 
     def test_unigram_hand_count(self):
         # 5 overlapping unigrams; p = 5/5, r = 5/7, f1 = 10/12.
         score = rouge_n(
-            "q2 earnings per share 0.97",
-            "q2 non gaap earnings per share 0.97",
+            tokenize("q2 earnings per share 0.97"),
+            tokenize("q2 non gaap earnings per share 0.97"),
             1,
         )
         assert score.precision == pytest.approx(1.0, abs=1e-9)
@@ -98,22 +98,22 @@ class TestRougeN:
         assert score.f1 == pytest.approx(10 / 12, abs=1e-9)
 
     def test_bigram_hand_count(self):
-        score = rouge_n("a b d", "a b c", 2)
+        score = rouge_n(["a", "b", "d"], ["a", "b", "c"], 2)
         assert (score.precision, score.recall, score.f1) == (0.5, 0.5, 0.5)
 
     def test_overlap_clipping(self):
-        score = rouge_n("a a a", "a", 1)
+        score = rouge_n(["a", "a", "a"], ["a"], 1)
         assert score.precision == pytest.approx(1 / 3)
         assert score.recall == 1.0
 
     def test_empty_candidate(self):
-        score = rouge_n("", "a b", 1)
-        assert score == rouge_n("a b", "", 1)
+        score = rouge_n([], ["a", "b"], 1)
+        assert score == rouge_n(["a", "b"], [], 1)
         assert score.f1 == 0.0
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            rouge_n("a", "a", 3)
+            rouge_n(["a"], ["a"], 3)
 
     def test_f1_zero_iff_no_overlap(self):
         rng = random.Random(55)
@@ -124,22 +124,22 @@ class TestRougeN:
             for n in (1, 2):
                 cand_grams = set(zip(*[cand[i:] for i in range(n)]))
                 ref_grams = set(zip(*[ref[i:] for i in range(n)]))
-                score = rouge_n(" ".join(cand), " ".join(ref), n)
+                score = rouge_n(cand, ref, n)
                 assert (score.f1 == 0.0) == (not cand_grams & ref_grams)
 
 
 class TestRougeL:
     def test_lcs_hand_case(self):
-        score = rouge_l("the cat sat", "the cat on mat sat")
+        score = rouge_l("the cat sat".split(), "the cat on mat sat".split())
         assert score.precision == 1.0
         assert score.recall == pytest.approx(0.6)
         assert score.f1 == pytest.approx(0.75)
 
     def test_disjoint(self):
-        assert rouge_l("a b", "c d").f1 == 0.0
+        assert rouge_l(["a", "b"], ["c", "d"]).f1 == 0.0
 
     def test_identical(self):
-        assert rouge_l("x y z", "x y z").f1 == 1.0
+        assert rouge_l(["x", "y", "z"], ["x", "y", "z"]).f1 == 1.0
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(20240301)
@@ -148,7 +148,7 @@ class TestRougeL:
             cand = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
             ref = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
             lcs = brute_force_lcs(cand, ref)
-            score = rouge_l(" ".join(cand), " ".join(ref))
+            score = rouge_l(cand, ref)
             if not cand or not ref:
                 assert score.f1 == 0.0
                 continue

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -84,6 +85,36 @@ def test_readme_table_lists_every_stage_and_its_reads():
         for stage, reads in rows
     }
     assert list(listed.items()) == [(name, stage.reads) for name, stage in pipeline.STAGES.items()]
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("caller", [1, 2])
+    def test_stage_runs_on_one_thread_and_the_callers_count_comes_back(
+        self, caller, raises, tmp_path, monkeypatch
+    ):
+        threads = kernels._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+        get, set_ = threads
+        seen = []
+
+        def stage(config, out, *inputs):
+            seen.append(get())
+            if raises:
+                raise RuntimeError("stage failed")
+
+        monkeypatch.setitem(pipeline.STAGES, "topics", pipeline.Stage(stage))
+        before = get()
+        set_(caller)
+        try:
+            expected = get()
+            with pytest.raises(RuntimeError, match="stage failed") if raises else nullcontext():
+                pipeline.run_stage("topics", PipelineConfig(), tmp_path / "ws")
+            assert seen == [1]
+            assert get() == expected
+        finally:
+            set_(before)
 
 
 class TestPublish:
@@ -390,7 +421,7 @@ def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, mon
         sentences = loop_embed(doc, doc)
         dense = loop_embed(doc, texts)
         detection = detect_topics(doc_id, keywords, encode(doc))
-        score_master = partial(pipeline._pair_cosines, dense)
+        score_master = partial(pipeline._pair_cosines, dense, np.linalg.norm(dense, axis=1))
         chosen = select_questions(detection, sentences, score_master, buckets, config.q_per_topic)
         assert routed[doc_id] == [texts[i] for i in chosen]
         np.testing.assert_allclose(

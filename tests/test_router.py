@@ -48,7 +48,7 @@ def cosine(u, v):
 
 def against(master_vectors):
     """A service's master scorer: the centroids' cosines to ``master_vectors``, at the pairs."""
-    return partial(pipeline._pair_cosines, master_vectors)
+    return partial(pipeline._pair_cosines, master_vectors, np.linalg.norm(master_vectors, axis=1))
 
 
 def _detect(sentences, keywords):

@@ -363,22 +363,22 @@ class TestTransport:
         assert QGClient(server_url).question("x.") == "what is x?"
         assert sockets.open() == 0
 
-    def test_offline_run_loads_no_http_modules(self, tmp_path):
+    def test_offline_run_loads_no_http_modules(self, tmp_path, synthetic_dirs):
         code = (
             "import json, sys\n"
-            "from bulletsum import kernels, synthetic_data_dirs\n"
+            "from bulletsum import kernels\n"
             "from bulletsum.config import PipelineConfig\n"
             "from bulletsum.pipeline import run_stage\n"
             "loaded, load = [], kernels.load\n"
             "kernels.load = lambda name, *args: loaded.append(name) or load(name, *args)\n"
-            "run_stage('run', PipelineConfig(lda_iters=20), sys.argv[1], *synthetic_data_dirs())\n"
+            "run_stage('run', PipelineConfig(lda_iters=20), *sys.argv[1:])\n"
             f"print(json.dumps([m for m in {HTTP_MODULES!r} if m in sys.modules]))\n"
             "print(json.dumps(sorted(set(loaded))))\n"
         )
         src = str(Path(bulletsum.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "ws")],
+            [sys.executable, "-c", code, str(tmp_path / "ws"), *map(str, synthetic_dirs)],
             capture_output=True,
             text=True,
             timeout=120,
