@@ -1,13 +1,13 @@
 /* Centroid x counted-text products at the (topic, text) pairs route ranks.
  *
  * queries is a row-major matrix of width columns, one row per topic
- * centroid. A fold's entries are ordered by text: entry e, for e from
- * starts[t] up to starts[t + 1], is counted text t's weight weights[e] on
- * column at[e]. For each pair p, out[p] is the sum over topics[p]'s row of
- * queries[row][at[e]] * weights[e] over text texts[p]'s entries, in entry
- * order from 0.0: the order of retrieval._python_products' bincount, so the
- * bits are its. Build with -ffp-contract=off: a fused multiply-add rounds
- * differently. Every index must be in range.
+ * centroid. A fold's entries are CSR rows (retrieval.Entries), one per
+ * counted text: entry e, for e from starts[t] up to starts[t + 1], is text
+ * t's weight weights[e] on column at[e]. For each pair p, out[p] sums
+ * queries[topics[p]][at[e]] times weights[e] over text texts[p]'s entries,
+ * in entry order from 0.0: the order of retrieval._python_products'
+ * bincount, so the bits are its. Build with -ffp-contract=off: a fused
+ * multiply-add rounds differently. Every index must be in range.
  */
 #include <stddef.h>
 

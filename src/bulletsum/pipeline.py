@@ -37,7 +37,6 @@ from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTo
 from .qbank import MasterList, QuestionBank, build_question_bank
 from .records import reader
 from .retrieval import (
-    CountedTexts,
     ExtractiveContext,
     TfidfEmbedder,
     build_context,
@@ -328,8 +327,8 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
     # A service's vectors do not depend on the document, so the master list is
     # embedded once, ahead of the documents' sentences, and its norms taken
     # once for every document's scorer. TF-IDF vectors do: the
-    # master list is counted once (``CountedTexts``), and each document's fit
-    # weighs those counts by its IDF (``TfidfEmbedder.fold``).
+    # master list is encoded and counted once (``Encoded.terms``), and each
+    # document's fit weighs those counts by its IDF (``TfidfEmbedder.fold``).
     if client:
         embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
         service_master_vectors = next(embedded)
@@ -337,7 +336,8 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
             _pair_cosines, service_master_vectors, np.linalg.norm(service_master_vectors, axis=1)
         )
     else:
-        master_counts = CountedTexts(master_texts)
+        master_ids = encode(master_texts)
+        master_counts = master_ids.terms()
 
     detections = []
     selected_questions = []
@@ -354,7 +354,7 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
             # The topic centroids are taken on the fit columns that hold a master
             # token, and scored against the master counts the fit holds, at their
             # buckets' questions only.
-            fold = embedder.fold(master_counts)
+            fold = embedder.fold(master_ids.tokens, master_counts)
             ranked_sentences, score_master = embedder.vectors(fold.fit_columns), fold.scores
         detection = detect_topics(doc_id, model.keywords, sentence_ids)
         try:
@@ -369,15 +369,13 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
             )
             chosen = list(range(len(master)))
         questions = [master_texts[i] for i in chosen]
-        # The chosen questions are scored from the master counts, not encoded
-        # again, on the fit columns they hold.
+        # The chosen questions are scored from the fold's rows of the master
+        # counts, not encoded again, on the fit columns they hold.
         if client:
             question_vectors, norms = service_master_vectors[chosen], None
         else:
-            counts = master_counts.matrix[chosen][:, fold.columns]
-            held = counts.any(axis=0)
             question_vectors, sentence_vectors, norms = embedder.embed(
-                questions, (counts[:, held], fold.fit_columns[held])
+                questions, fold.weights_of(chosen)
             )
         detections.append(detection)
         selected_questions.append({"doc_id": doc_id, "questions": questions})

@@ -5,17 +5,18 @@ on one transcript's sentences, which sharpens discrimination inside that
 document. ``encode`` gives texts token ids local to the call in one call of a
 small C kernel (``tokenize.c``, built and loaded by ``kernels.load``), with
 the text of each id. A TF-IDF cosine comes from token counts, not from a
-dense texts x vocabulary matrix: ``TfidfEmbedder`` keeps a document's counts
-as one entry per distinct (sentence, token) pair, takes each vector's norm
-from them, and fills rows only on the columns the queries hold. Texts counted
-once per stage (``CountedTexts``) are scored on any document's fit through
-its IDF (``TfidfEmbedder.fold``), at the (query, text) pairs asked for only:
-a second small C kernel (``pair_products.c``) sums each pair's products over
-the text's entries. A sentence-transformer service can be substituted
-through the embedding client (``services.EmbeddingClient``). Its vectors,
-and the TF-IDF rows with the norms of their whole vectors, are ranked by the
-one scoring routine, ``cosine_matrix``; a fold's cosines (``Fold.scores``)
-are divided and rounded by the same rule (``cosines``).
+dense texts x vocabulary matrix: every sparse count is one ``Entries``
+record, a row per text in CSR form with an entry per distinct token.
+``TfidfEmbedder`` keeps a document's counts times the IDF in one, takes each
+vector's norm from them, and fills rows only on the columns the queries hold.
+Texts counted once per stage (``Encoded.terms``) are scored on any document's
+fit through its IDF (``TfidfEmbedder.fold``), at the (query, text) pairs
+asked for only: a second small C kernel (``pair_products.c``) sums each
+pair's products over the text's entries. A sentence-transformer service can
+be substituted through the embedding client (``services.EmbeddingClient``).
+Its vectors, and the TF-IDF rows with the norms of their whole vectors, are
+ranked by the one scoring routine, ``cosine_matrix``, and a fold's cosines
+(``Fold.scores``) are divided and rounded alike (``cosines``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,34 @@ from .text import tokenize
 SCORE_DECIMALS = 12
 
 
+class Entries(NamedTuple):
+    """Sparse rows in CSR form: row r holds ``values[e]`` on column ``columns[e]``.
+
+    Row r's entries are e from ``starts[r]`` up to ``starts[r + 1]``, so the
+    rows are ``len(starts) - 1``. ``starts`` and ``columns`` are ``intp``.
+    """
+
+    starts: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(len(self.starts) - 1), self.starts[1:] - self.starts[:-1])
+
+    def on(self, columns: np.ndarray, width: int) -> Entries:
+        """The entries on ``columns`` (of ``width``), each now on its column's index in them.
+
+        Every other entry is dropped; the rest keep their order.
+        """
+        position = np.full(width, -1, dtype=np.intp)
+        position[columns] = np.arange(len(columns))
+        at = position[self.columns]
+        held = np.flatnonzero(at >= 0)
+        # A row's run now starts after the held entries of the rows before it.
+        return Entries(np.searchsorted(held, self.starts), at[held], self.values[held])
+
+
 class Encoded(NamedTuple):
     """Texts as token ids local to one ``encode`` call, flat and in order.
 
@@ -49,15 +78,17 @@ class Encoded(NamedTuple):
     n_texts: int
     tokens: list[str]
 
-    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw term counts: text ``rows[i]`` holds id ``ids[i]`` ``counts[i]`` times.
+    def terms(self) -> Entries:
+        """Raw term counts: a row per text, with its count of each id it holds.
 
-        Returns ``(rows, ids, counts)``, one entry per distinct (text, id)
-        pair, ordered by text and then id.
+        One entry per distinct (text, id) pair, ordered by text and then id.
         """
         width = max(len(self.tokens), 1)
         keys, counts = np.unique(self.rows * width + self.ids, return_counts=True)
-        return keys // width, keys % width, counts.astype(float)
+        rows = keys // width
+        # ``keys - rows * width`` is ``keys % width``, in a third of the time.
+        starts = np.searchsorted(rows, np.arange(self.n_texts + 1))
+        return Entries(starts, keys - rows * width, counts.astype(float))
 
 
 # ``kernels.load``'s arguments for the compiled tokenizer of ``tokenize.c``.
@@ -122,12 +153,12 @@ class TfidfEmbedder:
     above it is outside the vocabulary. Text sharing no terms with the fit
     corpus has the zero vector. ``fit`` is the fit texts' encoding.
 
-    No texts x vocabulary matrix is built. The fit keeps its counts as one
-    entry per distinct (text, token) pair, from one ``np.unique``; one
-    ``bincount`` of them gives the document frequencies and another the norm
-    of each fit text's vector. ``embed`` and ``vectors`` fill rows on the
-    columns that queries hold only, and ``cosine_matrix`` divides by the norms
-    of the whole vectors.
+    No texts x vocabulary matrix is built. One ``Encoded.terms`` counts the
+    fit texts and the queries, kept times the IDF (the queries' on the fit
+    columns only); one ``bincount`` gives the document frequencies and another
+    the norm of each fit text's vector. ``embed`` and ``vectors`` fill rows on
+    the columns that queries hold only, and ``cosine_matrix`` divides by the
+    norms of the whole vectors.
     """
 
     def __init__(self, fit_corpus: Sequence[str], queries: Sequence[str] = ()):
@@ -138,120 +169,90 @@ class TfidfEmbedder:
         split = int(np.searchsorted(encoded.rows, n))
         width = int(encoded.ids[:split].max(initial=-1)) + 1
         self.fit = Encoded(encoded.ids[:split], encoded.rows[:split], n, encoded.tokens[:width])
-        self._rows, self._ids, counts = self.fit.terms()
-        self.idf = np.log((1.0 + n) / (1.0 + np.bincount(self._ids, minlength=width))) + 1.0
-        self._weights = counts * self.idf[self._ids]
-        self._norms = np.sqrt(np.bincount(self._rows, self._weights**2, minlength=n))
-        # The queries' counts on the columns they hold.
-        ids, rows = encoded.ids[split:], encoded.rows[split:] - n
-        known = ids < width
-        columns, local = np.unique(ids[known], return_inverse=True)
-        cells = np.bincount(
-            rows[known] * len(columns) + local, minlength=len(queries) * len(columns)
-        )
+        starts, ids, counts = encoded.terms()
+        end, fit_ids = starts[n], ids[: starts[n]]
+        self.idf = np.log((1.0 + n) / (1.0 + np.bincount(fit_ids, minlength=width))) + 1.0
+        fit = self._weights = Entries(starts[: n + 1], fit_ids, counts[:end] * self.idf[fit_ids])
+        self._norms = np.sqrt(np.bincount(fit.rows(), fit.values**2, minlength=n))
+        # The queries' counts times the IDF, on the fit's columns only.
+        asked = Entries(starts[n:] - end, ids[end:], counts[end:])
+        asked = asked.on(np.arange(width), len(encoded.tokens))
         self._queries = list(queries)
-        self._query_counts = (cells.reshape(len(queries), len(columns)).astype(float), columns)
+        self._query_weights = asked._replace(values=asked.values * self.idf[asked.columns])
 
-    def _on(self, columns: np.ndarray) -> np.ndarray:
-        """The fit texts' counts times the IDF on ``columns``: a row per fit text."""
-        position = np.full(len(self.idf), -1, dtype=np.intp)
-        position[columns] = np.arange(len(columns))
-        at = position[self._ids]
-        held = at >= 0
-        rows = np.zeros((self.fit.n_texts, len(columns)))
-        rows[self._rows[held], at[held]] = self._weights[held]
+    def _on(self, weights: Entries, columns: np.ndarray) -> np.ndarray:
+        """``weights`` on fit columns as a matrix on ``columns``: a row per text."""
+        held = weights.on(columns, len(self.idf))
+        rows = np.zeros((len(held.starts) - 1, len(columns)))
+        rows[held.rows(), held.columns] = held.values
         return rows
 
     def vectors(self, columns: np.ndarray) -> np.ndarray:
         """The fit texts' vectors on ``columns``, each L2-normalized as the whole vector."""
-        rows, norms = self._on(columns), self._norms[:, None]
+        rows, norms = self._on(self._weights, columns), self._norms[:, None]
         return np.divide(rows, norms, out=rows, where=norms > 0)
 
     def embed(
-        self, texts: Sequence[str], counts: tuple[np.ndarray, np.ndarray] | None = None
+        self, texts: Sequence[str], weights: Entries | None = None
     ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """``texts`` against the fit texts: ``cosine_matrix``'s arguments.
 
         Returns the texts' and the fit texts' counts times the IDF, on the
-        columns the texts hold, and the norms of their whole vectors.
-        ``counts`` is a texts x columns count matrix and the fit columns it is
-        on, which hold every token of the texts that the fit holds. Without
-        it, ``texts`` are the ``queries`` this embedder was built with,
-        counted by the fit's ``encode`` call.
+        fit columns the texts hold, in ascending order, and the norms of
+        their whole vectors. ``weights`` are the texts' counts times the IDF
+        on fit columns, a row per text, and hold every token of the texts
+        that the fit holds. Without them, ``texts`` are the ``queries`` this
+        embedder was built with, counted by the fit's ``encode`` call.
         """
-        if counts is None:
+        if weights is None:
             if list(texts) != self._queries:
                 raise ValueError("texts other than the queries need their counts")
-            counts = self._query_counts
-        matrix, columns = counts
-        weights = matrix * self.idf[columns]
-        return weights, self._on(columns), (np.linalg.norm(weights, axis=1), self._norms)
+            weights = self._query_weights
+        # The columns the texts hold, ascending (``np.unique`` imports ``numpy.ma``).
+        columns = np.flatnonzero(np.bincount(weights.columns, minlength=len(self.idf)))
+        rows = self._on(weights, columns)
+        return rows, self._on(self._weights, columns), (np.linalg.norm(rows, axis=1), self._norms)
 
-    def fold(self, counted: CountedTexts) -> Fold:
-        """Texts counted once (``CountedTexts``) on this fit: its IDF on their counts.
+    def fold(self, tokens: list[str], counts: Entries) -> Fold:
+        """Texts counted apart, ``counts`` (``Encoded.terms``) of ``tokens``, on this fit.
 
-        A counted text's TF-IDF vector on this fit is zero outside the fit
-        columns that hold one of the counted tokens, so it is its counts of
-        those tokens times the IDF, and its norm comes from them in one
-        ``bincount``.
+        A text's TF-IDF vector on this fit is zero outside the fit columns
+        that hold one of its tokens, so it is its counts of those tokens times
+        the IDF, and its norm comes from them in one ``bincount``.
         """
-        master = counted.columns_of(self.fit.tokens)
-        fit_columns = np.flatnonzero(master >= 0)
-        columns = master[fit_columns]
-        position = np.full(counted.matrix.shape[1], -1, dtype=np.intp)
-        position[columns] = np.arange(len(columns))
-        rows, ids, counts = counted.terms
-        at = position[ids]
-        held = at >= 0
-        rows, at = rows[held], at[held]
-        weights = counts[held] * self.idf[fit_columns][at]
-        norms = np.sqrt(np.bincount(rows, weights**2, minlength=len(counted.matrix)))
-        return Fold(fit_columns, columns, rows, at, weights, norms)
-
-
-class CountedTexts:
-    """Texts encoded and counted once, to be scored on any document's fit.
-
-    ``terms`` holds an entry per distinct (text, token) pair
-    (``Encoded.terms``) and ``matrix`` the same counts as a texts x tokens
-    matrix. The columns are the texts' own token ids, so neither depends on a
-    document.
-    """
-
-    def __init__(self, texts: Sequence[str]):
-        encoded = encode(texts)
-        self.terms = rows, ids, counts = encoded.terms()
-        self.matrix = np.zeros((len(texts), len(encoded.tokens)))
-        self.matrix[rows, ids] = counts
-        self._column_of = dict(zip(encoded.tokens, range(len(encoded.tokens))))
-
-    def columns_of(self, tokens: list[str]) -> np.ndarray:
-        """The column of each token; -1 for a token these texts do not hold."""
-        return np.fromiter(
-            map(self._column_of.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
-        )
+        column_of = dict(zip(tokens, range(len(tokens))))
+        counted = np.fromiter(map(column_of.get, self.fit.tokens, repeat(-1)), np.intp)
+        fit_columns = np.flatnonzero(counted >= 0)
+        held = counts.on(counted[fit_columns], len(tokens))
+        weights = held._replace(values=held.values * self.idf[fit_columns][held.columns])
+        norms = np.bincount(weights.rows(), weights.values**2, minlength=len(counts.starts) - 1)
+        return Fold(fit_columns, weights, np.sqrt(norms))
 
 
 class Fold(NamedTuple):
-    """A fit's TF-IDF weights on the counts of ``CountedTexts``.
+    """A fit's TF-IDF weights on the counts of texts counted apart (``TfidfEmbedder.fold``).
 
-    Fit column ``fit_columns[j]`` holds the token of counted column
-    ``columns[j]``. Entry i is a counted (text, token) pair the fit holds:
-    text ``rows[i]`` has weight ``weights[i]``, its count times the IDF, on
-    fit column ``fit_columns[at[i]]``. The entries are ordered by text, so
-    each text's entries are one run. ``norms`` are the counted texts' TF-IDF
-    norms on the fit. ``scores`` gives the cosines of query rows on
-    ``fit_columns`` to counted texts, at the (query, text) pairs asked for;
-    the route stage scores its topic centroids against the master questions
-    in their buckets with it.
+    ``entries`` holds a row per counted text: its count times the IDF of
+    each token the fit holds, on column j for fit column ``fit_columns[j]``.
+    ``entries.starts`` are made once, with the fold. ``norms`` are the
+    counted texts' TF-IDF norms on the fit. ``scores`` gives the cosines of
+    query rows on ``fit_columns`` to counted texts, at the (query, text)
+    pairs asked for; the route stage scores its topic centroids against the
+    master questions in their buckets with it, and ``weights_of`` gives
+    the chosen questions' rows.
     """
 
     fit_columns: np.ndarray
-    columns: np.ndarray
-    rows: np.ndarray
-    at: np.ndarray
-    weights: np.ndarray
+    entries: Entries
     norms: np.ndarray
+
+    def weights_of(self, texts: Sequence[int]) -> Entries:
+        """Counted texts ``texts``' rows, in that order, on fit columns: ``embed``'s ``weights``."""
+        starts, columns, weights = self.entries
+        lengths = (starts[1:] - starts[:-1])[texts]
+        taken = np.concatenate(([0], np.cumsum(lengths)))
+        picked = np.repeat(starts[texts] - taken[:-1], lengths) + np.arange(taken[-1])
+        return Entries(taken, self.fit_columns[columns[picked]], weights[picked])
 
     def scores(self, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray) -> np.ndarray:
         """The cosine of query row ``topics[p]``, on ``fit_columns``, to counted text ``texts[p]``.
@@ -281,10 +282,9 @@ class Fold(NamedTuple):
         if kernel is None:
             return _python_products(self, queries, topics, texts)
         queries = np.ascontiguousarray(queries, dtype=float)
-        starts = np.searchsorted(self.rows, np.arange(len(self.norms) + 1))
+        starts, columns, weights = self.entries
         out = np.empty(len(topics))
-        width = queries.shape[1]
-        kernel(queries, width, self.at, self.weights, starts, topics, texts, len(topics), out)
+        kernel(queries, queries.shape[1], columns, weights, starts, topics, texts, len(topics), out)
         return out
 
 
@@ -304,8 +304,8 @@ def _python_products(
     each cell's terms in entry order from 0.0.
     """
     n, width = len(queries), len(fold.norms)
-    cells = np.arange(n)[:, None] * width + fold.rows
-    terms = queries[:, fold.at] * fold.weights
+    cells = np.arange(n)[:, None] * width + fold.entries.rows()
+    terms = queries[:, fold.entries.columns] * fold.entries.values
     # With no entries, bincount counts in integers.
     products = np.bincount(cells.ravel(), terms.ravel(), minlength=n * width)
     return products.astype(float, copy=False).reshape(n, width)[topics, texts]

@@ -8,10 +8,10 @@ that triggered the topic, as scored by the one master-scoring callable the
 caller passes, at the (topic, question) pairs of the detected topics'
 buckets only. With the built-in TF-IDF embedder that is the document's fold
 of the master counts (``retrieval.Fold.scores``): the master list is counted
-once per stage, each document's IDF weighs only the master counts its fit
-holds, and a compiled loop sums each pair's products over the question's
-entries. With an embedding service it is ``cosine_matrix`` against the master
-list's vectors, gathered at the pairs.
+once per stage (``Encoded.terms``), each document's IDF weighs only the master
+counts its fit holds, and a compiled loop sums each pair's products over the
+question's entries. With an embedding service it is ``cosine_matrix`` against
+the master list's vectors, gathered at the pairs.
 """
 
 from __future__ import annotations

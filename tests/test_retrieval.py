@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import string
+from collections import Counter
 from dataclasses import asdict
 from unittest import mock
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from bulletsum import kernels, retrieval
 from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
-    CountedTexts,
     ExtractiveContext,
     TfidfEmbedder,
     build_context,
@@ -132,13 +132,27 @@ class TestEncode:
         assert _listed(encoded) == expected
         assert encoded.n_texts == len(texts)
 
-    def test_counts_per_text_and_token(self):
-        encoded = encode(["revenue rose, revenue fell", "", "cash rose"])
-        assert encoded.tokens == ["revenue", "rose", "fell", "cash"]
-        rows, ids, counts = encoded.terms()
-        assert list(zip(rows.tolist(), ids.tolist(), counts.tolist())) == [
-            (0, 0, 2.0), (0, 1, 1.0), (0, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0)
-        ]
+    @settings(deadline=None)  # the first example may build the kernel
+    @given(texts=st.lists(token_texts, max_size=8))
+    @example(texts=["revenue rose, revenue fell", "", "cash rose"])
+    def test_counts_per_text_and_token(self, texts):
+        # A run per text, its ids strictly ascending, each with its count; an
+        # empty text has an empty run.
+        encoded = encode(texts)
+        starts, columns, values = encoded.terms()
+        assert len(starts) == len(texts) + 1 and starts[0] == 0 and starts[-1] == len(columns)
+        assert (np.diff(starts) >= 0).all()
+        assert starts.dtype == columns.dtype == np.intp
+        for row, text in enumerate(texts):
+            run = slice(starts[row], starts[row + 1])
+            assert (np.diff(columns[run]) > 0).all()
+            counted = dict(zip(columns[run].tolist(), values[run].tolist()))
+            assert counted == {encoded.tokens.index(t): n for t, n in Counter(tokenize(text)).items()}
+        if texts == ["revenue rose, revenue fell", "", "cash rose"]:
+            assert encoded.tokens == ["revenue", "rose", "fell", "cash"]
+            assert starts.tolist() == [0, 3, 3, 5]
+            assert columns.tolist() == [0, 1, 2, 1, 3]
+            assert values.tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "text, tokens",
@@ -207,10 +221,10 @@ def _counted_scores(fit_corpus, texts):
     given have whole norm 1 or 0, so each fold score is the whole cosine over
     its row's norm.
     """
-    counted = CountedTexts(texts)
+    counted = encode(texts)
     embedder = TfidfEmbedder(fit_corpus)
-    fold = embedder.fold(counted)
-    embedded = embedder.embed(texts, (counted.matrix[:, fold.columns], fold.fit_columns))
+    fold = embedder.fold(counted.tokens, counted.terms())
+    embedded = embedder.embed(texts, fold.weights_of(range(len(texts))))
     query_norms, _ = embedded[2]
     np.testing.assert_allclose(query_norms, fold.norms, rtol=0, atol=1e-12)
     scores = cosine_matrix(*embedded)
@@ -223,7 +237,61 @@ def _counted_scores(fit_corpus, texts):
     return scores
 
 
+def _dense_gather(embedder, master, chosen):
+    """The chosen questions' weights from a dense gather: the reference for ``Fold.weights_of``.
+
+    The master counts as a questions x tokens matrix; the chosen rows on the
+    fit columns that hold a master token, then on those a chosen question
+    holds, times the IDF. Returns the weights and their fit columns.
+    """
+    counted = encode(master)
+    terms = counted.terms()
+    matrix = np.zeros((len(master), len(counted.tokens)))
+    matrix[terms.rows(), terms.columns] = terms.values
+    column_of = {token: j for j, token in enumerate(counted.tokens)}
+    fit_tokens = embedder.fit.tokens
+    fit_columns = np.array(
+        [j for j, token in enumerate(fit_tokens) if token in column_of], dtype=np.intp
+    )
+    counts = matrix[chosen][:, [column_of[fit_tokens[j]] for j in fit_columns]]
+    held = counts.any(axis=0)
+    return counts[:, held] * embedder.idf[fit_columns[held]], fit_columns[held]
+
+
 class TestTfidfEmbedder:
+    @settings(deadline=None)  # the first example may build the kernel
+    @given(
+        sentences=st.lists(embed_texts, min_size=1, max_size=6),
+        master=st.lists(embed_texts, min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+    )
+    # A chosen question that holds no fit token; every master row chosen, as
+    # the fallback on no detected topic does; no chosen question holding one.
+    @example(sentences=["revenue rose", "cash"], master=["q3 sales", "revenue cash"], picks=[1, 0])
+    @example(
+        sentences=["revenue rose", "cash rose"], master=["rose", "cash", "revenue cash", "q3"],
+        picks=[0, 1, 2, 3],
+    )
+    @example(sentences=["revenue rose"], master=["q3 sales", "cash"], picks=[0, 1])
+    def test_chosen_rows_match_the_dense_gather(self, sentences, master, picks):
+        chosen = list(dict.fromkeys(pick % len(master) for pick in picks))
+        questions = [master[i] for i in chosen]
+        embedder = TfidfEmbedder(sentences, questions)
+        counted = encode(master)
+        fold = embedder.fold(counted.tokens, counted.terms())
+        embedded = embedder.embed(questions, fold.weights_of(chosen))
+        rows, fit_rows, (norms, _) = embedded
+        weights, columns = _dense_gather(embedder, master, chosen)
+        assert rows.tobytes() == weights.tobytes()
+        assert norms.tobytes() == np.linalg.norm(weights, axis=1).tobytes()
+        assert fit_rows.shape == (len(sentences), len(columns))
+        # The same bits as the questions counted with the fit, as extract does.
+        as_queries = embedder.embed(questions)
+        assert all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip([*embedded[:2], *embedded[2]], [*as_queries[:2], *as_queries[2]])
+        )
+
     @given(
         fit_corpus=st.lists(embed_texts, min_size=1, max_size=6),
         queries=st.lists(embed_texts, max_size=4),
@@ -328,6 +396,12 @@ centroid_values = st.lists(
 )
 
 
+def _fold(sentences, master):
+    """The fold of the master texts' counts on the sentences' fit, as the route stage makes it."""
+    counted = encode(master)
+    return TfidfEmbedder(sentences).fold(counted.tokens, counted.terms())
+
+
 def _pairs(fold, n_topics, values, pairs):
     """Centroids on ``fold``'s fit columns, cycling ``values``, and the pairs as index arrays."""
     centroids = np.resize(np.array(values or [0.0]), (n_topics, len(fold.fit_columns)))
@@ -369,13 +443,13 @@ class TestPairProducts:
     )
     def test_kernel_matches_the_reference(self, sentences, master, n_topics, values, pairs):
         assert kernels.load(*retrieval._PAIR_PRODUCTS) is not None
-        fold = TfidfEmbedder(sentences).fold(CountedTexts(master))
+        fold = _fold(sentences, master)
         centroids, topics, texts = _pairs(fold, n_topics, values, pairs)
         expected = retrieval._python_products(fold, centroids, topics, texts)
         products = fold.products(centroids, topics, texts)
         assert products.tobytes() == expected.tobytes()
         # A text that holds no fit token has no entries: product 0, score 0.
-        empty = np.bincount(fold.rows, minlength=len(master))[texts] == 0
+        empty = np.diff(fold.entries.starts)[texts] == 0
         assert not products[empty].any()
         scores = fold.scores(centroids, topics, texts)
         assert not scores[empty].any()
@@ -384,7 +458,7 @@ class TestPairProducts:
 
     @needs_cc
     def test_failure_falls_back_with_one_warning(self, break_kernel_build, caplog):
-        fold = TfidfEmbedder(["revenue rose", "cash rose"]).fold(CountedTexts(["rose", "cash"]))
+        fold = _fold(["revenue rose", "cash rose"], ["rose", "cash"])
         centroids, topics, texts = _pairs(fold, 2, [0.3, 0.9], [(0, 0), (1, 1), (1, 0)])
         expected = retrieval._python_products(fold, centroids, topics, texts)
         break_kernel_build("compile-error")

@@ -12,7 +12,6 @@ from bulletsum import pipeline, retrieval
 from bulletsum.errors import NoTopicsDetected
 from bulletsum.retrieval import (
     SCORE_DECIMALS,
-    CountedTexts,
     TfidfEmbedder,
     cosine_matrix,
     cosines,
@@ -59,13 +58,13 @@ def _detect(sentences, keywords):
 def _fold_select(sentences, detection, texts, buckets, q_per_topic):
     """``select_questions`` as the route stage calls it: the IDF folded into the centroids.
 
-    The master texts are counted once (``CountedTexts``); the topic centroids
-    are taken on the fit columns that hold a master token, and scored against
-    the master counts the fit holds (``TfidfEmbedder.fold``).
+    The master texts are encoded and counted once (``Encoded.terms``); the
+    topic centroids are taken on the fit columns that hold a master token,
+    and scored against the master counts the fit holds (``TfidfEmbedder.fold``).
     """
-    counted = CountedTexts(texts)
+    counted = encode(texts)
     embedder = TfidfEmbedder(sentences)
-    fold = embedder.fold(counted)
+    fold = embedder.fold(counted.tokens, counted.terms())
     return select_questions(
         detection, embedder.vectors(fold.fit_columns), fold.scores, buckets, q_per_topic
     )
