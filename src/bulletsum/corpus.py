@@ -150,15 +150,14 @@ def split_corpus(corpus: Corpus, seed: int) -> CorpusSplit:
 def corpus_stats(corpus: Corpus) -> dict[str, float]:
     """Mean transcript length and document/summary compression ratio.
 
-    Word counts are whitespace tokens throughout.
+    Word counts are whitespace tokens throughout. A document's texts are
+    counted joined by a line break, which no word crosses.
     """
     if not corpus.transcripts:
         raise EmptyCorpus("cannot compute stats on an empty corpus")
-    total_doc_words = sum(
-        word_count(sentence) for sentences in corpus.transcripts.values() for sentence in sentences
-    )
-    total_summary_words = sum(
-        word_count(bullet) for bullets in corpus.summaries.values() for bullet in bullets
+    total_doc_words, total_summary_words = (
+        sum(word_count("\n".join(texts)) for texts in texts_by_id.values())
+        for texts_by_id in (corpus.transcripts, corpus.summaries)
     )
     if total_summary_words == 0:
         raise DivisionDegenerate("summaries contain zero words")

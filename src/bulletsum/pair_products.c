@@ -1,13 +1,14 @@
-/* Centroid x counted-text products at the (topic, text) pairs route ranks.
+/* Dense query x sparse-row products at the (query, row) pairs asked for.
  *
- * queries is a row-major matrix of width columns, one row per topic
- * centroid. A fold's entries are CSR rows (retrieval.Entries), one per
- * counted text: entry e, for e from starts[t] up to starts[t + 1], is text
- * t's weight weights[e] on column at[e]. For each pair p, out[p] sums
- * queries[topics[p]][at[e]] times weights[e] over text texts[p]'s entries,
- * in entry order from 0.0: the order of retrieval._python_products'
- * bincount, so the bits are its. Build with -ffp-contract=off: a fused
- * multiply-add rounds differently. Every index must be in range.
+ * queries is a row-major matrix of width columns, one row per query: a
+ * route topic centroid or an extract question. The rows are CSR entries
+ * (retrieval.Entries): entry e, for e from starts[t] up to starts[t + 1],
+ * is row t's weight weights[e] on column at[e]. For each pair p, out[p]
+ * sums queries[topics[p]][at[e]] times weights[e] over row texts[p]'s
+ * entries, in entry order from 0.0: the order of
+ * retrieval._python_products' bincount, so the bits are its. Build with
+ * -ffp-contract=off: a fused multiply-add rounds differently. Every index
+ * must be in range.
  */
 #include <stddef.h>
 

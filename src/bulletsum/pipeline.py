@@ -263,6 +263,44 @@ def stage_topics(config: PipelineConfig, out: Path, bank) -> None:
     _write_json(out / "distribution.json", question_distribution(categorized))
 
 
+# The most text, in characters (the tokenizer's bytes), that one TF-IDF fit
+# of ``extract`` serves: its documents' sentences and questions. A document
+# with more is fit alone. A fit's arrays grow with its text, and a larger
+# budget fits faster. On the seed-1 400-document benchmark corpus (about
+# 18,000 characters a document, so three to four a batch), these batches
+# fit and score the training documents in about 100 ms, against 130 ms for
+# one fit per document; a run's peak RSS stays where ``ingest`` and
+# ``eval`` set it at this budget, and at 256 KiB it rose by 2-4 MB.
+FIT_BATCH_BYTES = 1 << 16
+
+
+def _fit_batches(documents, budget: int):
+    """``(doc_id, sentences, questions)`` documents in order, in lists of at most ``budget`` bytes.
+
+    A batch closes before the document that would take it past the budget,
+    so a document past it on its own is a batch alone.
+    """
+    batch, size = [], 0
+    for document in documents:
+        _, sentences, questions = document
+        length = sum(map(len, sentences)) + sum(map(len, questions))
+        if batch and size + length > budget:
+            yield batch
+            batch, size = [], 0
+        batch.append(document)
+        size += length
+    if batch:
+        yield batch
+
+
+def _tfidf_embedded(documents, budget: int):
+    """Each document's ``TfidfEmbedder.embed`` of its questions, one fit per batch of documents."""
+    for batch in _fit_batches(documents, budget):
+        embedder = TfidfEmbedder([s for _, s, _ in batch], [q for _, _, q in batch])
+        for document, (_, _, questions) in enumerate(batch):
+            yield embedder.embed(questions, document=document)
+
+
 def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> None:
     template = _prompt_template(config)
     client = _embedding_client(config)
@@ -282,11 +320,11 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
             for (_, sentences, _), vectors in zip(documents, client.embed_many(batches))
         )
     else:
-        # One encoding per document: its sentences, fit on, then its questions.
-        embedders = (TfidfEmbedder(sentences, questions) for _, sentences, questions in documents)
-        embedded = (
-            embedder.embed(questions) for embedder, (_, _, questions) in zip(embedders, documents)
-        )
+        # Each document is fit on its own sentences and counted with its
+        # questions; a batch of documents (``_fit_batches``) shares one
+        # encoding and one numpy call per step of the fit, and each is
+        # scored alone, with the same bits in any batch.
+        embedded = _tfidf_embedded(documents, FIT_BATCH_BYTES)
 
     contexts = []
     pairs = []
@@ -328,7 +366,8 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
     # embedded once, ahead of the documents' sentences, and its norms taken
     # once for every document's scorer. TF-IDF vectors do: the
     # master list is encoded and counted once (``Encoded.terms``), and each
-    # document's fit weighs those counts by its IDF (``TfidfEmbedder.fold``).
+    # document's fit, a batch of one, weighs those counts by its IDF
+    # (``TfidfEmbedder.fold``).
     if client:
         embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
         service_master_vectors = next(embedded)
@@ -337,7 +376,7 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         )
     else:
         master_ids = encode(master_texts)
-        master_counts = master_ids.terms()
+        master_tokens, master_counts = master_ids.tokens(), master_ids.terms
 
     detections = []
     selected_questions = []
@@ -347,16 +386,17 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         if client:
             sentence_vectors = ranked_sentences = next(embedded)
             sentence_ids = encode(sentences)
+            sentence_terms, sentence_tokens = sentence_ids.terms, sentence_ids.tokens()
             score_master = score_service
         else:
-            embedder = TfidfEmbedder(sentences)
-            sentence_ids = embedder.fit
+            embedder = TfidfEmbedder([sentences])
+            sentence_terms, sentence_tokens = embedder.weights(), embedder.tokens()
             # The topic centroids are taken on the fit columns that hold a master
             # token, and scored against the master counts the fit holds, at their
             # buckets' questions only.
-            fold = embedder.fold(master_ids.tokens, master_counts)
+            fold = embedder.fold(master_tokens, master_counts)
             ranked_sentences, score_master = embedder.vectors(fold.fit_columns), fold.scores
-        detection = detect_topics(doc_id, model.keywords, sentence_ids)
+        detection = detect_topics(doc_id, model.keywords, sentence_terms, sentence_tokens)
         try:
             chosen = select_questions(
                 detection, ranked_sentences, score_master, buckets, config.q_per_topic
@@ -384,7 +424,7 @@ def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, m
         )
         contexts.append(context)
         # Release this document's arrays before the next document's are built.
-        embedder = sentence_ids = sentence_vectors = fold = None
+        embedder = sentence_ids = sentence_terms = sentence_tokens = sentence_vectors = fold = None
         ranked_sentences = score_master = question_vectors = norms = None
 
     _write_jsonl(out / "detections.jsonl", detections)

@@ -2,26 +2,30 @@
 
 The built-in embedder is per-document TF-IDF: the vocabulary and IDF are fit
 on one transcript's sentences, which sharpens discrimination inside that
-document. ``encode`` gives texts token ids local to the call in one call of a
-small C kernel (``tokenize.c``, built and loaded by ``kernels.load``), with
-the text of each id. A TF-IDF cosine comes from token counts, not from a
-dense texts x vocabulary matrix: every sparse count is one ``Entries``
-record, a row per text in CSR form with an entry per distinct token.
-``TfidfEmbedder`` keeps a document's counts times the IDF in one, takes each
-vector's norm from them, and fills rows only on the columns the queries hold.
-Texts counted once per stage (``Encoded.terms``) are scored on any document's
-fit through its IDF (``TfidfEmbedder.fold``), at the (query, text) pairs
-asked for only: a second small C kernel (``pair_products.c``) sums each
-pair's products over the text's entries. A sentence-transformer service can
-be substituted through the embedding client (``services.EmbeddingClient``).
-Its vectors, and the TF-IDF rows with the norms of their whole vectors, are
-ranked by the one scoring routine, ``cosine_matrix``, and a fold's cosines
-(``Fold.scores``) are divided and rounded alike (``cosines``).
+document. ``encode`` counts the tokens of texts, which may form several
+documents with ids local to each, in one call of a small C kernel
+(``tokenize.c``, built and loaded by ``kernels.load``); the text of an id is
+sliced only when asked for. A TF-IDF cosine comes from token counts, not
+from a dense texts x vocabulary matrix: every sparse count is one
+``Entries`` record, a row per text in CSR form with an entry per distinct
+token. ``TfidfEmbedder`` fits a batch of documents, each with its own
+vocabulary and IDF, in one encoding and one numpy call per step of the fit;
+``embed`` gives one document's queries as dense rows against its sentences'
+entries. Texts counted once per stage (``Encoded.terms``) are scored on any
+document's fit through its IDF (``TfidfEmbedder.fold``). Every TF-IDF
+product is summed over a sparse row's entries by a second small C kernel
+(``pair_products.c``), at the (query, row) pairs asked for, off BLAS:
+``entry_cosines`` for a document's questions and sentences, ``Fold.scores``
+for route's topic centroids and master questions. A sentence-transformer
+service can be substituted through the embedding client
+(``services.EmbeddingClient``); its vectors are ranked by ``cosine_matrix``.
+Every cosine is divided and rounded alike (``cosines``).
 """
 
 from __future__ import annotations
 
 import ctypes
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -67,164 +71,280 @@ class Entries(NamedTuple):
 
 
 class Encoded(NamedTuple):
-    """Texts as token ids local to one ``encode`` call, flat and in order.
+    """Texts' term counts from one ``encode`` call, with ids local to each document.
 
-    ``ids[i]`` came from text ``rows[i]``. Ids are handed out in first-seen
-    order, and ``tokens[j]`` is the text of id j, each distinct token once.
+    Each document hands out its own ids, from 0 in first-seen order.
+    ``terms`` holds a row per text: the ids it holds, ascending, with how
+    often it holds each. ``seen[i]`` is the number of ids text i's document
+    has handed out through text i. The call's distinct tokens are document
+    d's ids in order, from ``bases[d]`` up to ``bases[d + 1]``; token k is
+    ``text[first[k]:first[k] + length[k]]``, sliced only when ``tokens`` is
+    asked for it.
     """
 
-    ids: np.ndarray
-    rows: np.ndarray
-    n_texts: int
-    tokens: list[str]
+    terms: Entries
+    seen: np.ndarray
+    bases: np.ndarray
+    text: str
+    first: np.ndarray
+    length: np.ndarray
 
-    def terms(self) -> Entries:
-        """Raw term counts: a row per text, with its count of each id it holds.
-
-        One entry per distinct (text, id) pair, ordered by text and then id.
-        """
-        width = max(len(self.tokens), 1)
-        keys, counts = np.unique(self.rows * width + self.ids, return_counts=True)
-        rows = keys // width
-        # ``keys - rows * width`` is ``keys % width``, in a third of the time.
-        starts = np.searchsorted(rows, np.arange(self.n_texts + 1))
-        return Entries(starts, keys - rows * width, counts.astype(float))
+    def tokens(self, document: int = 0) -> list[str]:
+        """The text of each of ``document``'s ids."""
+        tokens = slice(self.bases[document], self.bases[document + 1])
+        first, ends = self.first[tokens], self.first[tokens] + self.length[tokens]
+        return [self.text[a:b] for a, b in zip(first.tolist(), ends.tolist())]
 
 
 # ``kernels.load``'s arguments for the compiled tokenizer of ``tokenize.c``.
-_INTP = np.ctypeslib.ndpointer(np.intp, flags="C_CONTIGUOUS")
+# The kernels called per document take their arrays as plain pointers
+# (``_address``): an ``ndpointer`` argument costs about 4 µs to convert,
+# more than a sentence-sized kernel call.
 _TOKENIZE = ("tokenize", "tokenize_texts", (
-    ctypes.c_char_p, _INTP, ctypes.c_ssize_t, _INTP, ctypes.c_ssize_t,
-    _INTP, _INTP, _INTP, _INTP, _INTP,
+    ctypes.c_char_p, *[ctypes.c_void_p] * 2, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_ssize_t,
+    *[ctypes.c_void_p] * 9,
 ))
 
 
-def encode(texts: Sequence[str]) -> Encoded:
-    """The ids of ``tokenize``'s tokens of every text, in one call of the compiled tokenizer.
+def _address(array: np.ndarray, dtype: type) -> int:
+    """The address of ``array``'s data, which must be C-contiguous ``dtype``, for a kernel.
 
-    The texts are lowercased and passed to the kernel (``tokenize.c``, loaded
-    by ``kernels.load``) as one ASCII buffer with the offset of each text.
-    Each character that is not ASCII becomes one ``?``, which no token holds,
-    so the tokens are ``tokenize``'s and a byte offset is a character offset.
-    Where the kernel is unavailable, the Python reference (``_python_encode``)
-    runs, with the same result.
+    The caller keeps a reference to ``array`` until the kernel returns.
     """
-    lowered = [text.lower() for text in texts]
-    joined = "".join(lowered)
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(f"a kernel takes C-contiguous {np.dtype(dtype)} arrays, not {array.dtype}")
+    return array.ctypes.data
+
+
+def encode(texts: Sequence[str], sizes: Sequence[int] | None = None) -> Encoded:
+    """The counts of ``tokenize``'s tokens of every text, in one call of the compiled tokenizer.
+
+    ``sizes`` are the number of texts of each document, in order; by
+    default the texts are one document. The texts are lowercased and passed
+    to the kernel (``tokenize.c``, loaded by ``kernels.load``) as one ASCII
+    buffer with the offset of each text. Each character that is not ASCII
+    becomes one ``?``, which no token holds, so the tokens are
+    ``tokenize``'s and a byte offset is a character offset. Where the kernel
+    is unavailable, the Python reference (``_python_encode``) runs, with the
+    same result.
+    """
+    documents = np.cumsum([0, *(sizes if sizes is not None else [len(texts)])], dtype=np.intp)
+    if documents[-1] != len(texts):
+        raise ValueError(f"sizes add up to {documents[-1]} texts, not {len(texts)}")
     kernel = kernels.load(*_TOKENIZE)
     if kernel is None:
-        return _python_encode(texts)
-    starts = np.cumsum([0, *map(len, lowered)], dtype=np.intp)
+        return _python_encode(texts, documents)
+    joined = "".join(texts)
+    if joined.isascii():
+        text, starts = joined.lower(), np.cumsum([0, *map(len, texts)], dtype=np.intp)
+    else:
+        lowered = [text.lower() for text in texts]
+        text, starts = "".join(lowered), np.cumsum([0, *map(len, lowered)], dtype=np.intp)
     # A decimal token spans three bytes or more, and any other token but a
     # text's last is followed by a byte that no token holds, so a text of n
     # bytes holds at most (n + 1) // 2 tokens. The table keeps at least half
-    # its slots free.
-    room = (len(joined) + len(texts)) // 2
-    table = np.full(1 << (2 * room).bit_length(), -1, dtype=np.intp)
-    local, rows, first, length = np.empty((4, room), dtype=np.intp)
-    found = np.zeros(2, dtype=np.intp)
+    # its slots free in the document with the most.
+    room = (len(text) + len(texts)) // 2
+    per_document = (starts[documents[1:]] - starts[documents[:-1]] + np.diff(documents)) // 2
+    table = np.full(1 << int(2 * per_document.max(initial=0)).bit_length(), -1, dtype=np.intp)
+    entry, seen = np.empty(len(texts) + 1, dtype=np.intp), np.empty(len(texts), dtype=np.intp)
+    bases = np.empty(len(documents), dtype=np.intp)
+    columns, first, length, tally = np.empty((4, room), dtype=np.intp)
+    counts, bits = np.empty(room), np.zeros(len(table) // 64 + 1, dtype=np.uint64)
     kernel(
-        joined.encode("ascii", "replace"), starts, len(texts), table, len(table),
-        local, rows, first, length, found,
+        text.encode("ascii", "replace"), _address(starts, np.intp), _address(documents, np.intp),
+        len(documents) - 1, _address(table, np.intp), len(table),
+        *(_address(a, np.intp) for a in (entry, columns)), _address(counts, np.float64),
+        *(_address(a, np.intp) for a in (seen, bases, first, length, tally)),
+        _address(bits, np.uint64),
     )
-    n_tokens, n_distinct = found.tolist()
-    ends = (first[:n_distinct] + length[:n_distinct]).tolist()
-    tokens = [joined[a:b] for a, b in zip(first[:n_distinct].tolist(), ends)]
-    return Encoded(local[:n_tokens].copy(), rows[:n_tokens].copy(), len(texts), tokens)
+    # Copied out, so that the buffers sized for the worst case are freed.
+    n, k = entry[-1], bases[-1]
+    terms = Entries(entry, columns[:n].copy(), counts[:n].copy())
+    return Encoded(terms, seen, bases, text, first[:k].copy(), length[:k].copy())
 
 
-def _python_encode(texts: Sequence[str]) -> Encoded:
-    """The reference for ``encode``: ``tokenize`` per text, ids from a first-seen dict."""
-    tokens = [tokenize(text) for text in texts]
-    first_seen: dict[str, int] = {}
-    ids = [first_seen.setdefault(token, len(first_seen)) for toks in tokens for token in toks]
-    rows = np.repeat(np.arange(len(texts), dtype=np.intp), [len(toks) for toks in tokens])
-    return Encoded(np.array(ids, dtype=np.intp), rows, len(texts), list(first_seen))
+def _python_encode(texts: Sequence[str], documents: np.ndarray) -> Encoded:
+    """The reference for ``encode``: ``tokenize`` per text, ids from a first-seen dict per document.
+
+    Its ``text`` is the distinct tokens back to back.
+    """
+    entry, columns, counts, seen, bases, tokens = [0], [], [], [], [], []
+    for a, b in zip(documents[:-1].tolist(), documents[1:].tolist()):
+        bases.append(len(tokens))
+        ids: dict[str, int] = {}
+        for text in texts[a:b]:
+            held = Counter(ids.setdefault(token, len(ids)) for token in tokenize(text))
+            for column in sorted(held):
+                columns.append(column)
+                counts.append(held[column])
+            entry.append(len(columns))
+            seen.append(len(ids))
+        tokens += ids
+    bases.append(len(tokens))
+    terms = Entries(
+        np.array(entry, dtype=np.intp), np.array(columns, dtype=np.intp), np.array(counts, float)
+    )
+    length = np.array([len(token) for token in tokens], dtype=np.intp)
+    first = np.cumsum(length) - length
+    seen, bases = np.array(seen, dtype=np.intp), np.array(bases, dtype=np.intp)
+    return Encoded(terms, seen, bases, "".join(tokens), first, length)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """CSR row starts for rows of ``lengths`` entries."""
+    return np.concatenate(([0], np.cumsum(lengths))).astype(np.intp, copy=False)
+
+
+def _ranges(first: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The indices from ``first[i]`` up to ``end[i]`` for each i, in order."""
+    lengths = end - first
+    return np.repeat(first - _starts(lengths)[:-1], lengths) + np.arange(lengths.sum())
 
 
 class TfidfEmbedder:
-    """TF-IDF over a fixed fit corpus (typically one document), scored from token counts.
+    """TF-IDF fits of a batch of documents, each on its own texts, scored from token counts.
 
-    IDF = ln((1+N)/(1+df)) + 1 and TF = raw count; a text's vector is its
-    counts times the IDF, L2-normalized. The columns are the fit texts' token
-    ids: ``encode`` runs on the fit texts and then ``queries`` in one call,
-    and ids are handed out in first-seen order, so the ids below the fit's
-    vocabulary size are exactly the fit's tokens and a query token at or
-    above it is outside the vocabulary. Text sharing no terms with the fit
-    corpus has the zero vector. ``fit`` is the fit texts' encoding.
+    Document d is fit on its texts ``documents[d]`` (typically one
+    transcript's sentences) with its own vocabulary and IDF, and embeds its
+    ``queries[d]``. IDF = ln((1+N)/(1+df)) + 1 and TF = raw count; a text's
+    vector is its counts times the IDF, L2-normalized. A document's columns
+    are its fit texts' token ids: ``encode`` counts every document's fit
+    texts and then its queries in one call, and ids are handed out in
+    first-seen order per document, so the ids below a document's
+    vocabulary size are exactly its fit tokens and a query token at or above
+    it is outside the vocabulary. Text sharing no terms with the fit texts
+    has the zero vector.
 
-    No texts x vocabulary matrix is built. One ``Encoded.terms`` counts the
-    fit texts and the queries, kept times the IDF (the queries' on the fit
-    columns only); one ``bincount`` gives the document frequencies and another
-    the norm of each fit text's vector. ``embed`` and ``vectors`` fill rows on
-    the columns that queries hold only, and ``cosine_matrix`` divides by the
-    norms of the whole vectors.
+    No texts x vocabulary matrix is built. Every document's columns follow
+    those of the documents before it, so the IDF, the fit weights (counts
+    times the IDF, one ``Entries`` row per fit text), their norms and the
+    queries' rows on their document's columns each take one numpy call for
+    the whole batch. ``embed`` gives a document's queries as dense rows
+    against its fit texts' weights, which ``build_context`` scores with the
+    pair kernel (``pair_products``).
     """
 
-    def __init__(self, fit_corpus: Sequence[str], queries: Sequence[str] = ()):
-        if not fit_corpus:
-            raise ValueError("fit_corpus must be non-empty")
-        n = len(fit_corpus)
-        encoded = encode([*fit_corpus, *queries])
-        split = int(np.searchsorted(encoded.rows, n))
-        width = int(encoded.ids[:split].max(initial=-1)) + 1
-        self.fit = Encoded(encoded.ids[:split], encoded.rows[:split], n, encoded.tokens[:width])
-        starts, ids, counts = encoded.terms()
-        end, fit_ids = starts[n], ids[: starts[n]]
-        self.idf = np.log((1.0 + n) / (1.0 + np.bincount(fit_ids, minlength=width))) + 1.0
-        fit = self._weights = Entries(starts[: n + 1], fit_ids, counts[:end] * self.idf[fit_ids])
-        self._norms = np.sqrt(np.bincount(fit.rows(), fit.values**2, minlength=n))
-        # The queries' counts times the IDF, on the fit's columns only.
-        asked = Entries(starts[n:] - end, ids[end:], counts[end:])
-        asked = asked.on(np.arange(width), len(encoded.tokens))
-        self._queries = list(queries)
-        self._query_weights = asked._replace(values=asked.values * self.idf[asked.columns])
+    def __init__(
+        self, documents: Sequence[Sequence[str]], queries: Sequence[Sequence[str]] = ()
+    ):
+        if not documents or not all(documents):
+            raise ValueError("every fit corpus must be non-empty")
+        queries = [list(asked) for asked in queries] or [[] for _ in documents]
+        if len(queries) != len(documents):
+            raise ValueError("queries must be given for every document or for none")
+        n, m = np.array([[len(fit), len(asked)] for fit, asked in zip(documents, queries)]).T
+        encoded = encode(
+            [text for pair in zip(documents, queries) for part in pair for text in part], n + m
+        )
+        self._encoded, self._queries, self._tokens = encoded, queries, {}
+        starts, columns, counts = encoded.terms
+        bases = encoded.bases
+        self._texts_at = texts_at = _starts(n + m)
+        self._fit_sizes = n
+        self._widths = widths = encoded.seen[texts_at[:-1] + n - 1]
+        # Each entry's token, numbered across the call: its document's base
+        # plus its id. The fit texts' entries are those of every text but the
+        # queries, which follow each document's fit texts.
+        tokens = columns + np.repeat(bases[:-1], np.diff(starts[texts_at]))
+        first_query, end = starts[texts_at[:-1] + n], starts[texts_at[1:]]
+        asked = _ranges(first_query, end)
+        df = np.bincount(tokens, minlength=bases[-1])
+        df -= np.bincount(tokens[asked], minlength=bases[-1])
+        self._idf = np.log((1.0 + np.repeat(n, np.diff(bases))) / (1.0 + df)) + 1.0
+        weights = self._weights = Entries(starts, columns, counts * self._idf[tokens])
+        rows = weights.rows()
+        self._norms = np.sqrt(np.bincount(rows, weights.values**2, minlength=len(starts) - 1))
 
-    def _on(self, weights: Entries, columns: np.ndarray) -> np.ndarray:
-        """``weights`` on fit columns as a matrix on ``columns``: a row per text."""
-        held = weights.on(columns, len(self.idf))
+        # Each query's weights on its document's columns only, as dense rows:
+        # document d's m[d] rows of widths[d] columns, from ``_rows_at[d]`` on.
+        self._rows_at = _starts(m * widths)
+        document = np.repeat(np.arange(len(n)), end - first_query)
+        query = rows[asked] - (texts_at[:-1] + n)[document]
+        cells = self._rows_at[document] + query * widths[document] + columns[asked]
+        on_fit = columns[asked] < widths[document]
+        self._query_rows = np.zeros(self._rows_at[-1])
+        self._query_rows[cells[on_fit]] = weights.values[asked[on_fit]]
+
+    def idf(self, document: int = 0) -> np.ndarray:
+        """The IDF of each of ``document``'s fit columns."""
+        base = self._encoded.bases[document]
+        return self._idf[base : base + self._widths[document]]
+
+    def tokens(self, document: int = 0) -> list[str]:
+        """The text of each of ``document``'s fit columns, sliced on the first call."""
+        if document not in self._tokens:
+            self._tokens[document] = self._encoded.tokens(document)[: self._widths[document]]
+        return self._tokens[document]
+
+    def _fit_texts(self, document: int) -> slice:
+        """The rows of ``document``'s fit texts among the call's texts."""
+        first = self._texts_at[document]
+        return slice(first, first + self._fit_sizes[document])
+
+    def weights(self, document: int = 0) -> Entries:
+        """``document``'s fit texts' counts times the IDF, a row per fit text, on its columns."""
+        texts = self._fit_texts(document)
+        starts, columns, values = self._weights
+        a, b = starts[texts.start], starts[texts.stop]
+        return Entries(starts[texts.start : texts.stop + 1] - a, columns[a:b], values[a:b])
+
+    def vectors(self, columns: np.ndarray, document: int = 0) -> np.ndarray:
+        """``document``'s fit texts' vectors on ``columns``, L2-normalized as whole vectors."""
+        held = self.weights(document).on(columns, self._widths[document])
         rows = np.zeros((len(held.starts) - 1, len(columns)))
         rows[held.rows(), held.columns] = held.values
-        return rows
-
-    def vectors(self, columns: np.ndarray) -> np.ndarray:
-        """The fit texts' vectors on ``columns``, each L2-normalized as the whole vector."""
-        rows, norms = self._on(self._weights, columns), self._norms[:, None]
+        norms = self._norms[self._fit_texts(document), None]
         return np.divide(rows, norms, out=rows, where=norms > 0)
 
     def embed(
-        self, texts: Sequence[str], weights: Entries | None = None
-    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """``texts`` against the fit texts: ``cosine_matrix``'s arguments.
+        self, texts: Sequence[str], weights: Entries | None = None, document: int = 0
+    ) -> tuple[np.ndarray, Entries, tuple[np.ndarray, np.ndarray]]:
+        """``texts`` against ``document``'s fit texts: ``build_context``'s arguments.
 
-        Returns the texts' and the fit texts' counts times the IDF, on the
-        fit columns the texts hold, in ascending order, and the norms of
-        their whole vectors. ``weights`` are the texts' counts times the IDF
-        on fit columns, a row per text, and hold every token of the texts
-        that the fit holds. Without them, ``texts`` are the ``queries`` this
-        embedder was built with, counted by the fit's ``encode`` call.
+        Returns the texts' counts times the IDF as dense rows, the fit texts'
+        weights, and the norms of both whole vectors. ``weights`` are the
+        texts' counts times the IDF on the document's columns, a row per
+        text, and hold every token of the texts that the fit holds; the rows
+        and the fit texts' weights are then kept on the columns the texts
+        hold, so the rows stay small when many texts are given. Without
+        ``weights``, ``texts`` are the document's ``queries``, counted by the
+        fit's ``encode`` call, and the rows are on all of its columns.
         """
+        width, sentences = self._widths[document], self.weights(document)
         if weights is None:
-            if list(texts) != self._queries:
+            if list(texts) != self._queries[document]:
                 raise ValueError("texts other than the queries need their counts")
-            weights = self._query_weights
-        # The columns the texts hold, ascending (``np.unique`` imports ``numpy.ma``).
-        columns = np.flatnonzero(np.bincount(weights.columns, minlength=len(self.idf)))
-        rows = self._on(weights, columns)
-        return rows, self._on(self._weights, columns), (np.linalg.norm(rows, axis=1), self._norms)
+            a, b = self._rows_at[document : document + 2]
+            rows = self._query_rows[a:b].reshape(len(texts), width)
+            rows_held = np.ascontiguousarray(rows[:, rows.any(axis=0)])
+        else:
+            # A product term on a column no text holds is zero, so the
+            # sentences' weights off those columns are dropped.
+            columns = np.flatnonzero(np.bincount(weights.columns, minlength=width))
+            held = weights.on(columns, width)
+            rows = rows_held = np.zeros((len(held.starts) - 1, len(columns)))
+            rows[held.rows(), held.columns] = held.values
+            sentences = sentences.on(columns, width)
+        # Each row's norm is summed over the columns some row holds, in their
+        # order, as numpy sums a C-ordered matrix of those columns only (a
+        # column-ordered one sums in another order).
+        norms = np.linalg.norm(rows_held, axis=1)
+        return rows, sentences, (norms, self._norms[self._fit_texts(document)])
 
-    def fold(self, tokens: list[str], counts: Entries) -> Fold:
-        """Texts counted apart, ``counts`` (``Encoded.terms``) of ``tokens``, on this fit.
+    def fold(self, tokens: list[str], counts: Entries, document: int = 0) -> Fold:
+        """Texts counted apart, ``counts`` (``Encoded.terms``) of ``tokens``, on ``document``'s fit.
 
         A text's TF-IDF vector on this fit is zero outside the fit columns
         that hold one of its tokens, so it is its counts of those tokens times
         the IDF, and its norm comes from them in one ``bincount``.
         """
         column_of = dict(zip(tokens, range(len(tokens))))
-        counted = np.fromiter(map(column_of.get, self.fit.tokens, repeat(-1)), np.intp)
+        counted = np.fromiter(map(column_of.get, self.tokens(document), repeat(-1)), np.intp)
         fit_columns = np.flatnonzero(counted >= 0)
         held = counts.on(counted[fit_columns], len(tokens))
-        weights = held._replace(values=held.values * self.idf[fit_columns][held.columns])
+        idf = self.idf(document)[fit_columns]
+        weights = held._replace(values=held.values * idf[held.columns])
         norms = np.bincount(weights.rows(), weights.values**2, minlength=len(counts.starts) - 1)
         return Fold(fit_columns, weights, np.sqrt(norms))
 
@@ -259,53 +379,60 @@ class Fold(NamedTuple):
 
         One score per pair p. A query's norm is that of its row as given, on
         ``fit_columns`` only; the counted texts' norms are ``norms``. The
-        products come from ``products`` and ``cosines`` divides and rounds
-        them.
+        products come from ``pair_products`` and ``cosines`` divides and
+        rounds them.
         """
         topics = np.asarray(topics, dtype=np.intp)
         texts = np.asarray(texts, dtype=np.intp)
         # Gathered first, so an index out of range raises before the kernel runs.
         norms = np.linalg.norm(queries, axis=1)[topics] * self.norms[texts]
-        return cosines(self.products(queries, topics, texts), norms)
+        return cosines(pair_products(queries, self.entries, topics, texts), norms)
 
-    def products(self, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray) -> np.ndarray:
-        """The product of query row ``topics[p]`` with counted text ``texts[p]``'s weights.
 
-        One product per pair p, on the calling thread, from the compiled loop
-        over each text's entries (``pair_products.c``, loaded by
-        ``kernels.load``), which sums in entry order from 0.0 as ``bincount``
-        does. Where the kernel is unavailable, the Python reference
-        (``_python_products``) runs, with the same bits. ``topics`` and
-        ``texts`` are ``intp`` arrays of indices in range.
-        """
-        kernel = kernels.load(*_PAIR_PRODUCTS)
-        if kernel is None:
-            return _python_products(self, queries, topics, texts)
-        queries = np.ascontiguousarray(queries, dtype=float)
-        starts, columns, weights = self.entries
-        out = np.empty(len(topics))
-        kernel(queries, queries.shape[1], columns, weights, starts, topics, texts, len(topics), out)
-        return out
+def pair_products(
+    queries: np.ndarray, entries: Entries, topics: np.ndarray, texts: np.ndarray
+) -> np.ndarray:
+    """The product of dense query row ``topics[p]`` with ``entries`` row ``texts[p]``.
+
+    One product per pair p, on the calling thread, from the compiled loop
+    over each row's entries (``pair_products.c``, loaded by
+    ``kernels.load``), which sums in entry order from 0.0 as ``bincount``
+    does. Where the kernel is unavailable, the Python reference
+    (``_python_products``) runs, with the same bits. ``topics`` and
+    ``texts`` are ``intp`` arrays of indices in range, and every entry's
+    column is one of the queries' columns.
+    """
+    kernel = kernels.load(*_PAIR_PRODUCTS)
+    if kernel is None:
+        return _python_products(queries, entries, topics, texts)
+    queries = np.ascontiguousarray(queries, dtype=float)
+    starts, columns, values = entries
+    out = np.empty(len(topics))
+    kernel(
+        _address(queries, np.float64), queries.shape[1], _address(columns, np.intp),
+        _address(values, np.float64), *(_address(a, np.intp) for a in (starts, topics, texts)),
+        len(topics), _address(out, np.float64),
+    )
+    return out
 
 
 # ``kernels.load``'s arguments for the compiled loop of ``pair_products.c``.
-_DOUBLES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _PAIR_PRODUCTS = ("pair_products", "pair_products", (
-    _DOUBLES, ctypes.c_ssize_t, _INTP, _DOUBLES, _INTP, _INTP, _INTP, ctypes.c_ssize_t, _DOUBLES,
+    ctypes.c_void_p, ctypes.c_ssize_t, *[ctypes.c_void_p] * 5, ctypes.c_ssize_t, ctypes.c_void_p,
 ))
 
 
 def _python_products(
-    fold: Fold, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray
+    queries: np.ndarray, entries: Entries, topics: np.ndarray, texts: np.ndarray
 ) -> np.ndarray:
-    """The reference for ``Fold.products``: every query x text cell, gathered at the pairs.
+    """The reference for ``pair_products``: every query x row cell, gathered at the pairs.
 
     One ``bincount`` over the entries for every query at once, which adds
     each cell's terms in entry order from 0.0.
     """
-    n, width = len(queries), len(fold.norms)
-    cells = np.arange(n)[:, None] * width + fold.entries.rows()
-    terms = queries[:, fold.entries.columns] * fold.entries.values
+    n, width = len(queries), len(entries.starts) - 1
+    cells = np.arange(n)[:, None] * width + entries.rows()
+    terms = queries[:, entries.columns] * entries.values
     # With no entries, bincount counts in integers.
     products = np.bincount(cells.ravel(), terms.ravel(), minlength=n * width)
     return products.astype(float, copy=False).reshape(n, width)[topics, texts]
@@ -323,11 +450,27 @@ def cosine_matrix(
     are vectors on some of their columns only, every column where both can
     be nonzero; by default they are the rows' own. Scores are rounded to
     ``SCORE_DECIMALS`` so that noise in the last bits, which differs between
-    summation orders and embedders, cannot decide a ranking.
+    summation orders and embedders, cannot decide a ranking. It ranks a
+    service's vectors; TF-IDF rows are ranked by ``entry_cosines``.
     """
     if norms is None:
         norms = (np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
     return cosines(queries @ candidates.T, np.outer(*norms))
+
+
+def entry_cosines(
+    queries: np.ndarray, candidates: Entries, norms: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``cosine_matrix`` of dense query rows to ``Entries`` rows on their columns.
+
+    The product of every (query, candidate) pair comes from
+    ``pair_products``, summed in entry order, and is divided by the pair's
+    ``norms`` and rounded as ``cosine_matrix`` does.
+    """
+    n, m = len(queries), len(candidates.starts) - 1
+    topics, texts = np.indices((n, m), dtype=np.intp).reshape(2, -1)
+    products = pair_products(queries, candidates, topics, texts).reshape(n, m)
+    return cosines(products, np.outer(*norms))
 
 
 def cosines(products: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -400,15 +543,16 @@ def build_context(
     sentences: Sequence[str],
     questions: list[str],
     question_vectors: np.ndarray,
-    sentence_vectors: np.ndarray,
+    sentence_vectors: np.ndarray | Entries,
     k: int,
     norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ExtractiveContext:
     """Union of per-question top-k selections, deduplicated by position.
 
     Row i of ``question_vectors`` embeds ``questions[i]`` and row j of
-    ``sentence_vectors`` embeds ``sentences[j]``, scored by ``cosine_matrix``
-    with ``norms`` (as ``TfidfEmbedder.embed`` gives all three). Each question takes the
+    ``sentence_vectors`` embeds ``sentences[j]``, scored with ``norms``: by
+    ``entry_cosines`` for TF-IDF weights as ``TfidfEmbedder.embed`` gives
+    all three, by ``cosine_matrix`` for a service's vectors. Each question takes the
     min(k, |sentences|) sentences of highest cosine (``top_k``), so ties
     break toward the earlier document position. Context sentences keep
     document order; the per-question selections are retained for audit. At
@@ -418,7 +562,10 @@ def build_context(
         raise NoQuestions(f"no questions supplied for document {doc_id!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = cosine_matrix(question_vectors, sentence_vectors, norms)
+    if isinstance(sentence_vectors, Entries):
+        scores = entry_cosines(question_vectors, sentence_vectors, norms)
+    else:
+        scores = cosine_matrix(question_vectors, sentence_vectors, norms)
 
     selections = [
         Selection(

@@ -16,14 +16,14 @@ the master list's vectors, gathered at the pairs.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoTopicsDetected
 from .qbank import Question
-from .retrieval import Encoded
+from .retrieval import Entries
 from .topics import UNCATEGORIZED
 
 _EMPTY_BUCKET = np.zeros(0, dtype=np.intp)
@@ -45,19 +45,19 @@ class TopicDetection:
 
 
 def detect_topics(
-    doc_id: str, keywords: dict[str, list[str]], sentence_ids: Encoded
+    doc_id: str, keywords: dict[str, list[str]], sentence_terms: Entries, tokens: Sequence[str]
 ) -> TopicDetection:
     """Topics whose keywords occur as tokens anywhere in the document.
 
-    ``sentence_ids`` encodes the document's sentences. Each detected topic
+    ``sentence_terms`` holds a row per sentence of the document, with an
+    entry on column j where it holds token ``tokens[j]``. Each detected topic
     lists the keywords that matched and the positions of the sentences they
     matched in. One boolean token x sentence table marks the sentences that
     hold each of the document's tokens; a topic's positions are where any of
     its matched keywords' rows is set.
     """
-    ids, sentences, n_sentences, tokens = sentence_ids
-    holds = np.zeros((len(tokens), n_sentences), dtype=bool)
-    holds[ids, sentences] = True
+    holds = np.zeros((len(tokens), len(sentence_terms.starts) - 1), dtype=bool)
+    holds[sentence_terms.columns, sentence_terms.rows()] = True
     token_row = dict(zip(tokens, range(len(tokens))))
 
     detected = []

@@ -48,9 +48,17 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().translate(_PUNCT_TABLE).split())
 
 
+# Each byte as "0" where ``str.split`` splits on it (ASCII whitespace, with
+# "\x1c" to "\x1f") and "1" elsewhere: a text's words are its runs of "1".
+_WORD_BYTES = bytes(ord("0") if chr(byte).isspace() else ord("1") for byte in range(256))
+
+
 def word_count(text: str) -> int:
-    """Whitespace token count."""
-    return len(text.split())
+    """Whitespace token count, ``len(text.split())``, without making the tokens of ASCII text."""
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode("ascii").translate(_WORD_BYTES)
+    return marks.count(b"01") + marks.startswith(b"1")
 
 
 def read_text_file(path, what: str) -> str:

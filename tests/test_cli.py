@@ -493,7 +493,7 @@ class TestStages:
         routed = next(c for c in contexts if c["doc_id"] == doc_id)
         master = [q["text"] for q in json.loads(
             (workspace / "topics" / "question_bank.json").read_text())["master"]]
-        queries, fit, norms = TfidfEmbedder(sentences, master).embed(master)
+        queries, fit, norms = TfidfEmbedder([sentences], [master]).embed(master)
         expected = build_context(doc_id, sentences, master, queries, fit, PipelineConfig().k, norms)
         assert ExtractiveContext.from_dict(routed) == expected
 

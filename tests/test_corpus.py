@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bulletsum.corpus import (
@@ -10,6 +10,7 @@ from bulletsum.corpus import (
     split_corpus,
 )
 from bulletsum.errors import DivisionDegenerate, EmptyCorpus, EmptyDocument, IoError
+from bulletsum.text import word_count
 
 
 class TestSegmentSentences:
@@ -129,6 +130,21 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(tdir, sdir)
         assert corpus_stats(corpus)["mean_doc_words"] == 5
+
+    @given(
+        text=st.text(alphabet=st.sampled_from("ab1. \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000"))
+        | st.text()
+    )
+    # The ASCII separators str.split splits on, beyond the usual whitespace;
+    # whitespace that is not ASCII; no text; whitespace at both ends.
+    @example(text="two\x1cwords")
+    @example(text="one\x85two")
+    @example(text="no\xa0break")
+    @example(text="ideographic\u3000space")
+    @example(text="")
+    @example(text="  leading and trailing \n")
+    def test_word_count_is_len_of_split(self, text):
+        assert word_count(text) == len(text.split())
 
     def test_synthetic_bundle_loads(self, synthetic_dirs):
         corpus = load_corpus(*synthetic_dirs)

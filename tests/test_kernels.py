@@ -1,7 +1,11 @@
-"""Every C kernel of the package compiles clean, with warnings as errors; numpy's
+"""Every C kernel of the package compiles clean, with warnings as errors, and is
+declared to ``ctypes`` with as many arguments as its C function takes; numpy's
 OpenBLAS is found for ``one_blas_thread``."""
 
+import ast
+import importlib
 import logging
+import re
 import subprocess
 from pathlib import Path
 
@@ -11,12 +15,45 @@ import pytest
 from bulletsum import kernels
 from conftest import needs_cc
 
-SOURCES = sorted(Path(kernels.__file__).parent.glob("*.c"))
+PACKAGE = Path(kernels.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.c"))
+
+
+def _load_arguments() -> list[tuple[str, str, tuple]]:
+    """Each ``kernels.load(*NAME)`` call in the package: its module, NAME and NAME's tuple."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "kernels.load":
+                (starred,) = node.args
+                name = starred.value.id
+                module = importlib.import_module(f"bulletsum.{path.stem}")
+                found.append((path.stem, name, getattr(module, name)))
+    return found
+
+
+LOADS = _load_arguments()
 
 
 def test_the_four_kernels_are_found():
     names = [source.stem for source in SOURCES]
     assert names == ["lda_sweep", "pair_products", "tokenize", "vectors_json"]
+
+
+def test_every_kernel_is_loaded_once():
+    assert sorted(arguments[0] for _, _, arguments in LOADS) == [source.stem for source in SOURCES]
+
+
+@pytest.mark.parametrize(
+    "module, name, arguments", LOADS, ids=[f"{module}.{name}" for module, name, _ in LOADS]
+)
+def test_load_declares_every_parameter_of_the_c_function(module, name, arguments):
+    kernel, function, argtypes = arguments
+    source = (PACKAGE / f"{kernel}.c").read_text(encoding="utf-8")
+    definition = re.search(rf"\bvoid\s+{function}\s*\(([^)]*)\)\s*\{{", source)
+    assert definition, f"{kernel}.c defines no function {function}"
+    parameters = [p for p in definition.group(1).split(",") if p.strip()]
+    assert len(argtypes) == len(parameters), f"{module}.{name} declares {len(argtypes)} arguments"
 
 
 @needs_cc

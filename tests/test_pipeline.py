@@ -11,18 +11,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bulletsum import kernels, pipeline, retrieval
 from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder, cosine_matrix, encode
+from bulletsum.retrieval import TfidfEmbedder, build_context, cosine_matrix, encode, entry_cosines
 from bulletsum.router import detect_topics, select_questions, topic_buckets
 
 from test_cli import README, _tree_digest
 from test_golden import CASES
-from test_retrieval import loop_embed
+from test_retrieval import embed_texts, loop_embed
 
 ROOT = Path(__file__).resolve().parents[1]
 ROUND = ROOT / "bench" / "round.py"
@@ -329,31 +331,91 @@ def counted_encodes(monkeypatch):
     """The texts of every ``encode`` call, one list per call."""
     calls = []
 
-    def counting_encode(texts):
+    def counting_encode(texts, sizes=None):
         calls.append(list(texts))
-        return encode(texts)
+        return encode(texts, sizes)
 
     monkeypatch.setattr(retrieval, "encode", counting_encode)
     monkeypatch.setattr(pipeline, "encode", counting_encode)
     return calls
 
 
-def test_extract_encodes_once_per_train_document(tmp_path, synthetic_dirs, counted_encodes):
-    """Each train document's sentences and then its questions, in one call."""
+def test_extract_encodes_each_batch_of_train_documents_once(
+    tmp_path, synthetic_dirs, counted_encodes, monkeypatch
+):
+    """Each train document's sentences and then its questions, a batch of documents a call."""
     config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
     workspace = tmp_path / "ws"
     for stage in ("ingest", "qgen", "topics"):
         pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
-    counted_encodes.clear()
-    pipeline.run_stage("extract", config, workspace)
-
     corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
     bank = pipeline.read_artifact(workspace, "qgen/question_bank.json")
     train = pipeline.read_artifact(workspace, "ingest/split.json").train
-    assert counted_encodes == [
-        [*corpus.transcripts[doc_id], *(q.text for q in bank.per_doc[doc_id])]
+    documents = [
+        (doc_id, corpus.transcripts[doc_id], [q.text for q in bank.per_doc[doc_id]])
         for doc_id in sorted(train)
     ]
+    # The budget of the first two documents' text: a batch of two, then of one.
+    budget = sum(len(text) for _, *texts in documents[:2] for part in texts for text in part)
+    monkeypatch.setattr(pipeline, "FIT_BATCH_BYTES", budget)
+    counted_encodes.clear()
+    pipeline.run_stage("extract", config, workspace)
+
+    batches = list(pipeline._fit_batches(documents, budget))
+    assert [len(batch) for batch in batches] == [2, 1]
+    assert counted_encodes == [
+        [text for _, sentences, questions in batch for text in (*sentences, *questions)]
+        for batch in batches
+    ]
+
+
+@settings(deadline=None, max_examples=60)  # the first example may build the kernel
+@given(
+    documents=st.lists(
+        st.tuples(
+            st.lists(embed_texts, min_size=1, max_size=5),
+            st.lists(embed_texts, min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    budget=st.integers(0, 120),
+)
+# A document with no token; a question with no fit token; a document that is
+# not ASCII; two documents that share every token.
+@example(documents=[(["!!", "-"], ["revenue?"]), (["revenue rose"], ["cash"])], budget=20)
+@example(documents=[(["revenue rose", "cash"], ["q3 sales"])], budget=0)
+@example(
+    documents=[(["café revenue ٣.٤", "İ rose \u212a"], ["revenue café"]), (["rose"], ["rose"])],
+    budget=40,
+)
+@example(
+    documents=[(["revenue rose", "cash"], ["revenue cash"]), (["cash rose revenue"], ["rose"])],
+    budget=1000,
+)
+def test_extract_context_does_not_depend_on_the_batch(documents, budget):
+    """A document's scores, alone, in one batch with the others, or batched by ``budget``."""
+    documents = [(f"d{i}", sentences, questions) for i, (sentences, questions) in enumerate(documents)]
+    batches = list(pipeline._fit_batches(documents, budget))
+    assert [document for batch in batches for document in batch] == documents
+    for batch in batches:
+        sizes = [sum(map(len, [*sentences, *questions])) for _, sentences, questions in batch]
+        assert len(batch) == 1 or sum(sizes) <= budget
+
+    def scored(budget):
+        """Each document's scores, selected scores and context, fit in the batches of ``budget``."""
+        scored = []
+        for (doc_id, sentences, questions), embedded in zip(
+            documents, pipeline._tfidf_embedded(documents, budget)
+        ):
+            context = build_context(doc_id, sentences, questions, *embedded[:2], 3, embedded[2])
+            selected = np.array([s.score for s in context.selections])
+            scored.append((entry_cosines(*embedded).tobytes(), selected.tobytes(), context))
+        return scored
+
+    alone = scored(0)  # every document is past a budget of 0, so each is a batch alone
+    assert scored(budget) == alone
+    assert scored(10**9) == alone  # one batch of them all
 
 
 def test_route_encodes_once_per_test_document_and_once_for_the_master_list(
@@ -399,7 +461,7 @@ def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, mon
     handed = {}
 
     def recording_build_context(doc_id, sentences, questions, *vectors):
-        handed[doc_id] = cosine_matrix(*vectors[:2], vectors[3])
+        handed[doc_id] = entry_cosines(*vectors[:2], vectors[3])
         return retrieval.build_context(doc_id, sentences, questions, *vectors)
 
     monkeypatch.setattr(pipeline, "build_context", recording_build_context)
@@ -420,7 +482,8 @@ def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, mon
         doc = corpus.transcripts[doc_id]
         sentences = loop_embed(doc, doc)
         dense = loop_embed(doc, texts)
-        detection = detect_topics(doc_id, keywords, encode(doc))
+        encoded = encode(doc)
+        detection = detect_topics(doc_id, keywords, encoded.terms, encoded.tokens())
         score_master = partial(pipeline._pair_cosines, dense, np.linalg.norm(dense, axis=1))
         chosen = select_questions(detection, sentences, score_master, buckets, config.q_per_topic)
         assert routed[doc_id] == [texts[i] for i in chosen]

@@ -20,6 +20,7 @@ from bulletsum.retrieval import (
     build_context,
     cosine_matrix,
     encode,
+    entry_cosines,
     top_k,
 )
 from bulletsum.text import tokenize
@@ -38,7 +39,7 @@ def cosine(u, v):
 def _context(sentences, questions, k):
     """``build_context`` on the questions and sentences embedded as the extract stage does."""
     texts = [q.text for q in questions]
-    queries, fit, norms = TfidfEmbedder(sentences, texts).embed(texts)
+    queries, fit, norms = TfidfEmbedder([sentences], [texts]).embed(texts)
     return build_context("d", sentences, texts, queries, fit, k, norms)
 
 
@@ -77,23 +78,45 @@ embed_texts = st.one_of(
 )
 
 
-def loop_encode(texts):
-    """Flat ids, rows and tokens of ``texts`` by ``tokenize`` per text and a dict.
+def loop_encode(texts, sizes=None):
+    """Each text's counts and each document's tokens by ``tokenize`` per text and a dict.
 
-    The reference for ``encode``: ids in first-seen order, each distinct token once.
+    The reference for ``encode``: per text, a ``{id: count}`` dict; per
+    document, its ids in first-seen order, each distinct token once.
     """
-    ids = {}
-    flat, rows = [], []
-    for row, text in enumerate(texts):
-        for token in tokenize(text):
-            flat.append(ids.setdefault(token, len(ids)))
-            rows.append(row)
-    return flat, rows, list(ids)
+    texts = list(texts)
+    counts, tokens, start = [], [], 0
+    for size in [len(texts)] if sizes is None else sizes:
+        ids = {}
+        for text in texts[start : start + size]:
+            counts.append(dict(Counter(ids.setdefault(t, len(ids)) for t in tokenize(text))))
+        tokens.append(list(ids))
+        start += size
+    return counts, tokens
 
 
 def _listed(encoded):
-    """``encode``'s ids, rows and tokens as lists, for comparing with ``loop_encode``."""
-    return encoded.ids.tolist(), encoded.rows.tolist(), encoded.tokens
+    """``encode``'s counts and tokens as ``loop_encode`` gives them."""
+    starts, columns, values = encoded.terms
+    counts = [
+        dict(zip(columns[a:b].tolist(), values[a:b].tolist()))
+        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())
+    ]
+    return counts, [encoded.tokens(d) for d in range(len(encoded.bases) - 1)]
+
+
+def _arrays(encoded):
+    """The arrays of an ``Encoded`` record, and each document's tokens."""
+    tokens = [encoded.tokens(d) for d in range(len(encoded.bases) - 1)]
+    return [*encoded.terms, encoded.seen, encoded.bases], tokens
+
+
+def _sizes(n, cuts):
+    """Document sizes adding up to n texts: each of ``cuts`` while texts last, then the rest."""
+    sizes = []
+    for cut in cuts:
+        sizes.append(min(cut, n - sum(sizes)))
+    return [*sizes, n - sum(sizes)]
 
 
 # Decimals, dotted abbreviations, stray dots and letter-digit runs, whole, and
@@ -125,12 +148,35 @@ class TestEncode:
         # texts, gives what a first call does.
         assert kernels.load(*retrieval._TOKENIZE) is not None
         expected = loop_encode(texts)
-        assert _listed(retrieval._python_encode(texts)) == expected
         assert _listed(encode(texts)) == expected
         assert _listed(encode(earlier)) == loop_encode(earlier)
         encoded = encode(texts)
         assert _listed(encoded) == expected
-        assert encoded.n_texts == len(texts)
+        assert len(encoded.terms.starts) == len(texts) + 1
+
+    @needs_cc
+    @settings(deadline=None)  # the first example may build the kernel
+    @given(texts=st.lists(token_texts, max_size=10), cuts=st.lists(st.integers(0, 4), max_size=6))
+    # Distinct one-letter tokens, which fill the outputs to their bound;
+    # documents that share every token; an empty document between two; a
+    # text of 100 ids first seen in descending order; texts of few ids far
+    # apart.
+    @example(texts=["a", " ".join(string.ascii_lowercase + string.digits)], cuts=[1])
+    @example(texts=["revenue rose", "rose revenue", "revenue", "rose"], cuts=[2])
+    @example(texts=["a b", "b c", "c a"], cuts=[1, 0])
+    @example(texts=[" ".join(f"w{i}" for i in range(99, -1, -1)), "w5 w3"], cuts=[1])
+    @example(texts=[" ".join(f"w{i}" for i in range(600)), "w599 w0", "w0 w599 w300"], cuts=[])
+    def test_kernel_matches_the_reference(self, texts, cuts):
+        # Ids local to each document: the same arrays, byte for byte, as the
+        # Python reference, and the same tokens per document.
+        assert kernels.load(*retrieval._TOKENIZE) is not None
+        sizes = _sizes(len(texts), cuts)
+        encoded = encode(texts, sizes)
+        reference = retrieval._python_encode(texts, np.cumsum([0, *sizes], dtype=np.intp))
+        (arrays, tokens), (expected, expected_tokens) = _arrays(encoded), _arrays(reference)
+        assert [(a.dtype, a.tobytes()) for a in arrays] == [(a.dtype, a.tobytes()) for a in expected]
+        assert tokens == expected_tokens
+        assert _listed(encoded) == loop_encode(texts, sizes)
 
     @settings(deadline=None)  # the first example may build the kernel
     @given(texts=st.lists(token_texts, max_size=8))
@@ -139,7 +185,8 @@ class TestEncode:
         # A run per text, its ids strictly ascending, each with its count; an
         # empty text has an empty run.
         encoded = encode(texts)
-        starts, columns, values = encoded.terms()
+        starts, columns, values = encoded.terms
+        tokens = encoded.tokens()
         assert len(starts) == len(texts) + 1 and starts[0] == 0 and starts[-1] == len(columns)
         assert (np.diff(starts) >= 0).all()
         assert starts.dtype == columns.dtype == np.intp
@@ -147,12 +194,18 @@ class TestEncode:
             run = slice(starts[row], starts[row + 1])
             assert (np.diff(columns[run]) > 0).all()
             counted = dict(zip(columns[run].tolist(), values[run].tolist()))
-            assert counted == {encoded.tokens.index(t): n for t, n in Counter(tokenize(text)).items()}
+            assert counted == {tokens.index(t): n for t, n in Counter(tokenize(text)).items()}
+            assert encoded.seen[row] == len(set(tokenize(" ".join(texts[: row + 1]))))
         if texts == ["revenue rose, revenue fell", "", "cash rose"]:
-            assert encoded.tokens == ["revenue", "rose", "fell", "cash"]
+            assert tokens == ["revenue", "rose", "fell", "cash"]
             assert starts.tolist() == [0, 3, 3, 5]
             assert columns.tolist() == [0, 1, 2, 1, 3]
             assert values.tolist() == [2.0, 1.0, 1.0, 1.0, 1.0]
+            assert encoded.seen.tolist() == [3, 3, 4]
+
+    def test_sizes_must_add_up_to_the_texts(self):
+        with pytest.raises(ValueError, match="sizes"):
+            encode(["a", "b"], [1])
 
     @pytest.mark.parametrize(
         "text, tokens",
@@ -167,7 +220,7 @@ class TestEncode:
 
     @needs_cc
     def test_non_ascii_document_runs_the_kernel(self, monkeypatch):
-        def python_encode(texts):
+        def python_encode(texts, documents):
             raise AssertionError("the Python tokenizer ran")
 
         monkeypatch.setattr(retrieval, "_python_encode", python_encode)
@@ -187,11 +240,11 @@ class TestEncode:
         self, failure, reason, fresh_cache, break_kernel_build, caplog
     ):
         texts = ["Revenue rose 3.5% in Q3.", "", "cash\nflow 1.2.3 u.s.", "revenue"]
-        expected = loop_encode(texts)
+        expected = loop_encode(texts, [2, 2])
         break_kernel_build(failure)
         with caplog.at_level(logging.WARNING, logger="bulletsum.kernels"):
             for _ in range(2):
-                assert _listed(encode(texts)) == expected
+                assert _listed(encode(texts, [2, 2])) == expected
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert reason in warnings[0].getMessage()
@@ -209,7 +262,7 @@ def loop_scores(fit_corpus, texts):
 
 def _scores(fit_corpus, queries):
     """Cosines of ``queries`` to the fit texts, from the counts of one ``encode`` call."""
-    return cosine_matrix(*TfidfEmbedder(fit_corpus, queries).embed(queries))
+    return entry_cosines(*TfidfEmbedder([fit_corpus], [queries]).embed(queries))
 
 
 def _counted_scores(fit_corpus, texts):
@@ -222,12 +275,12 @@ def _counted_scores(fit_corpus, texts):
     its row's norm.
     """
     counted = encode(texts)
-    embedder = TfidfEmbedder(fit_corpus)
-    fold = embedder.fold(counted.tokens, counted.terms())
+    embedder = TfidfEmbedder([fit_corpus])
+    fold = embedder.fold(counted.tokens(), counted.terms)
     embedded = embedder.embed(texts, fold.weights_of(range(len(texts))))
     query_norms, _ = embedded[2]
     np.testing.assert_allclose(query_norms, fold.norms, rtol=0, atol=1e-12)
-    scores = cosine_matrix(*embedded)
+    scores = entry_cosines(*embedded)
     rows = embedder.vectors(fold.fit_columns)
     n, m = len(fit_corpus), len(texts)
     folded = fold.scores(rows, np.repeat(np.arange(n), m), np.tile(np.arange(m), n))
@@ -245,17 +298,23 @@ def _dense_gather(embedder, master, chosen):
     holds, times the IDF. Returns the weights and their fit columns.
     """
     counted = encode(master)
-    terms = counted.terms()
-    matrix = np.zeros((len(master), len(counted.tokens)))
+    terms, tokens = counted.terms, counted.tokens()
+    matrix = np.zeros((len(master), len(tokens)))
     matrix[terms.rows(), terms.columns] = terms.values
-    column_of = {token: j for j, token in enumerate(counted.tokens)}
-    fit_tokens = embedder.fit.tokens
+    column_of = {token: j for j, token in enumerate(tokens)}
+    fit_tokens = embedder.tokens()
     fit_columns = np.array(
         [j for j, token in enumerate(fit_tokens) if token in column_of], dtype=np.intp
     )
     counts = matrix[chosen][:, [column_of[fit_tokens[j]] for j in fit_columns]]
     held = counts.any(axis=0)
-    return counts[:, held] * embedder.idf[fit_columns[held]], fit_columns[held]
+    return counts[:, held] * embedder.idf()[fit_columns[held]], fit_columns[held]
+
+
+def _embedded_bytes(embedded):
+    """The bytes of every array ``TfidfEmbedder.embed`` returns."""
+    rows, fit, norms = embedded
+    return [a.tobytes() for a in (rows, *fit, *norms)]
 
 
 class TestTfidfEmbedder:
@@ -276,21 +335,27 @@ class TestTfidfEmbedder:
     def test_chosen_rows_match_the_dense_gather(self, sentences, master, picks):
         chosen = list(dict.fromkeys(pick % len(master) for pick in picks))
         questions = [master[i] for i in chosen]
-        embedder = TfidfEmbedder(sentences, questions)
+        embedder = TfidfEmbedder([sentences], [questions])
         counted = encode(master)
-        fold = embedder.fold(counted.tokens, counted.terms())
+        fold = embedder.fold(counted.tokens(), counted.terms)
         embedded = embedder.embed(questions, fold.weights_of(chosen))
         rows, fit_rows, (norms, _) = embedded
         weights, columns = _dense_gather(embedder, master, chosen)
         assert rows.tobytes() == weights.tobytes()
+        # The gather is column-ordered; numpy sums a C-ordered row in another order.
+        weights = np.ascontiguousarray(weights)
         assert norms.tobytes() == np.linalg.norm(weights, axis=1).tobytes()
-        assert fit_rows.shape == (len(sentences), len(columns))
+        # The sentences' weights on the chosen questions' columns only.
+        fit = embedder.weights()
+        dense = np.zeros((len(sentences), len(embedder.idf())))
+        dense[fit.rows(), fit.columns] = fit.values
+        held = np.zeros((len(sentences), len(columns)))
+        held[fit_rows.rows(), fit_rows.columns] = fit_rows.values
+        assert held.tobytes() == dense[:, columns].tobytes()
         # The same bits as the questions counted with the fit, as extract does.
         as_queries = embedder.embed(questions)
-        assert all(
-            a.tobytes() == b.tobytes()
-            for a, b in zip([*embedded[:2], *embedded[2]], [*as_queries[:2], *as_queries[2]])
-        )
+        assert embedded[2][0].tobytes() == as_queries[2][0].tobytes()
+        assert entry_cosines(*embedded).tobytes() == entry_cosines(*as_queries).tobytes()
 
     @given(
         fit_corpus=st.lists(embed_texts, min_size=1, max_size=6),
@@ -317,30 +382,34 @@ class TestTfidfEmbedder:
         # texts. Another document's embedder has already run, as in a stage.
         queries = queries + [fit_corpus[i % len(fit_corpus)] for i in copied]
         expected = loop_scores(fit_corpus, queries)
-        TfidfEmbedder(others or ["unrelated text"], queries + others)
+        TfidfEmbedder([others or ["unrelated text"]], [queries + others])
         k = len(fit_corpus)
         for scores in (_scores(fit_corpus, queries), _counted_scores(fit_corpus, queries)):
             assert scores.shape == expected.shape
             np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
             assert top_k(scores, k).tolist() == top_k(expected, k).tolist()
 
-    def test_fit_texts_and_queries_are_encoded_in_one_call(self, monkeypatch):
+    def test_a_batch_is_encoded_in_one_call(self, monkeypatch):
         calls = []
 
-        def counting_encode(texts):
-            calls.append(list(texts))
-            return encode(texts)
+        def counting_encode(texts, sizes=None):
+            calls.append((list(texts), list(sizes)))
+            return encode(texts, sizes)
 
         monkeypatch.setattr(retrieval, "encode", counting_encode)
-        embedder = TfidfEmbedder(["revenue rose", "cash fell"], ["what is cash?"])
+        embedder = TfidfEmbedder(
+            [["revenue rose", "cash fell"], ["cash rose"]], [["what is cash?"], []]
+        )
         embedder.embed(["what is cash?"])
-        assert calls == [["revenue rose", "cash fell", "what is cash?"]]
-        # The fit's vocabulary is the ids below its size: the sentences' tokens.
-        assert embedder.fit.tokens == ["revenue", "rose", "cash", "fell"]
-        assert embedder.fit.n_texts == 2
+        embedder.embed([], document=1)
+        assert calls == [(["revenue rose", "cash fell", "what is cash?", "cash rose"], [3, 1])]
+        # A document's vocabulary is its ids below its size: its sentences' tokens.
+        assert embedder.tokens() == ["revenue", "rose", "cash", "fell"]
+        assert embedder.tokens(1) == ["cash", "rose"]
+        assert [len(embedder.weights(d).starts) - 1 for d in (0, 1)] == [2, 1]
 
     def test_texts_other_than_the_queries_need_their_counts(self):
-        embedder = TfidfEmbedder(["revenue rose"], ["what is revenue?"])
+        embedder = TfidfEmbedder([["revenue rose"]], [["what is revenue?"]])
         with pytest.raises(ValueError, match="counts"):
             embedder.embed(["what is cash?"])
 
@@ -350,10 +419,10 @@ class TestTfidfEmbedder:
 
     def test_disjoint_text_scores_zero(self):
         queries, fit, (query_norms, _) = TfidfEmbedder(
-            ["alpha beta", "beta gamma"], ["unrelated words entirely"]
+            [["alpha beta", "beta gamma"]], [["unrelated words entirely"]]
         ).embed(["unrelated words entirely"])
-        assert queries.shape == (1, 0)
-        assert fit.shape == (2, 0)
+        assert queries.shape == (1, 3) and not queries.any()
+        assert len(fit.starts) == 3
         assert query_norms.tolist() == [0.0]
         assert _scores(["alpha beta", "beta gamma"], ["unrelated words entirely"]).tolist() == [
             [0.0, 0.0]
@@ -372,22 +441,27 @@ class TestTfidfEmbedder:
 
     def test_vectors_are_l2_normalized_rows(self):
         corpus = ["one two three", "two three four", "!!"]
-        embedder = TfidfEmbedder(corpus)
-        vectors = embedder.vectors(np.arange(len(embedder.idf)))
+        embedder = TfidfEmbedder([corpus])
+        vectors = embedder.vectors(np.arange(len(embedder.idf())))
         assert np.linalg.norm(vectors, axis=1) == pytest.approx([1.0, 1.0, 0.0])
         # ``loop_embed``'s columns are the tokens in string order.
-        in_string_order = vectors[:, np.argsort(embedder.fit.tokens)]
+        in_string_order = vectors[:, np.argsort(embedder.tokens())]
         np.testing.assert_allclose(in_string_order, loop_embed(corpus, corpus), rtol=0, atol=1e-15)
 
-    def test_empty_fit_corpus_rejected(self):
+    @pytest.mark.parametrize(
+        "documents, queries",
+        [([], []), ([["a"], []], []), ([["a"]], [["b"], ["c"]])],
+        ids=["no-document", "empty-document", "queries-of-another-count"],
+    )
+    def test_malformed_batch_rejected(self, documents, queries):
         with pytest.raises(ValueError):
-            TfidfEmbedder([])
+            TfidfEmbedder(documents, queries)
 
     def test_deterministic(self):
         texts = ["alpha beta", "gamma delta"]
-        a = TfidfEmbedder(texts, ["alpha gamma"]).embed(["alpha gamma"])
-        b = TfidfEmbedder(texts, ["alpha gamma"]).embed(["alpha gamma"])
-        assert all(np.array_equal(x, y) for x, y in zip([*a[:2], *a[2]], [*b[:2], *b[2]]))
+        a = TfidfEmbedder([texts], [["alpha gamma"]]).embed(["alpha gamma"])
+        b = TfidfEmbedder([texts], [["alpha gamma"]]).embed(["alpha gamma"])
+        assert _embedded_bytes(a) == _embedded_bytes(b)
 
 
 # Centroid entries: exact values, and noise that makes the summation order show.
@@ -399,12 +473,17 @@ centroid_values = st.lists(
 def _fold(sentences, master):
     """The fold of the master texts' counts on the sentences' fit, as the route stage makes it."""
     counted = encode(master)
-    return TfidfEmbedder(sentences).fold(counted.tokens, counted.terms())
+    return TfidfEmbedder([sentences]).fold(counted.tokens(), counted.terms)
 
 
-def _pairs(fold, n_topics, values, pairs):
-    """Centroids on ``fold``'s fit columns, cycling ``values``, and the pairs as index arrays."""
+def _pairs(fold, n_topics, values, runs):
+    """Centroids on ``fold``'s fit columns, cycling ``values``, and the pairs as index arrays.
+
+    Each ``(topic, text, length)`` of ``runs`` is ``length`` pairs on one
+    text, of topics from ``topic`` on, as ``entry_cosines`` asks for them.
+    """
     centroids = np.resize(np.array(values or [0.0]), (n_topics, len(fold.fit_columns)))
+    pairs = [(topic + i, text) for topic, text, length in runs for i in range(length)]
     topics = np.array([topic % n_topics for topic, _ in pairs], dtype=np.intp)
     texts = np.array([text % len(fold.norms) for _, text in pairs], dtype=np.intp)
     return centroids, topics, texts
@@ -420,33 +499,39 @@ class TestPairProducts:
         master=st.lists(embed_texts, min_size=1, max_size=8),
         n_topics=st.integers(1, 4),
         values=centroid_values,
-        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+        runs=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 6)), max_size=12
+        ),
     )
     # In order: a question that holds no fit token, and the last master row;
     # an all-zero centroid; one question under several topics; a topic with
-    # an empty bucket (topic 1).
+    # an empty bucket (topic 1); four topics on one question, then three.
     @example(
         sentences=["revenue rose", "cash"], master=["q3 sales", "revenue cash"], n_topics=1,
-        values=[0.5, 1.0], pairs=[(0, 0), (0, 1)],
+        values=[0.5, 1.0], runs=[(0, 0, 1), (0, 1, 1)],
     )
     @example(
         sentences=["revenue rose", "cash"], master=["revenue cash"], n_topics=2,
-        values=[0.0], pairs=[(0, 0), (1, 0)],
+        values=[0.0], runs=[(0, 0, 1), (1, 0, 1)],
     )
     @example(
         sentences=["revenue rose", "cash rose", "q3"], master=["rose", "revenue rose cash"],
-        n_topics=3, values=[0.25, 1.0, -3.5, 7.0, 1e-300], pairs=[(0, 1), (1, 1), (2, 1)],
+        n_topics=3, values=[0.25, 1.0, -3.5, 7.0, 1e-300], runs=[(0, 1, 3)],
     )
     @example(
         sentences=["revenue rose", "cash rose"], master=["rose", "cash", "revenue cash"],
-        n_topics=3, values=[0.1, 0.7, 0.3], pairs=[(0, 0), (0, 2), (2, 1), (2, 2)],
+        n_topics=3, values=[0.1, 0.7, 0.3], runs=[(0, 0, 1), (0, 2, 1), (2, 1, 1), (2, 2, 1)],
     )
-    def test_kernel_matches_the_reference(self, sentences, master, n_topics, values, pairs):
+    @example(
+        sentences=["revenue rose", "cash rose", "q3 cash"], master=["rose cash", "revenue q3"],
+        n_topics=4, values=[0.3, -1.7, 2.5, 1e-300, 0.9], runs=[(0, 0, 4), (1, 1, 3)],
+    )
+    def test_kernel_matches_the_reference(self, sentences, master, n_topics, values, runs):
         assert kernels.load(*retrieval._PAIR_PRODUCTS) is not None
         fold = _fold(sentences, master)
-        centroids, topics, texts = _pairs(fold, n_topics, values, pairs)
-        expected = retrieval._python_products(fold, centroids, topics, texts)
-        products = fold.products(centroids, topics, texts)
+        centroids, topics, texts = _pairs(fold, n_topics, values, runs)
+        expected = retrieval._python_products(centroids, fold.entries, topics, texts)
+        products = retrieval.pair_products(centroids, fold.entries, topics, texts)
         assert products.tobytes() == expected.tobytes()
         # A text that holds no fit token has no entries: product 0, score 0.
         empty = np.diff(fold.entries.starts)[texts] == 0
@@ -459,16 +544,22 @@ class TestPairProducts:
     @needs_cc
     def test_failure_falls_back_with_one_warning(self, break_kernel_build, caplog):
         fold = _fold(["revenue rose", "cash rose"], ["rose", "cash"])
-        centroids, topics, texts = _pairs(fold, 2, [0.3, 0.9], [(0, 0), (1, 1), (1, 0)])
-        expected = retrieval._python_products(fold, centroids, topics, texts)
+        centroids, topics, texts = _pairs(fold, 2, [0.3, 0.9], [(0, 0, 1), (1, 1, 1), (1, 0, 1)])
+        expected = retrieval._python_products(centroids, fold.entries, topics, texts)
         break_kernel_build("compile-error")
         with caplog.at_level(logging.WARNING):
-            products = fold.products(centroids, topics, texts)
-            fold.products(centroids, topics, texts)
+            products = retrieval.pair_products(centroids, fold.entries, topics, texts)
+            retrieval.pair_products(centroids, fold.entries, topics, texts)
         assert products.tobytes() == expected.tobytes()
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "pair_products" in warnings[0].getMessage()
+
+    def test_kernel_arguments_are_checked(self):
+        fold = _fold(["revenue rose"], ["rose"])
+        centroids, topics, texts = _pairs(fold, 1, [1.0], [(0, 0, 1)])
+        with pytest.raises(TypeError, match="C-contiguous"):
+            retrieval.pair_products(centroids, fold.entries, topics.astype(np.int32), texts)
 
 
 class TestRankingRoutine:

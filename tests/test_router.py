@@ -52,7 +52,8 @@ def against(master_vectors):
 
 def _detect(sentences, keywords):
     """``detect_topics`` on the document's sentences as ``encode`` gives them."""
-    return detect_topics("d", keywords, encode(sentences))
+    encoded = encode(sentences)
+    return detect_topics("d", keywords, encoded.terms, encoded.tokens())
 
 
 def _fold_select(sentences, detection, texts, buckets, q_per_topic):
@@ -63,8 +64,8 @@ def _fold_select(sentences, detection, texts, buckets, q_per_topic):
     and scored against the master counts the fit holds (``TfidfEmbedder.fold``).
     """
     counted = encode(texts)
-    embedder = TfidfEmbedder(sentences)
-    fold = embedder.fold(counted.tokens, counted.terms())
+    embedder = TfidfEmbedder([sentences])
+    fold = embedder.fold(counted.tokens(), counted.terms)
     return select_questions(
         detection, embedder.vectors(fold.fit_columns), fold.scores, buckets, q_per_topic
     )

@@ -23,6 +23,7 @@ SANITIZE = (
 )
 PROPERTY_TESTS = [
     "tests/test_retrieval.py::TestEncode::test_kernel_matches_tokenize",
+    "tests/test_retrieval.py::TestEncode::test_kernel_matches_the_reference",
     "tests/test_retrieval.py::TestPairProducts::test_kernel_matches_the_reference",
     "tests/test_services.py::TestDecoder::test_kernel_matches_the_reference",
     "tests/test_services.py::TestDecoder::test_body_that_is_not_canonical_goes_to_the_reference",
