@@ -37,6 +37,7 @@ from .errors import ConfigInvalid, EmptyDocument, IoError, MissingArtifact, NoTo
 from .qbank import MasterList, QuestionBank, build_question_bank
 from .records import reader
 from .retrieval import (
+    Entries,
     ExtractiveContext,
     TfidfEmbedder,
     build_context,
@@ -213,10 +214,6 @@ def _prompt_template(config: PipelineConfig) -> gen.PromptTemplate:
     return gen.PromptTemplate(separator=config.separator)
 
 
-def _embedding_client(config: PipelineConfig) -> EmbeddingClient | None:
-    return EmbeddingClient(config.embed_url) if config.embed_url else None
-
-
 def stage_ingest(config: PipelineConfig, out: Path, transcripts_dir, summaries_dir) -> None:
     corpus = load_corpus(transcripts_dir, summaries_dir)
     _write_json(out / "corpus.json", corpus)
@@ -264,9 +261,9 @@ def stage_topics(config: PipelineConfig, out: Path, bank) -> None:
 
 
 # The most text, in characters (the tokenizer's bytes), that one TF-IDF fit
-# of ``extract`` serves: its documents' sentences and questions. A document
-# with more is fit alone. A fit's arrays grow with its text, and a larger
-# budget fits faster. On the seed-1 400-document benchmark corpus (about
+# serves: its documents' sentences, and in ``extract`` their questions. A
+# document with more is fit alone. A fit's arrays grow with its text, and a
+# larger budget fits faster. On the seed-1 400-document benchmark corpus (about
 # 18,000 characters a document, so three to four a batch), these batches
 # fit and score the training documents in about 100 ms, against 130 ms for
 # one fit per document; a run's peak RSS stays where ``ingest`` and
@@ -303,7 +300,7 @@ def _tfidf_embedded(documents, budget: int):
 
 def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> None:
     template = _prompt_template(config)
-    client = _embedding_client(config)
+    client = EmbeddingClient(config.embed_url) if config.embed_url else None
 
     documents = []
     for doc_id in sorted(split.train):
@@ -320,23 +317,13 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
             for (_, sentences, _), vectors in zip(documents, client.embed_many(batches))
         )
     else:
-        # Each document is fit on its own sentences and counted with its
-        # questions; a batch of documents (``_fit_batches``) shares one
-        # encoding and one numpy call per step of the fit, and each is
-        # scored alone, with the same bits in any batch.
         embedded = _tfidf_embedded(documents, FIT_BATCH_BYTES)
 
-    contexts = []
-    pairs = []
-    for (doc_id, sentences, questions), (question_vectors, sentence_vectors, norms) in zip(
-        documents, embedded
-    ):
-        context = build_context(
-            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k, norms
-        )
-        contexts.append(context)
-        pairs.append((context, corpus.summaries[doc_id]))
-
+    contexts = [
+        build_context(doc_id, sentences, questions, rows, sentence_rows, config.k, norms)
+        for (doc_id, sentences, questions), (rows, sentence_rows, norms) in zip(documents, embedded)
+    ]
+    pairs = [(context, corpus.summaries[context.doc_id]) for context in contexts]
     _write_jsonl(out / "contexts.jsonl", contexts)
     gen.export_finetune_dataset(pairs, template, gen.FineTuneSpec(), out / "finetune.jsonl")
 
@@ -356,80 +343,93 @@ def _pair_cosines(
     return cosine_matrix(queries, candidates, norms)[topics, texts]
 
 
+class RouteEmbedding(NamedTuple):
+    """A test document's embedding, from the one embedder of its ``route`` stage."""
+
+    terms: Entries  # a row per sentence, on the columns of ``tokens``: ``detect_topics``'s
+    tokens: list[str]
+    ranked: np.ndarray  # the rows that ``select_questions`` averages into topic centroids
+    score_master: Callable  # ``select_questions``'s master scorer
+    embed_chosen: Callable  # (chosen, questions) -> ``build_context``'s vectors and norms
+
+
+def _tfidf_routes(documents, master_texts: list[str], budget: int):
+    """Each ``(doc_id, sentences, ())`` document's ``RouteEmbedding``, one fit per batch."""
+    master = encode(master_texts)
+    master_tokens = master.tokens()
+    for batch in _fit_batches(documents, budget):
+        fit = TfidfEmbedder([sentences for _, sentences, _ in batch])
+        for d in range(len(batch)):
+            # Built by a call, so that no variable here keeps a document's
+            # arrays while the next document's are built.
+            yield _tfidf_route(fit, d, master_tokens, master.terms)
+
+
+def _tfidf_route(fit: TfidfEmbedder, d: int, master_tokens, master_counts) -> RouteEmbedding:
+    """Document ``d``'s ``RouteEmbedding``, with the master counts weighed by its IDF.
+
+    The chosen questions' rows come from those weights; they are not encoded again.
+    """
+    fold = fit.fold(master_tokens, master_counts, d)
+
+    def embed_chosen(chosen, questions):
+        return fit.embed(questions, fold.weights_of(chosen), d)
+
+    ranked = fit.vectors(fold.fit_columns, d)
+    return RouteEmbedding(fit.weights(d), fit.tokens(d), ranked, fold.scores, embed_chosen)
+
+
+def _service_routes(client: EmbeddingClient, documents, master_texts: list[str]):
+    """Each document's ``RouteEmbedding`` from a service, after one embedding of the master list."""
+    embedded = client.embed_many([master_texts, *(sentences for _, sentences, _ in documents)])
+    master = next(embedded)
+    score_master = functools.partial(_pair_cosines, master, np.linalg.norm(master, axis=1))
+    for (_, sentences, _), vectors in zip(documents, embedded):
+        encoded = encode(sentences)
+        chosen = functools.partial(_embed_service, master, vectors)
+        yield RouteEmbedding(encoded.terms, encoded.tokens(), vectors, score_master, chosen)
+
+
+def _embed_service(master: np.ndarray, sentences: np.ndarray, chosen, questions):
+    return master[chosen], sentences, None
+
+
+def route_document(config, keywords, master_texts, buckets, doc_id, sentences, embedded):
+    """One test document's detection, ``questions.jsonl`` record and context.
+
+    ``keywords`` are the topic model's, ``buckets`` the master list's
+    ``topic_buckets``. With no topic detected and
+    ``fallback_on_empty_detection`` set, the whole master list is chosen.
+    """
+    terms, tokens, ranked, score_master, embed_chosen = embedded
+    detection = detect_topics(doc_id, keywords, terms, tokens)
+    try:
+        chosen = select_questions(detection, ranked, score_master, buckets, config.q_per_topic)
+    except NoTopicsDetected:
+        if not config.fallback_on_empty_detection:
+            raise
+        logger.warning("no topics detected for %s; falling back to the master list", doc_id)
+        chosen = list(range(len(master_texts)))
+    questions = [master_texts[i] for i in chosen]
+    rows, sentence_rows, norms = embed_chosen(chosen, questions)
+    context = build_context(doc_id, sentences, questions, rows, sentence_rows, config.k, norms)
+    return detection, {"doc_id": doc_id, "questions": questions}, context
+
+
 def stage_route(config: PipelineConfig, out: Path, corpus, split, categorized, model) -> None:
-    master = categorized.master
-    master_texts = [q.text for q in master]
-    buckets = topic_buckets(master)
-    client = _embedding_client(config)
-    test_ids = sorted(split.test)
-    # A service's vectors do not depend on the document, so the master list is
-    # embedded once, ahead of the documents' sentences, and its norms taken
-    # once for every document's scorer. TF-IDF vectors do: the
-    # master list is encoded and counted once (``Encoded.terms``), and each
-    # document's fit, a batch of one, weighs those counts by its IDF
-    # (``TfidfEmbedder.fold``).
-    if client:
-        embedded = client.embed_many([master_texts, *(corpus.transcripts[i] for i in test_ids)])
-        service_master_vectors = next(embedded)
-        score_service = functools.partial(
-            _pair_cosines, service_master_vectors, np.linalg.norm(service_master_vectors, axis=1)
-        )
+    master_texts = [q.text for q in categorized.master]
+    buckets = topic_buckets(categorized.master)
+    doc_ids = sorted(split.test)
+    documents = [(doc_id, corpus.transcripts[doc_id], ()) for doc_id in doc_ids]
+    if config.embed_url:
+        embeddings = _service_routes(EmbeddingClient(config.embed_url), documents, master_texts)
     else:
-        master_ids = encode(master_texts)
-        master_tokens, master_counts = master_ids.tokens(), master_ids.terms
-
-    detections = []
-    selected_questions = []
-    contexts = []
-    for doc_id in test_ids:
-        sentences = corpus.transcripts[doc_id]
-        if client:
-            sentence_vectors = ranked_sentences = next(embedded)
-            sentence_ids = encode(sentences)
-            sentence_terms, sentence_tokens = sentence_ids.terms, sentence_ids.tokens()
-            score_master = score_service
-        else:
-            embedder = TfidfEmbedder([sentences])
-            sentence_terms, sentence_tokens = embedder.weights(), embedder.tokens()
-            # The topic centroids are taken on the fit columns that hold a master
-            # token, and scored against the master counts the fit holds, at their
-            # buckets' questions only.
-            fold = embedder.fold(master_tokens, master_counts)
-            ranked_sentences, score_master = embedder.vectors(fold.fit_columns), fold.scores
-        detection = detect_topics(doc_id, model.keywords, sentence_terms, sentence_tokens)
-        try:
-            chosen = select_questions(
-                detection, ranked_sentences, score_master, buckets, config.q_per_topic
-            )
-        except NoTopicsDetected:
-            if not config.fallback_on_empty_detection:
-                raise
-            logger.warning(
-                "no topics detected for %s; falling back to the master list", doc_id
-            )
-            chosen = list(range(len(master)))
-        questions = [master_texts[i] for i in chosen]
-        # The chosen questions are scored from the fold's rows of the master
-        # counts, not encoded again, on the fit columns they hold.
-        if client:
-            question_vectors, norms = service_master_vectors[chosen], None
-        else:
-            question_vectors, sentence_vectors, norms = embedder.embed(
-                questions, fold.weights_of(chosen)
-            )
-        detections.append(detection)
-        selected_questions.append({"doc_id": doc_id, "questions": questions})
-        context = build_context(
-            doc_id, sentences, questions, question_vectors, sentence_vectors, config.k, norms
-        )
-        contexts.append(context)
-        # Release this document's arrays before the next document's are built.
-        embedder = sentence_ids = sentence_terms = sentence_tokens = sentence_vectors = fold = None
-        ranked_sentences = score_master = question_vectors = norms = None
-
-    _write_jsonl(out / "detections.jsonl", detections)
-    _write_jsonl(out / "questions.jsonl", selected_questions)
-    _write_jsonl(out / "contexts.jsonl", contexts)
+        embeddings = _tfidf_routes(documents, master_texts, FIT_BATCH_BYTES)
+    route = functools.partial(route_document, config, model.keywords, master_texts, buckets)
+    # ``map`` lets go of each document's embedding before the next one is built.
+    routed = list(map(route, doc_ids, [corpus.transcripts[i] for i in doc_ids], embeddings))
+    for i, name in enumerate(("detections", "questions", "contexts")):
+        _write_jsonl(out / f"{name}.jsonl", [records[i] for records in routed])
 
 
 def stage_generate(config: PipelineConfig, out: Path, contexts) -> None:

@@ -369,10 +369,9 @@ class Fold(NamedTuple):
     def weights_of(self, texts: Sequence[int]) -> Entries:
         """Counted texts ``texts``' rows, in that order, on fit columns: ``embed``'s ``weights``."""
         starts, columns, weights = self.entries
-        lengths = (starts[1:] - starts[:-1])[texts]
-        taken = np.concatenate(([0], np.cumsum(lengths)))
-        picked = np.repeat(starts[texts] - taken[:-1], lengths) + np.arange(taken[-1])
-        return Entries(taken, self.fit_columns[columns[picked]], weights[picked])
+        first, end = starts[texts], starts[1:][texts]
+        picked = _ranges(first, end)
+        return Entries(_starts(end - first), self.fit_columns[columns[picked]], weights[picked])
 
     def scores(self, queries: np.ndarray, topics: np.ndarray, texts: np.ndarray) -> np.ndarray:
         """The cosine of query row ``topics[p]``, on ``fit_columns``, to counted text ``texts[p]``.

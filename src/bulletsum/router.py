@@ -1,17 +1,17 @@
 """Test-time routing: topic detection on a transcript, then question choice.
 
-With no reference summary available, the transcript's own topic-keyword
-matches decide which bank questions to retrieve with; detection is a lookup
-in one boolean token x sentence table per document. Questions under a
-detected topic are ranked by cosine against the centroid of the sentences
-that triggered the topic, as scored by the one master-scoring callable the
-caller passes, at the (topic, question) pairs of the detected topics'
-buckets only. With the built-in TF-IDF embedder that is the document's fold
-of the master counts (``retrieval.Fold.scores``): the master list is counted
-once per stage (``Encoded.terms``), each document's IDF weighs only the master
-counts its fit holds, and a compiled loop sums each pair's products over the
-question's entries. With an embedding service it is ``cosine_matrix`` against
-the master list's vectors, gathered at the pairs.
+With no reference summary available, the transcript's own topic-keyword matches
+decide which bank questions to retrieve with; detection is a lookup in one
+boolean token x sentence table per document. Questions under a detected topic
+are ranked by cosine against the centroid of the sentences that triggered the
+topic, as scored by the master scorer of the document's embedding
+(``pipeline.route_document``), at the (topic, question) pairs of the detected
+topics' buckets only. With the built-in TF-IDF embedder that is the document's
+fold of the master counts (``retrieval.Fold.scores``): the master list is
+counted once per stage (``Encoded.terms``), each document's IDF weighs only the
+master counts its fit holds, and a compiled loop sums each pair's products over
+the question's entries. With an embedding service it is ``cosine_matrix``
+against the master vectors, at the pairs.
 """
 
 from __future__ import annotations

@@ -418,22 +418,29 @@ def test_extract_context_does_not_depend_on_the_batch(documents, budget):
     assert scored(10**9) == alone  # one batch of them all
 
 
-def test_route_encodes_once_per_test_document_and_once_for_the_master_list(
-    tmp_path, synthetic_dirs, counted_encodes
+@pytest.mark.parametrize("budget", [pipeline.FIT_BATCH_BYTES, 0], ids=["one-batch", "alone"])
+def test_route_encodes_the_master_list_once_then_each_batch_of_test_documents_once(
+    tmp_path, synthetic_dirs, counted_encodes, monkeypatch, budget
 ):
     """The chosen questions are scored from the master list's counts, not encoded again."""
     config = PipelineConfig(num_topics=6, lda_iters=60, keywords_per_topic=4)
     workspace = tmp_path / "ws"
     for stage in ("ingest", "qgen", "topics"):
         pipeline.run_stage(stage, config, workspace, *synthetic_dirs)
+    monkeypatch.setattr(pipeline, "FIT_BATCH_BYTES", budget)
     counted_encodes.clear()
     pipeline.run_stage("route", config, workspace)
 
     corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
     master = pipeline.read_artifact(workspace, "topics/question_bank.json").master
     test_ids = pipeline.read_artifact(workspace, "ingest/split.json").test
+    documents = [(doc_id, corpus.transcripts[doc_id], ()) for doc_id in sorted(test_ids)]
+    batches = list(pipeline._fit_batches(documents, budget))
+    # The bundled corpus's two test documents fit one batch, or a budget of 0 fits each alone.
+    assert [len(batch) for batch in batches] == ([2] if budget else [1, 1])
     assert counted_encodes == [
-        [q.text for q in master], *(list(corpus.transcripts[doc_id]) for doc_id in sorted(test_ids))
+        [q.text for q in master],
+        *([text for _, sentences, _ in batch for text in sentences] for batch in batches),
     ]
 
 
@@ -447,6 +454,45 @@ def topics_workspace(request, tmp_path_factory):
     for stage in ("ingest", "qgen", "topics"):
         pipeline.run_stage(stage, config, workspace, *dirs)
     return config, workspace
+
+
+def test_route_document_does_not_depend_on_the_batch(topics_workspace):
+    """Each test document through ``route_document``, fit alone or in one batch of all.
+
+    Both give the stage's ``detections``, ``questions`` and ``contexts``
+    records, and the same score bits.
+    """
+    config, workspace = topics_workspace
+    pipeline.run_stage("route", config, workspace)
+    corpus = pipeline.read_artifact(workspace, "ingest/corpus.json")
+    split = pipeline.read_artifact(workspace, "ingest/split.json")
+    master = pipeline.read_artifact(workspace, "topics/question_bank.json").master
+    keywords = pipeline.read_artifact(workspace, "topics/topic_model.json").keywords
+    texts = [q.text for q in master]
+    buckets = topic_buckets(master)
+    documents = [(doc_id, corpus.transcripts[doc_id], ()) for doc_id in sorted(split.test)]
+    recorded = [
+        (workspace / "route" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        for name in ("detections", "questions", "contexts")
+    ]
+
+    def route_each(budget):
+        """Each document's records as the stage writes them, and its context's score bytes."""
+        # Taken in full first: a record must not depend on the fit's later documents.
+        embeddings = list(pipeline._tfidf_routes(documents, texts, budget))
+        records, scores = [], []
+        for (doc_id, sentences, _), embedded in zip(documents, embeddings):
+            routed = pipeline.route_document(
+                config, keywords, texts, buckets, doc_id, sentences, embedded
+            )
+            records.append([pipeline._dumps(record) for record in routed])
+            scores.append(np.array([s.score for s in routed[-1].selections]).tobytes())
+        return [list(lines) for lines in zip(*records)], scores
+
+    assert len(list(pipeline._fit_batches(documents, 10**9))) == 1
+    alone = route_each(0)  # every document is past a budget of 0, so each is a batch alone
+    assert alone[0] == recorded
+    assert route_each(10**9) == alone  # one batch of them all
 
 
 def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, monkeypatch):
