@@ -43,6 +43,7 @@ from .retrieval import (
     build_context,
     cosine_matrix,
     encode,
+    entry_cosines,
 )
 from .router import detect_topics, select_questions, topic_buckets
 from .services import EmbeddingClient, GenerationClient, QGClient
@@ -290,12 +291,12 @@ def _fit_batches(documents, budget: int):
         yield batch
 
 
-def _tfidf_embedded(documents, budget: int):
-    """Each document's ``TfidfEmbedder.embed`` of its questions, one fit per batch of documents."""
+def _tfidf_scores(documents, budget: int):
+    """Each document's question x sentence cosines, one fit per batch of documents."""
     for batch in _fit_batches(documents, budget):
         embedder = TfidfEmbedder([s for _, s, _ in batch], [q for _, _, q in batch])
         for document, (_, _, questions) in enumerate(batch):
-            yield embedder.embed(questions, document=document)
+            yield entry_cosines(*embedder.embed(questions, document=document))
 
 
 def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> None:
@@ -312,16 +313,16 @@ def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> Non
     if client:
         # One batch per document; a row depends only on its own text.
         batches = ([*sentences, *questions] for _, sentences, questions in documents)
-        embedded = (
-            (vectors[len(sentences) :], vectors[: len(sentences)], None)
+        scored = (
+            cosine_matrix(vectors[len(sentences) :], vectors[: len(sentences)])
             for (_, sentences, _), vectors in zip(documents, client.embed_many(batches))
         )
     else:
-        embedded = _tfidf_embedded(documents, FIT_BATCH_BYTES)
+        scored = _tfidf_scores(documents, FIT_BATCH_BYTES)
 
     contexts = [
-        build_context(doc_id, sentences, questions, rows, sentence_rows, config.k, norms)
-        for (doc_id, sentences, questions), (rows, sentence_rows, norms) in zip(documents, embedded)
+        build_context(doc_id, sentences, questions, scores, config.k)
+        for (doc_id, sentences, questions), scores in zip(documents, scored)
     ]
     pairs = [(context, corpus.summaries[context.doc_id]) for context in contexts]
     _write_jsonl(out / "contexts.jsonl", contexts)
@@ -350,7 +351,7 @@ class RouteEmbedding(NamedTuple):
     tokens: list[str]
     ranked: np.ndarray  # the rows that ``select_questions`` averages into topic centroids
     score_master: Callable  # ``select_questions``'s master scorer
-    embed_chosen: Callable  # (chosen, questions) -> ``build_context``'s vectors and norms
+    score_chosen: Callable  # (chosen, questions) -> their cosines to the sentences, a row each
 
 
 def _tfidf_routes(documents, master_texts: list[str], budget: int):
@@ -368,15 +369,15 @@ def _tfidf_routes(documents, master_texts: list[str], budget: int):
 def _tfidf_route(fit: TfidfEmbedder, d: int, master_tokens, master_counts) -> RouteEmbedding:
     """Document ``d``'s ``RouteEmbedding``, with the master counts weighed by its IDF.
 
-    The chosen questions' rows come from those weights; they are not encoded again.
+    The chosen questions are scored from those weights; they are not encoded again.
     """
     fold = fit.fold(master_tokens, master_counts, d)
 
-    def embed_chosen(chosen, questions):
-        return fit.embed(questions, fold.weights_of(chosen), d)
+    def score_chosen(chosen, questions):
+        return entry_cosines(*fit.embed(questions, fold.weights_of(chosen), d))
 
     ranked = fit.vectors(fold.fit_columns, d)
-    return RouteEmbedding(fit.weights(d), fit.tokens(d), ranked, fold.scores, embed_chosen)
+    return RouteEmbedding(fit.weights(d), fit.tokens(d), ranked, fold.scores, score_chosen)
 
 
 def _service_routes(client: EmbeddingClient, documents, master_texts: list[str]):
@@ -386,12 +387,11 @@ def _service_routes(client: EmbeddingClient, documents, master_texts: list[str])
     score_master = functools.partial(_pair_cosines, master, np.linalg.norm(master, axis=1))
     for (_, sentences, _), vectors in zip(documents, embedded):
         encoded = encode(sentences)
-        chosen = functools.partial(_embed_service, master, vectors)
-        yield RouteEmbedding(encoded.terms, encoded.tokens(), vectors, score_master, chosen)
 
+        def score_chosen(chosen, questions, vectors=vectors):
+            return cosine_matrix(master[chosen], vectors)
 
-def _embed_service(master: np.ndarray, sentences: np.ndarray, chosen, questions):
-    return master[chosen], sentences, None
+        yield RouteEmbedding(encoded.terms, encoded.tokens(), vectors, score_master, score_chosen)
 
 
 def route_document(config, keywords, master_texts, buckets, doc_id, sentences, embedded):
@@ -401,7 +401,7 @@ def route_document(config, keywords, master_texts, buckets, doc_id, sentences, e
     ``topic_buckets``. With no topic detected and
     ``fallback_on_empty_detection`` set, the whole master list is chosen.
     """
-    terms, tokens, ranked, score_master, embed_chosen = embedded
+    terms, tokens, ranked, score_master, score_chosen = embedded
     detection = detect_topics(doc_id, keywords, terms, tokens)
     try:
         chosen = select_questions(detection, ranked, score_master, buckets, config.q_per_topic)
@@ -411,8 +411,7 @@ def route_document(config, keywords, master_texts, buckets, doc_id, sentences, e
         logger.warning("no topics detected for %s; falling back to the master list", doc_id)
         chosen = list(range(len(master_texts)))
     questions = [master_texts[i] for i in chosen]
-    rows, sentence_rows, norms = embed_chosen(chosen, questions)
-    context = build_context(doc_id, sentences, questions, rows, sentence_rows, config.k, norms)
+    context = build_context(doc_id, sentences, questions, score_chosen(chosen, questions), config.k)
     return detection, {"doc_id": doc_id, "questions": questions}, context
 
 

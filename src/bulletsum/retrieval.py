@@ -18,8 +18,10 @@ product is summed over a sparse row's entries by a second small C kernel
 ``entry_cosines`` for a document's questions and sentences, ``Fold.scores``
 for route's topic centroids and master questions. A sentence-transformer
 service can be substituted through the embedding client
-(``services.EmbeddingClient``); its vectors are ranked by ``cosine_matrix``.
-Every cosine is divided and rounded alike (``cosines``).
+(``services.EmbeddingClient``); its vectors are scored by ``cosine_matrix``.
+Every cosine is divided and rounded alike (``cosines``). The embedders score;
+``build_context`` only ranks the question x sentence scores it is given and
+builds the records.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ class TfidfEmbedder:
     times the IDF, one ``Entries`` row per fit text), their norms and the
     queries' rows on their document's columns each take one numpy call for
     the whole batch. ``embed`` gives a document's queries as dense rows
-    against its fit texts' weights, which ``build_context`` scores with the
+    against its fit texts' weights, which ``entry_cosines`` scores with the
     pair kernel (``pair_products``).
     """
 
@@ -300,7 +302,7 @@ class TfidfEmbedder:
     def embed(
         self, texts: Sequence[str], weights: Entries | None = None, document: int = 0
     ) -> tuple[np.ndarray, Entries, tuple[np.ndarray, np.ndarray]]:
-        """``texts`` against ``document``'s fit texts: ``build_context``'s arguments.
+        """``texts`` against ``document``'s fit texts: ``entry_cosines``'s arguments.
 
         Returns the texts' counts times the IDF as dense rows, the fit texts'
         weights, and the norms of both whole vectors. ``weights`` are the
@@ -449,8 +451,9 @@ def cosine_matrix(
     are vectors on some of their columns only, every column where both can
     be nonzero; by default they are the rows' own. Scores are rounded to
     ``SCORE_DECIMALS`` so that noise in the last bits, which differs between
-    summation orders and embedders, cannot decide a ranking. It ranks a
-    service's vectors; TF-IDF rows are ranked by ``entry_cosines``.
+    summation orders and embedders, cannot decide a ranking. It scores a
+    service's vectors for ``build_context``; TF-IDF rows are scored by
+    ``entry_cosines``.
     """
     if norms is None:
         norms = (np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
@@ -464,7 +467,8 @@ def entry_cosines(
 
     The product of every (query, candidate) pair comes from
     ``pair_products``, summed in entry order, and is divided by the pair's
-    ``norms`` and rounded as ``cosine_matrix`` does.
+    ``norms`` and rounded as ``cosine_matrix`` does. It scores
+    ``TfidfEmbedder.embed``'s rows, weights and norms for ``build_context``.
     """
     n, m = len(queries), len(candidates.starts) - 1
     topics, texts = np.indices((n, m), dtype=np.intp).reshape(2, -1)
@@ -538,33 +542,23 @@ class ExtractiveContext:
 
 
 def build_context(
-    doc_id: str,
-    sentences: Sequence[str],
-    questions: list[str],
-    question_vectors: np.ndarray,
-    sentence_vectors: np.ndarray | Entries,
-    k: int,
-    norms: tuple[np.ndarray, np.ndarray] | None = None,
+    doc_id: str, sentences: Sequence[str], questions: list[str], scores: np.ndarray, k: int
 ) -> ExtractiveContext:
     """Union of per-question top-k selections, deduplicated by position.
 
-    Row i of ``question_vectors`` embeds ``questions[i]`` and row j of
-    ``sentence_vectors`` embeds ``sentences[j]``, scored with ``norms``: by
-    ``entry_cosines`` for TF-IDF weights as ``TfidfEmbedder.embed`` gives
-    all three, by ``cosine_matrix`` for a service's vectors. Each question takes the
-    min(k, |sentences|) sentences of highest cosine (``top_k``), so ties
-    break toward the earlier document position. Context sentences keep
-    document order; the per-question selections are retained for audit. At
-    most k * len(questions) sentences survive.
+    ``scores[i, j]`` is the cosine of ``questions[i]`` to ``sentences[j]``,
+    as the stage's embedder scores them: ``entry_cosines`` for TF-IDF,
+    ``cosine_matrix`` for a service. Each question takes the min(k,
+    |sentences|) sentences of highest score (``top_k``), so ties break
+    toward the earlier document position and a NaN ranks after every
+    number. Context sentences keep document order; the per-question
+    selections are retained for audit. At most k * len(questions) sentences
+    survive.
     """
     if not questions:
         raise NoQuestions(f"no questions supplied for document {doc_id!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(sentence_vectors, Entries):
-        scores = entry_cosines(question_vectors, sentence_vectors, norms)
-    else:
-        scores = cosine_matrix(question_vectors, sentence_vectors, norms)
 
     selections = [
         Selection(

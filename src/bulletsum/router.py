@@ -11,7 +11,9 @@ fold of the master counts (``retrieval.Fold.scores``): the master list is
 counted once per stage (``Encoded.terms``), each document's IDF weighs only the
 master counts its fit holds, and a compiled loop sums each pair's products over
 the question's entries. With an embedding service it is ``cosine_matrix``
-against the master vectors, at the pairs.
+against the master vectors, at the pairs. The same embedding then scores the
+chosen questions against the sentences (``RouteEmbedding.score_chosen``), and
+``retrieval.build_context`` only ranks those scores.
 """
 
 from __future__ import annotations

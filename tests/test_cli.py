@@ -12,7 +12,7 @@ from bulletsum.config import PipelineConfig
 from bulletsum.errors import ConfigInvalid
 from bulletsum.generator import DEFAULT_INSTRUCTION
 from bulletsum.pipeline import STAGES
-from bulletsum.retrieval import ExtractiveContext, TfidfEmbedder, build_context
+from bulletsum.retrieval import ExtractiveContext, TfidfEmbedder, build_context, entry_cosines
 from bulletsum.text import tokenize
 
 from test_services import dead_port
@@ -493,8 +493,8 @@ class TestStages:
         routed = next(c for c in contexts if c["doc_id"] == doc_id)
         master = [q["text"] for q in json.loads(
             (workspace / "topics" / "question_bank.json").read_text())["master"]]
-        queries, fit, norms = TfidfEmbedder([sentences], [master]).embed(master)
-        expected = build_context(doc_id, sentences, master, queries, fit, PipelineConfig().k, norms)
+        scores = entry_cosines(*TfidfEmbedder([sentences], [master]).embed(master))
+        expected = build_context(doc_id, sentences, master, scores, PipelineConfig().k)
         assert ExtractiveContext.from_dict(routed) == expected
 
     def test_empty_transcript_names_file(self, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 import random
 import re
 from dataclasses import asdict
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from bulletsum import metrics
 from bulletsum.errors import AlignmentError
 from bulletsum.metrics import (
-    MetricsReport,
     evaluate_corpus,
     normalized_numbers,
     format_report_table,

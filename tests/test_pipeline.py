@@ -19,7 +19,7 @@ from bulletsum.config import PipelineConfig
 from bulletsum.corpus import corpus_stats, load_corpus, split_corpus
 from bulletsum.errors import IoError, MissingArtifact
 from bulletsum.qbank import build_question_bank
-from bulletsum.retrieval import TfidfEmbedder, build_context, cosine_matrix, encode, entry_cosines
+from bulletsum.retrieval import TfidfEmbedder, build_context, cosine_matrix, encode
 from bulletsum.router import detect_topics, select_questions, topic_buckets
 
 from test_cli import README, _tree_digest
@@ -405,12 +405,12 @@ def test_extract_context_does_not_depend_on_the_batch(documents, budget):
     def scored(budget):
         """Each document's scores, selected scores and context, fit in the batches of ``budget``."""
         scored = []
-        for (doc_id, sentences, questions), embedded in zip(
-            documents, pipeline._tfidf_embedded(documents, budget)
+        for (doc_id, sentences, questions), scores in zip(
+            documents, pipeline._tfidf_scores(documents, budget)
         ):
-            context = build_context(doc_id, sentences, questions, *embedded[:2], 3, embedded[2])
+            context = build_context(doc_id, sentences, questions, scores, 3)
             selected = np.array([s.score for s in context.selections])
-            scored.append((entry_cosines(*embedded).tobytes(), selected.tobytes(), context))
+            scored.append((scores.tobytes(), selected.tobytes(), context))
         return scored
 
     alone = scored(0)  # every document is past a budget of 0, so each is a batch alone
@@ -506,9 +506,9 @@ def test_route_ranks_and_scores_as_on_dense_master_vectors(topics_workspace, mon
     config, workspace = topics_workspace
     handed = {}
 
-    def recording_build_context(doc_id, sentences, questions, *vectors):
-        handed[doc_id] = entry_cosines(*vectors[:2], vectors[3])
-        return retrieval.build_context(doc_id, sentences, questions, *vectors)
+    def recording_build_context(doc_id, sentences, questions, scores, k):
+        handed[doc_id] = scores
+        return retrieval.build_context(doc_id, sentences, questions, scores, k)
 
     monkeypatch.setattr(pipeline, "build_context", recording_build_context)
     pipeline.run_stage("route", config, workspace)

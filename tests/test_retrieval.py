@@ -37,10 +37,10 @@ def cosine(u, v):
 
 
 def _context(sentences, questions, k):
-    """``build_context`` on the questions and sentences embedded as the extract stage does."""
+    """``build_context`` on the questions' cosines to the sentences, scored as ``extract`` does."""
     texts = [q.text for q in questions]
-    queries, fit, norms = TfidfEmbedder([sentences], [texts]).embed(texts)
-    return build_context("d", sentences, texts, queries, fit, k, norms)
+    scores = entry_cosines(*TfidfEmbedder([sentences], [texts]).embed(texts))
+    return build_context("d", sentences, texts, scores, k)
 
 
 def _selections(sentences, question, k):
@@ -652,6 +652,16 @@ class TestTopK:
         sentences = ("revenue rose", "unrelated text", "revenue rose")
         ranked = _selections(sentences, make_question("what is revenue?"), 2)
         assert [s.position for s in ranked] == [0, 2]
+
+        # A score matrix as any embedder may give it: a NaN ranks after every
+        # number, an exact tie goes to the earlier position, k is capped at the
+        # sentence count, and each selection's score is its cell.
+        scores = np.array([[0.25, np.nan, 0.75, 0.25], [np.nan, -0.5, np.nan, -0.5]])
+        context = build_context("d", ("a", "b", "c", "d"), ["q1", "q2"], scores, 9)
+        for i, (question, ranking) in enumerate(zip(["q1", "q2"], [[2, 0, 3, 1], [1, 3, 0, 2]])):
+            chosen = [s for s in context.selections if s.question == question]
+            assert [(s.position, s.rank) for s in chosen] == list(zip(ranking, [1, 2, 3, 4]))
+            np.testing.assert_array_equal([s.score for s in chosen], scores[i, ranking])
 
     def test_exact_tie_with_float_noise_goes_to_earlier_position(self, make_question):
         # The first two sentences differ only in a number that occurs once,

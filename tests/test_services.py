@@ -24,7 +24,7 @@ from bulletsum import kernels, pipeline, services
 from bulletsum.config import PipelineConfig
 from bulletsum.errors import MalformedResponse, ServiceUnavailable
 from bulletsum.qbank import generate_questions_external
-from bulletsum.retrieval import build_context
+from bulletsum.retrieval import build_context, cosine_matrix
 from bulletsum.services import EmbeddingClient, GenerationClient, QGClient
 from conftest import needs_cc
 
@@ -620,10 +620,10 @@ class TestRouteWithEmbeddingService:
         detections = {record["doc_id"]: record for record in map(json.loads, lines)}
         assert detections[doc_id]["detected"] == []
         master = [q.text for q in pipeline.read_artifact(workspace, "topics/question_bank.json").master]
-        expected = build_context(
-            doc_id, sentences, master, np.array([bow_vector(q) for q in master]),
-            np.array([bow_vector(s) for s in sentences]), config.k,
+        scores = cosine_matrix(
+            np.array([bow_vector(q) for q in master]), np.array([bow_vector(s) for s in sentences])
         )
+        expected = build_context(doc_id, sentences, master, scores, config.k)
         contexts = pipeline.read_artifact(workspace, "route/contexts.jsonl")
         assert next(c for c in contexts if c.doc_id == doc_id) == expected
 
