@@ -42,6 +42,7 @@ from .retrieval import (
     TfidfEmbedder,
     build_context,
     cosine_matrix,
+    cosines,
     encode,
     entry_cosines,
 )
@@ -296,7 +297,7 @@ def _tfidf_scores(documents, budget: int):
     for batch in _fit_batches(documents, budget):
         embedder = TfidfEmbedder([s for _, s, _ in batch], [q for _, _, q in batch])
         for document, (_, _, questions) in enumerate(batch):
-            yield entry_cosines(*embedder.embed(questions, document=document))
+            yield entry_cosines(*embedder.embed(questions, embedder.queries(document), document))
 
 
 def stage_extract(config: PipelineConfig, out: Path, corpus, split, bank) -> None:
@@ -340,8 +341,8 @@ def _pair_cosines(
 
     ``candidate_norms`` are the candidates' row norms, computed once by the caller.
     """
-    norms = (np.linalg.norm(queries, axis=1), candidate_norms)
-    return cosine_matrix(queries, candidates, norms)[topics, texts]
+    norms = np.outer(np.linalg.norm(queries, axis=1), candidate_norms)
+    return cosines(queries @ candidates.T, norms)[topics, texts]
 
 
 class RouteEmbedding(NamedTuple):

@@ -10,7 +10,8 @@ from a dense texts x vocabulary matrix: every sparse count is one
 ``Entries`` record, a row per text in CSR form with an entry per distinct
 token. ``TfidfEmbedder`` fits a batch of documents, each with its own
 vocabulary and IDF, in one encoding and one numpy call per step of the fit;
-``embed`` gives one document's queries as dense rows against its sentences'
+``embed`` gives texts' ``Entries`` weights on one document's columns (its
+queries, or texts counted apart) as dense rows against its sentences'
 entries. Texts counted once per stage (``Encoded.terms``) are scored on any
 document's fit through its IDF (``TfidfEmbedder.fold``). Every TF-IDF
 product is summed over a sparse row's entries by a second small C kernel
@@ -70,6 +71,11 @@ class Entries(NamedTuple):
         held = np.flatnonzero(at >= 0)
         # A row's run now starts after the held entries of the rows before it.
         return Entries(np.searchsorted(held, self.starts), at[held], self.values[held])
+
+    def sliced(self, first: int, end: int) -> Entries:
+        """Rows ``first`` up to ``end``, their entries now from 0."""
+        a, b = self.starts[first], self.starts[end]
+        return Entries(self.starts[first : end + 1] - a, self.columns[a:b], self.values[a:b])
 
 
 class Encoded(NamedTuple):
@@ -221,10 +227,10 @@ class TfidfEmbedder:
     No texts x vocabulary matrix is built. Every document's columns follow
     those of the documents before it, so the IDF, the fit weights (counts
     times the IDF, one ``Entries`` row per fit text), their norms and the
-    queries' rows on their document's columns each take one numpy call for
-    the whole batch. ``embed`` gives a document's queries as dense rows
-    against its fit texts' weights, which ``entry_cosines`` scores with the
-    pair kernel (``pair_products``).
+    queries' weights on their document's columns (``queries``) each take one
+    numpy call for the whole batch. ``embed`` gives texts' weights as dense
+    rows on all of a document's columns, against its fit texts' weights,
+    which ``entry_cosines`` scores with the pair kernel (``pair_products``).
     """
 
     def __init__(
@@ -239,7 +245,7 @@ class TfidfEmbedder:
         encoded = encode(
             [text for pair in zip(documents, queries) for part in pair for text in part], n + m
         )
-        self._encoded, self._queries, self._tokens = encoded, queries, {}
+        self._encoded, self._tokens = encoded, {}
         starts, columns, counts = encoded.terms
         bases = encoded.bases
         self._texts_at = texts_at = _starts(n + m)
@@ -257,16 +263,12 @@ class TfidfEmbedder:
         weights = self._weights = Entries(starts, columns, counts * self._idf[tokens])
         rows = weights.rows()
         self._norms = np.sqrt(np.bincount(rows, weights.values**2, minlength=len(starts) - 1))
-
-        # Each query's weights on its document's columns only, as dense rows:
-        # document d's m[d] rows of widths[d] columns, from ``_rows_at[d]`` on.
-        self._rows_at = _starts(m * widths)
+        # The queries' weights on their document's columns, a row per text of
+        # the call; a fit text's row is empty.
         document = np.repeat(np.arange(len(n)), end - first_query)
-        query = rows[asked] - (texts_at[:-1] + n)[document]
-        cells = self._rows_at[document] + query * widths[document] + columns[asked]
-        on_fit = columns[asked] < widths[document]
-        self._query_rows = np.zeros(self._rows_at[-1])
-        self._query_rows[cells[on_fit]] = weights.values[asked[on_fit]]
+        on_fit = asked[columns[asked] < widths[document]]
+        query_starts = np.searchsorted(on_fit, starts)
+        self._asked = Entries(query_starts, columns[on_fit], weights.values[on_fit])
 
     def idf(self, document: int = 0) -> np.ndarray:
         """The IDF of each of ``document``'s fit columns."""
@@ -287,9 +289,15 @@ class TfidfEmbedder:
     def weights(self, document: int = 0) -> Entries:
         """``document``'s fit texts' counts times the IDF, a row per fit text, on its columns."""
         texts = self._fit_texts(document)
-        starts, columns, values = self._weights
-        a, b = starts[texts.start], starts[texts.stop]
-        return Entries(starts[texts.start : texts.stop + 1] - a, columns[a:b], values[a:b])
+        return self._weights.sliced(texts.start, texts.stop)
+
+    def queries(self, document: int = 0) -> Entries:
+        """``document``'s queries' counts times the IDF, a row per query, on its columns.
+
+        A query token outside the document's vocabulary has no entry.
+        """
+        texts = self._fit_texts(document)
+        return self._asked.sliced(texts.stop, self._texts_at[document + 1])
 
     def vectors(self, columns: np.ndarray, document: int = 0) -> np.ndarray:
         """``document``'s fit texts' vectors on ``columns``, L2-normalized as whole vectors."""
@@ -300,39 +308,26 @@ class TfidfEmbedder:
         return np.divide(rows, norms, out=rows, where=norms > 0)
 
     def embed(
-        self, texts: Sequence[str], weights: Entries | None = None, document: int = 0
+        self, texts: Sequence[str], weights: Entries, document: int = 0
     ) -> tuple[np.ndarray, Entries, tuple[np.ndarray, np.ndarray]]:
         """``texts`` against ``document``'s fit texts: ``entry_cosines``'s arguments.
 
-        Returns the texts' counts times the IDF as dense rows, the fit texts'
-        weights, and the norms of both whole vectors. ``weights`` are the
-        texts' counts times the IDF on the document's columns, a row per
-        text, and hold every token of the texts that the fit holds; the rows
-        and the fit texts' weights are then kept on the columns the texts
-        hold, so the rows stay small when many texts are given. Without
-        ``weights``, ``texts`` are the document's ``queries``, counted by the
-        fit's ``encode`` call, and the rows are on all of its columns.
+        ``weights`` are the texts' counts times the IDF on the document's
+        columns, a row per text, holding every token of the texts that the
+        fit holds: ``queries(document)`` for the queries counted with the
+        fit, ``Fold.weights_of`` for texts counted apart. Returns them as
+        dense rows on all of the document's columns, the fit texts' weights,
+        and the norms of both whole vectors.
         """
-        width, sentences = self._widths[document], self.weights(document)
-        if weights is None:
-            if list(texts) != self._queries[document]:
-                raise ValueError("texts other than the queries need their counts")
-            a, b = self._rows_at[document : document + 2]
-            rows = self._query_rows[a:b].reshape(len(texts), width)
-            rows_held = np.ascontiguousarray(rows[:, rows.any(axis=0)])
-        else:
-            # A product term on a column no text holds is zero, so the
-            # sentences' weights off those columns are dropped.
-            columns = np.flatnonzero(np.bincount(weights.columns, minlength=width))
-            held = weights.on(columns, width)
-            rows = rows_held = np.zeros((len(held.starts) - 1, len(columns)))
-            rows[held.rows(), held.columns] = held.values
-            sentences = sentences.on(columns, width)
+        if len(texts) != len(weights.starts) - 1:
+            raise ValueError(f"{len(texts)} texts, but weights for {len(weights.starts) - 1}")
+        rows = np.zeros((len(texts), self._widths[document]))
+        rows[weights.rows(), weights.columns] = weights.values
         # Each row's norm is summed over the columns some row holds, in their
         # order, as numpy sums a C-ordered matrix of those columns only (a
         # column-ordered one sums in another order).
-        norms = np.linalg.norm(rows_held, axis=1)
-        return rows, sentences, (norms, self._norms[self._fit_texts(document)])
+        norms = np.linalg.norm(np.ascontiguousarray(rows[:, rows.any(axis=0)]), axis=1)
+        return rows, self.weights(document), (norms, self._norms[self._fit_texts(document)])
 
     def fold(self, tokens: list[str], counts: Entries, document: int = 0) -> Fold:
         """Texts counted apart, ``counts`` (``Encoded.terms``) of ``tokens``, on ``document``'s fit.
@@ -439,25 +434,17 @@ def _python_products(
     return products.astype(float, copy=False).reshape(n, width)[topics, texts]
 
 
-def cosine_matrix(
-    queries: np.ndarray,
-    candidates: np.ndarray,
-    norms: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Cosine of every query row to every candidate row, rounded.
 
     One matrix product divided by the outer product of the row norms; a zero
-    row scores 0. ``norms`` are the query and candidate norms when the rows
-    are vectors on some of their columns only, every column where both can
-    be nonzero; by default they are the rows' own. Scores are rounded to
-    ``SCORE_DECIMALS`` so that noise in the last bits, which differs between
-    summation orders and embedders, cannot decide a ranking. It scores a
-    service's vectors for ``build_context``; TF-IDF rows are scored by
-    ``entry_cosines``.
+    row scores 0. Scores are rounded to ``SCORE_DECIMALS`` so that noise in
+    the last bits, which differs between summation orders and embedders,
+    cannot decide a ranking. It scores a service's vectors for
+    ``build_context``; TF-IDF rows are scored by ``entry_cosines``.
     """
-    if norms is None:
-        norms = (np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
-    return cosines(queries @ candidates.T, np.outer(*norms))
+    norms = np.outer(np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
+    return cosines(queries @ candidates.T, norms)
 
 
 def entry_cosines(

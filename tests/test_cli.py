@@ -493,7 +493,8 @@ class TestStages:
         routed = next(c for c in contexts if c["doc_id"] == doc_id)
         master = [q["text"] for q in json.loads(
             (workspace / "topics" / "question_bank.json").read_text())["master"]]
-        scores = entry_cosines(*TfidfEmbedder([sentences], [master]).embed(master))
+        embedder = TfidfEmbedder([sentences], [master])
+        scores = entry_cosines(*embedder.embed(master, embedder.queries()))
         expected = build_context(doc_id, sentences, master, scores, PipelineConfig().k)
         assert ExtractiveContext.from_dict(routed) == expected
 

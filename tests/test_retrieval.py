@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bulletsum import kernels, retrieval
+from bulletsum import kernels, pipeline, retrieval
 from bulletsum.errors import NoQuestions
 from bulletsum.retrieval import (
     ExtractiveContext,
@@ -39,7 +39,8 @@ def cosine(u, v):
 def _context(sentences, questions, k):
     """``build_context`` on the questions' cosines to the sentences, scored as ``extract`` does."""
     texts = [q.text for q in questions]
-    scores = entry_cosines(*TfidfEmbedder([sentences], [texts]).embed(texts))
+    embedder = TfidfEmbedder([sentences], [texts])
+    scores = entry_cosines(*embedder.embed(texts, embedder.queries()))
     return build_context("d", sentences, texts, scores, k)
 
 
@@ -262,7 +263,8 @@ def loop_scores(fit_corpus, texts):
 
 def _scores(fit_corpus, queries):
     """Cosines of ``queries`` to the fit texts, from the counts of one ``encode`` call."""
-    return entry_cosines(*TfidfEmbedder([fit_corpus], [queries]).embed(queries))
+    embedder = TfidfEmbedder([fit_corpus], [queries])
+    return entry_cosines(*embedder.embed(queries, embedder.queries()))
 
 
 def _counted_scores(fit_corpus, texts):
@@ -332,6 +334,12 @@ class TestTfidfEmbedder:
         picks=[0, 1, 2, 3],
     )
     @example(sentences=["revenue rose"], master=["q3 sales", "cash"], picks=[0, 1])
+    # A question on five of the nine fit columns: its norm summed over all
+    # nine, zeros included, takes other bits than over the five.
+    @example(
+        sentences=["price churn margin debt", "demand price volume capex churn cash supply"],
+        master=["churn cash capex supply demand"], picks=[0],
+    )
     def test_chosen_rows_match_the_dense_gather(self, sentences, master, picks):
         chosen = list(dict.fromkeys(pick % len(master) for pick in picks))
         questions = [master[i] for i in chosen]
@@ -341,20 +349,19 @@ class TestTfidfEmbedder:
         embedded = embedder.embed(questions, fold.weights_of(chosen))
         rows, fit_rows, (norms, _) = embedded
         weights, columns = _dense_gather(embedder, master, chosen)
-        assert rows.tobytes() == weights.tobytes()
+        # The rows are the gather on its columns and zero on every other fit column.
+        assert rows.shape == (len(chosen), len(embedder.idf()))
+        assert rows[:, columns].tobytes() == weights.tobytes()
+        assert not np.delete(rows, columns, axis=1).any()
         # The gather is column-ordered; numpy sums a C-ordered row in another order.
         weights = np.ascontiguousarray(weights)
         assert norms.tobytes() == np.linalg.norm(weights, axis=1).tobytes()
-        # The sentences' weights on the chosen questions' columns only.
-        fit = embedder.weights()
-        dense = np.zeros((len(sentences), len(embedder.idf())))
-        dense[fit.rows(), fit.columns] = fit.values
-        held = np.zeros((len(sentences), len(columns)))
-        held[fit_rows.rows(), fit_rows.columns] = fit_rows.values
-        assert held.tobytes() == dense[:, columns].tobytes()
-        # The same bits as the questions counted with the fit, as extract does.
-        as_queries = embedder.embed(questions)
-        assert embedded[2][0].tobytes() == as_queries[2][0].tobytes()
+        # The sentences' weights are the whole fit's.
+        assert [a.tobytes() for a in fit_rows] == [a.tobytes() for a in embedder.weights()]
+        # The same bits as the questions counted with the fit, as extract
+        # does: rows, sentences' weights and norms, and so the scores.
+        as_queries = embedder.embed(questions, embedder.queries())
+        assert _embedded_bytes(embedded) == _embedded_bytes(as_queries)
         assert entry_cosines(*embedded).tobytes() == entry_cosines(*as_queries).tobytes()
 
     @given(
@@ -400,27 +407,35 @@ class TestTfidfEmbedder:
         embedder = TfidfEmbedder(
             [["revenue rose", "cash fell"], ["cash rose"]], [["what is cash?"], []]
         )
-        embedder.embed(["what is cash?"])
-        embedder.embed([], document=1)
+        embedder.embed(["what is cash?"], embedder.queries(0), 0)
+        embedder.embed([], embedder.queries(1), 1)
         assert calls == [(["revenue rose", "cash fell", "what is cash?", "cash rose"], [3, 1])]
         # A document's vocabulary is its ids below its size: its sentences' tokens.
         assert embedder.tokens() == ["revenue", "rose", "cash", "fell"]
         assert embedder.tokens(1) == ["cash", "rose"]
         assert [len(embedder.weights(d).starts) - 1 for d in (0, 1)] == [2, 1]
+        # "what" and "is" are outside document 0's vocabulary, so the query
+        # keeps only "cash", on its fit column; document 1 has no queries.
+        assert tokenize("what is cash?") == ["what", "is", "cash"]
+        starts, columns, values = embedder.queries(0)
+        assert starts.tolist() == [0, 1] and columns.tolist() == [2]
+        assert values.tobytes() == embedder.idf(0)[[2]].tobytes()
+        assert [a.tolist() for a in embedder.queries(1)] == [[0], [], []]
 
-    def test_texts_other_than_the_queries_need_their_counts(self):
+    def test_texts_and_weight_rows_must_agree(self):
         embedder = TfidfEmbedder([["revenue rose"]], [["what is revenue?"]])
-        with pytest.raises(ValueError, match="counts"):
-            embedder.embed(["what is cash?"])
+        with pytest.raises(ValueError, match="2 texts, but weights for 1"):
+            embedder.embed(["what is revenue?", "what is cash?"], embedder.queries())
 
     def test_self_similarity_is_one(self):
         corpus = ["revenue rose sharply", "profit fell slightly"]
         assert _scores(corpus, ["revenue rose sharply"])[0, 0] == pytest.approx(1.0)
 
     def test_disjoint_text_scores_zero(self):
-        queries, fit, (query_norms, _) = TfidfEmbedder(
-            [["alpha beta", "beta gamma"]], [["unrelated words entirely"]]
-        ).embed(["unrelated words entirely"])
+        embedder = TfidfEmbedder([["alpha beta", "beta gamma"]], [["unrelated words entirely"]])
+        queries, fit, (query_norms, _) = embedder.embed(
+            ["unrelated words entirely"], embedder.queries()
+        )
         assert queries.shape == (1, 3) and not queries.any()
         assert len(fit.starts) == 3
         assert query_norms.tolist() == [0.0]
@@ -459,9 +474,11 @@ class TestTfidfEmbedder:
 
     def test_deterministic(self):
         texts = ["alpha beta", "gamma delta"]
-        a = TfidfEmbedder([texts], [["alpha gamma"]]).embed(["alpha gamma"])
-        b = TfidfEmbedder([texts], [["alpha gamma"]]).embed(["alpha gamma"])
-        assert _embedded_bytes(a) == _embedded_bytes(b)
+        embedded = []
+        for _ in range(2):
+            embedder = TfidfEmbedder([texts], [["alpha gamma"]])
+            embedded.append(_embedded_bytes(embedder.embed(["alpha gamma"], embedder.queries())))
+        assert embedded[0] == embedded[1]
 
 
 # Centroid entries: exact values, and noise that makes the summation order show.
@@ -574,22 +591,19 @@ class TestRankingRoutine:
             for j, v in enumerate(candidates):
                 assert abs(scores[i, j] - cosine(u, v)) <= 1e-12
 
-    def test_cosine_matrix_on_the_held_columns_with_whole_norms(self):
-        # The queries are zero outside their first five columns, and one is
-        # zero everywhere: the product on those columns, divided by the norms
-        # of the whole rows, is the whole cosine.
+    def test_pair_cosines_are_cosine_matrix_at_the_pairs(self):
+        # The service master scorer takes the candidates' norms once; its
+        # scores are ``cosine_matrix``'s, bit for bit, at every pair.
         rng = np.random.default_rng(7)
         queries = rng.normal(size=(4, 10))
         candidates = rng.normal(size=(6, 10))
-        queries[:, 5:] = 0.0
         queries[2] = 0.0
-        norms = (np.linalg.norm(queries, axis=1), np.linalg.norm(candidates, axis=1))
-        np.testing.assert_allclose(
-            cosine_matrix(queries[:, :5], candidates[:, :5], norms),
-            cosine_matrix(queries, candidates),
-            rtol=0,
-            atol=1e-12,
+        candidates[3] = 0.0
+        topics, texts = np.indices((4, 6)).reshape(2, -1)[:, rng.permutation(24)]
+        scores = pipeline._pair_cosines(
+            candidates, np.linalg.norm(candidates, axis=1), queries, topics, texts
         )
+        assert scores.tobytes() == cosine_matrix(queries, candidates)[topics, texts].tobytes()
 
     def test_cosine_matrix_scores_are_rounded(self):
         scores = cosine_matrix(np.array([[1.0, 2.0, 3.0]]), np.array([[3.0, 1.0, 7.0]]))
